@@ -5,132 +5,25 @@ mechanism, consensus keywords across the group are released and suppressed,
 the lowest-perplexity rewrite anchors a one-shot template, and the model
 regenerates the final question at temperature 0. A privacy ledger tracks the
 composed budget of the whole run.
+
+Only the names the README's library example uses are re-exported here;
+everything else is imported from its submodule (``promptsan.keywords``,
+``promptsan.evaluation``, ...).
 """
 
-from .client import (
-    ChatRequest,
-    ChatResponse,
-    EndpointConfig,
-    HttpChatClient,
-    Message,
-    MockChatModel,
-    mock_complete,
-)
-from .evaluation import (
-    EvalRow,
-    QARecord,
-    aggregate,
-    emit_report,
-    evaluate_item,
-    load_dataset,
-    run_experiment,
-    synthetic_qa_records,
-)
-from .exemplar import ScoredParaphrase, UnigramPerplexityScorer, score_perplexity, select_exemplar
-from .keywords import (
-    KeywordHistogram,
-    ReleasedKeywords,
-    ReleaseMethod,
-    build_histogram,
-    peel_sequence_distribution,
-    tokenize_normalize,
-    topk_dp,
-    topk_ndp,
-)
-from .mechanisms import (
-    INFINITE_EPSILON,
-    ClipBounds,
-    LedgerEntry,
-    LogitVector,
-    PrivacyLedger,
-    Stage,
-    clip_logits,
-    em_sample,
-    em_sample_many,
-    epsilon_per_token,
-    ledger_total,
-    schedule_total,
-    softmax,
-    temperature_for_epsilon,
-)
-from .metrics import MetricScore, all_metrics, bleu, rouge1, rougeL
-from .pipeline import PipelineConfig, SanitizedResult, budget_report, run_pipeline
-from .prompting import FinalPromptRequest, generate_sanitized, render_template
-from .rewriting import (
-    CalibrationStats,
-    ParaphraseGroup,
-    Rewrite,
-    RewriteParams,
-    RewriteSchedule,
-    calibrate_bounds,
-    paraphrase_blackbox,
-    paraphrase_whitebox,
-    rewrite_group,
-)
+from .client import MockChatModel
+from .mechanisms import ClipBounds, epsilon_per_token, schedule_total, temperature_for_epsilon
+from .pipeline import PipelineConfig, budget_report, run_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChatRequest",
-    "ChatResponse",
     "ClipBounds",
-    "CalibrationStats",
-    "EndpointConfig",
-    "EvalRow",
-    "FinalPromptRequest",
-    "HttpChatClient",
-    "INFINITE_EPSILON",
-    "KeywordHistogram",
-    "LedgerEntry",
-    "LogitVector",
-    "Message",
-    "MetricScore",
     "MockChatModel",
-    "ParaphraseGroup",
     "PipelineConfig",
-    "PrivacyLedger",
-    "QARecord",
-    "ReleaseMethod",
-    "ReleasedKeywords",
-    "Rewrite",
-    "RewriteParams",
-    "RewriteSchedule",
-    "SanitizedResult",
-    "ScoredParaphrase",
-    "Stage",
-    "UnigramPerplexityScorer",
-    "aggregate",
-    "all_metrics",
-    "bleu",
     "budget_report",
-    "build_histogram",
-    "calibrate_bounds",
-    "clip_logits",
-    "em_sample",
-    "em_sample_many",
-    "emit_report",
     "epsilon_per_token",
-    "evaluate_item",
-    "generate_sanitized",
-    "ledger_total",
-    "load_dataset",
-    "mock_complete",
-    "paraphrase_blackbox",
-    "paraphrase_whitebox",
-    "peel_sequence_distribution",
-    "render_template",
-    "rewrite_group",
-    "rouge1",
-    "rougeL",
-    "run_experiment",
     "run_pipeline",
     "schedule_total",
-    "score_perplexity",
-    "select_exemplar",
-    "softmax",
-    "synthetic_qa_records",
     "temperature_for_epsilon",
-    "tokenize_normalize",
-    "topk_dp",
-    "topk_ndp",
 ]

@@ -48,11 +48,11 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {
     "m", "k", "temperature", "schedule", "release_method", "epsilon2", "bounds",
-    "mode", "seed", "max_tokens", "prompt_template", "model", "use_mock", "mock_seed",
+    "seed", "max_tokens", "prompt_template", "model", "use_mock", "mock_seed",
     "client", "retry_on_leakage", "fallback_to_exemplar", "audit_path",
 }
 _BOUNDS_KEYS = {"b_min", "b_max", "unit_epsilon"}
-_CLIENT_KEYS = {"base_url", "model", "timeout_s", "max_inflight", "api_key_env", "system_prompt"}
+_CLIENT_KEYS = {"base_url", "model", "timeout_s", "max_inflight", "api_key_env"}
 
 
 def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
@@ -116,7 +116,6 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
             schedule=schedule,
             release_method=ReleaseMethod(method_name),
             epsilon2=float(doc["epsilon2"]) if "epsilon2" in doc else None,
-            mode=str(doc.get("mode", "blackbox")),
             seed=int(doc.get("seed", 0)),
             max_tokens=int(doc.get("max_tokens", 64)),
             prompt_template=str(doc.get("prompt_template", DEFAULT_PARAPHRASE_TEMPLATE)),
@@ -141,7 +140,6 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
                 timeout_s=float(client_doc.get("timeout_s", 30.0)),
                 max_inflight=int(client_doc.get("max_inflight", 4)),
                 api_key_env=client_doc.get("api_key_env", "PROMPTSAN_API_KEY"),
-                system_prompt=client_doc.get("system_prompt"),
             )
         except KeyError as exc:
             raise ConfigError(f"client config missing {exc}") from exc

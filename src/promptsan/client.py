@@ -20,7 +20,7 @@ import numpy as np
 import requests
 
 from .normalization import _STRIP_CHARS, tokenize
-from .stopwords import stop_words
+from .stopwords import STOP_WORDS
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,8 @@ class ChatRequest:
         temperature: float = 0.0,
         max_tokens: int = 256,
         seed: int | None = None,
-        system: str | None = None,
     ) -> "ChatRequest":
-        messages: list[Message] = []
-        if system:
-            messages.append(Message("system", system))
-        messages.append(Message("user", content))
-        return cls(model, tuple(messages), temperature, max_tokens, seed)
+        return cls(model, (Message("user", content),), temperature, max_tokens, seed)
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,6 @@ class EndpointConfig:
     timeout_s: float = 30.0
     max_inflight: int = 4
     api_key_env: str = "PROMPTSAN_API_KEY"
-    system_prompt: str | None = None
 
     def api_key(self) -> str | None:
         return os.environ.get(self.api_key_env) or None
@@ -190,10 +184,6 @@ class HttpChatClient:
         return ChatResponse(
             text=text, tokens_generated=tokens, latency_ms=latency_ms, attempts=attempts
         )
-
-
-def complete(req: ChatRequest, endpoint: EndpointConfig) -> ChatResponse:
-    return HttpChatClient(endpoint).complete(req)
 
 
 # --- deterministic mock -----------------------------------------------------
@@ -317,9 +307,8 @@ class MockChatModel:
         words = target.split()
         if not words:
             return ""
-        stops = stop_words()
         content_positions = [
-            i for i, w in enumerate(words) if w.strip(_STRIP_CHARS).lower() not in stops
+            i for i, w in enumerate(words) if w.strip(_STRIP_CHARS).lower() not in STOP_WORDS
             and w.strip(_STRIP_CHARS)
         ]
 
@@ -356,7 +345,3 @@ class MockChatModel:
 
         out.extend("zq" + _tag(int(fill_tags[j])) for j in range(n_fill))
         return " ".join(out)
-
-
-def mock_complete(req: ChatRequest, seed: int = 0) -> ChatResponse:
-    return MockChatModel(seed=seed).complete(req)

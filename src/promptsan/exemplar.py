@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
 from .normalization import tokenize
@@ -48,15 +48,27 @@ class UnigramPerplexityScorer:
     """
 
     def __init__(self, group_texts: Iterable[str]) -> None:
+        self._fit(tokenize(text) for text in group_texts)
+
+    @classmethod
+    def from_tokens(cls, token_lists: Iterable[Sequence[str]]) -> "UnigramPerplexityScorer":
+        """Fit on already-tokenized texts."""
+        scorer = cls.__new__(cls)
+        scorer._fit(token_lists)
+        return scorer
+
+    def _fit(self, token_lists: Iterable[Sequence[str]]) -> None:
         self.counts: dict[str, int] = {}
         self.total = 0
-        for text in group_texts:
-            for tok in tokenize(text):
+        for tokens in token_lists:
+            for tok in tokens:
                 self.counts[tok] = self.counts.get(tok, 0) + 1
                 self.total += 1
 
     def __call__(self, text: str) -> float:
-        tokens = tokenize(text)
+        return self.perplexity(tokenize(text))
+
+    def perplexity(self, tokens: Sequence[str]) -> float:
         if not tokens:
             raise ScoringError("cannot score an empty token stream")
         denom = self.total + len(self.counts)
@@ -66,13 +78,6 @@ class UnigramPerplexityScorer:
         return math.exp(-log_sum / len(tokens))
 
 
-def score_perplexity(text: str, scorer: PerplexityScorer) -> float:
-    tokens = tokenize(text)
-    if not tokens:
-        raise ScoringError("cannot score an empty token stream")
-    return float(scorer(text))
-
-
 def select_exemplar(
     group: "ParaphraseGroup",
     scorer: PerplexityScorer | None = None,
@@ -80,18 +85,21 @@ def select_exemplar(
 ) -> ScoredParaphrase:
     """Return the rewrite with minimal perplexity; ties go to the lowest index.
 
-    Rewrites the scorer rejects are skipped; if nothing is scorable the
-    selection fails. A zero-cost post-processing entry is appended when a
-    ledger is supplied.
+    Each rewrite is tokenized once. Rewrites with no tokens, and rewrites a
+    custom scorer rejects, are skipped; if nothing is scorable the selection
+    fails. A zero-cost post-processing entry is appended when a ledger is
+    supplied.
     """
     if not group.rewrites:
         raise SelectionError("cannot select from an empty group")
-    if scorer is None:
-        scorer = UnigramPerplexityScorer(r.text for r in group.rewrites)
+    token_lists = [tokenize(r.text) for r in group.rewrites]
+    unigram = UnigramPerplexityScorer.from_tokens(token_lists) if scorer is None else None
     best: ScoredParaphrase | None = None
-    for index, rewrite in enumerate(group.rewrites):
+    for index, (rewrite, tokens) in enumerate(zip(group.rewrites, token_lists)):
+        if not tokens:
+            continue
         try:
-            ppl = score_perplexity(rewrite.text, scorer)
+            ppl = float(scorer(rewrite.text)) if unigram is None else unigram.perplexity(tokens)
         except ScoringError:
             continue
         if best is None or ppl < best.perplexity:

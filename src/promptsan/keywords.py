@@ -20,7 +20,7 @@ import numpy as np
 
 from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
 from .normalization import tokenize
-from .stopwords import DEFAULT_STOP_LIST_ID, stop_words
+from .stopwords import STOP_WORDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rewriting import ParaphraseGroup
@@ -31,9 +31,9 @@ class ReleaseMethod(str, Enum):
     DP = "DP"  # epsilon-DP top-K mechanism
 
 
-def tokenize_normalize(text: str, stop_list_id: str = DEFAULT_STOP_LIST_ID) -> list[str]:
+def tokenize_normalize(text: str) -> list[str]:
     """Whitespace split, punctuation strip, case fold, stop-word removal."""
-    return tokenize(text, stop_words(stop_list_id))
+    return tokenize(text, STOP_WORDS)
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,14 @@ class KeywordHistogram:
 
     counts: Mapping[str, int]
     total_words: int
-    stop_list_id: str = DEFAULT_STOP_LIST_ID
-    normalization: tuple[str, ...] = ("whitespace-split", "strip-punctuation", "case-fold")
 
     def __post_init__(self) -> None:
         if sum(self.counts.values()) != self.total_words:
             raise ValueError("total_words must equal the sum of counts")
-        stops = stop_words(self.stop_list_id)
         for word, count in self.counts.items():
             if not word:
                 raise ValueError("histogram keys must be nonempty")
-            if word in stops:
+            if word in STOP_WORDS:
                 raise ValueError(f"stop word {word!r} must not appear in the histogram")
             if count < 0:
                 raise ValueError("counts must be nonnegative")
@@ -69,7 +66,6 @@ class ReleasedKeywords:
     words: tuple[str, ...]
     method: ReleaseMethod
     epsilon: float  # INFINITE_EPSILON for NDP
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if len(set(self.words)) != len(self.words):
@@ -83,9 +79,7 @@ class ReleasedKeywords:
         }
 
 
-def build_histogram(
-    group: "ParaphraseGroup", stop_list_id: str = DEFAULT_STOP_LIST_ID
-) -> KeywordHistogram:
+def build_histogram(group: "ParaphraseGroup") -> KeywordHistogram:
     """Count word occurrences over every rewrite in the group.
 
     Counts accumulate globally across rewrites (every occurrence, not
@@ -94,10 +88,10 @@ def build_histogram(
     counts: dict[str, int] = {}
     total = 0
     for rewrite in group.rewrites:
-        for word in tokenize_normalize(rewrite.text, stop_list_id):
+        for word in tokenize_normalize(rewrite.text):
             counts[word] = counts.get(word, 0) + 1
             total += 1
-    return KeywordHistogram(counts=counts, total_words=total, stop_list_id=stop_list_id)
+    return KeywordHistogram(counts=counts, total_words=total)
 
 
 def _ranked(counts: Mapping[str, int]) -> list[str]:
@@ -138,15 +132,13 @@ def topk_dp(
     k: int,
     epsilon: float,
     rng: np.random.Generator,
-    strategy: str = "peel",
     ledger: PrivacyLedger | None = None,
 ) -> ReleasedKeywords:
     """Release K distinct words under an epsilon-DP top-K mechanism.
 
-    The default "peel" strategy runs K sequential exponential-mechanism draws
-    without replacement, each with budget epsilon/K; the composed release is
-    epsilon-DP for count sensitivity 1. The "joint" one-shot strategy is a
-    reserved slot and raises until an implementation is wired in.
+    K sequential exponential-mechanism draws without replacement ("peeling"),
+    each with budget epsilon/K; the composed release is epsilon-DP for count
+    sensitivity 1.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -156,12 +148,6 @@ def topk_dp(
         raise ValueError(
             f"k={k} exceeds the {hist.distinct_words()} distinct words in the histogram"
         )
-    if strategy == "joint":
-        raise NotImplementedError(
-            "joint one-shot top-K release is not available; use strategy='peel'"
-        )
-    if strategy != "peel":
-        raise ValueError(f"unknown top-K strategy: {strategy!r}")
 
     eps_per_draw = epsilon / k
     remaining = sorted(hist.counts)

@@ -195,10 +195,6 @@ def em_sample_many(
     return np.minimum(draws, probs.size - 1)
 
 
-def ledger_total(ledger: PrivacyLedger) -> float:
-    return ledger.total()
-
-
 def schedule_total(
     token_counts: Sequence[int], temperatures: Sequence[float], bounds: ClipBounds
 ) -> float:

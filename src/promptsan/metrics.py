@@ -33,11 +33,6 @@ class MetricScore:
             raise ValueError(f"metric value out of [0, 1]: {self.value}")
 
 
-def metric_tokenize(text: str) -> list[str]:
-    """Case-folded, punctuation-stripped whitespace tokens; stop words kept."""
-    return tokenize(text)
-
-
 def _f1(precision: float, recall: float) -> float:
     if precision <= 0.0 or recall <= 0.0:
         return 0.0
@@ -46,8 +41,8 @@ def _f1(precision: float, recall: float) -> float:
 
 def rouge1(reference: str, hypothesis: str) -> MetricScore:
     """Unigram overlap with clipped counts, reported as F1."""
-    ref = Counter(metric_tokenize(reference))
-    hyp = Counter(metric_tokenize(hypothesis))
+    ref = Counter(tokenize(reference))
+    hyp = Counter(tokenize(hypothesis))
     overlap = sum((ref & hyp).values())
     precision = overlap / sum(hyp.values()) if hyp else 0.0
     recall = overlap / sum(ref.values()) if ref else 0.0
@@ -75,8 +70,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rougeL(reference: str, hypothesis: str) -> MetricScore:
     """Longest-common-subsequence overlap, reported as F1."""
-    ref = metric_tokenize(reference)
-    hyp = metric_tokenize(hypothesis)
+    ref = tokenize(reference)
+    hyp = tokenize(hypothesis)
     lcs = _lcs_length(ref, hyp)
     precision = lcs / len(hyp) if hyp else 0.0
     recall = lcs / len(ref) if ref else 0.0
@@ -99,8 +94,8 @@ def bleu(reference: str, hypothesis: str) -> MetricScore:
     smoothed to 1/(2 * hypothesis n-gram count). Brevity penalty applies only
     when the hypothesis is shorter than the reference.
     """
-    ref = metric_tokenize(reference)
-    hyp = metric_tokenize(hypothesis)
+    ref = tokenize(reference)
+    hyp = tokenize(hypothesis)
     if not hyp or not ref:
         return MetricScore(value=0.0, metric=Metric.BLEU, details={"precisions": []})
 

@@ -37,7 +37,6 @@ from .rewriting import (
     StepOracle,
     rewrite_group,
 )
-from .stopwords import DEFAULT_STOP_LIST_ID
 
 GroupRewriter = Callable[[str, np.random.Generator, PrivacyLedger], ParaphraseGroup]
 
@@ -55,7 +54,6 @@ class PipelineConfig:
     max_tokens: int = 64
     prompt_template: str = DEFAULT_PARAPHRASE_TEMPLATE
     model: str = "mock"
-    stop_list_id: str = DEFAULT_STOP_LIST_ID
     template_id: str = "default-v1"
     retry_on_leakage: int = 0
     fallback_to_exemplar: bool = False
@@ -163,7 +161,7 @@ def run_pipeline(
         raise PipelineStageError("stage-1 rewriting", exc, partial) from exc
 
     try:
-        histogram = build_histogram(group, config.stop_list_id)
+        histogram = build_histogram(group)
         partial["histogram"] = histogram
         if config.release_method is ReleaseMethod.NDP:
             released = topk_ndp(histogram, config.k, ledger)

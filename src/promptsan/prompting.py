@@ -13,12 +13,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .client import ChatClient, ChatRequest, ClientError, TransportError
+from .client import AVOID_HEADER, REWRITE_HEADER, ChatClient, ChatRequest
+from .client import ClientError, TransportError
 from .keywords import tokenize_normalize
 from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
-
-REWRITE_HEADER = "Refer to the following question to generate a new question:"
-AVOID_HEADER = "Avoid using the following tokens:"
 
 TEMPLATES = {"default-v1": (REWRITE_HEADER, AVOID_HEADER)}
 
@@ -77,7 +75,6 @@ def generate_sanitized(
     *,
     model: str = "mock",
     max_tokens: int = 256,
-    system_prompt: str | None = None,
     retry_on_leakage: int = 0,
     fallback_to_exemplar: bool = False,
 ) -> GenerationOutcome:
@@ -92,6 +89,7 @@ def generate_sanitized(
     attempts = min(max(retry_on_leakage, 0), 2) + 1
 
     text: str | None = None
+    leaked = False
     regenerations = 0
     for attempt in range(attempts):
         chat_req = ChatRequest.single(
@@ -100,7 +98,6 @@ def generate_sanitized(
             temperature=req.temperature,
             max_tokens=max_tokens,
             seed=attempt,
-            system=system_prompt,
         )
         try:
             text = client.complete(chat_req).text
@@ -116,14 +113,15 @@ def generate_sanitized(
                 )
             raise SanitizationError(f"final generation failed: {exc}") from exc
         regenerations = attempt
-        if not contains_forbidden(text, req.forbidden):
+        leaked = contains_forbidden(text, req.forbidden)
+        if not leaked:
             break
 
     assert text is not None
     ledger.record(Stage.POST_PROCESS, INFINITE_EPSILON, 1, "final generation (T=0)")
     return GenerationOutcome(
         text=text,
-        leakage_flag=contains_forbidden(text, req.forbidden),
+        leakage_flag=leaked,
         final_prompt=final_prompt,
         regenerations=regenerations,
     )

@@ -87,7 +87,6 @@ class Rewrite:
 class ParaphraseGroup:
     source: str
     rewrites: tuple[Rewrite, ...]
-    created_at: float | None = None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -121,8 +120,6 @@ class ParaphraseGroup:
                 for r in self.rewrites
             ],
         }
-        if self.created_at is not None:
-            doc["created_at"] = self.created_at
         if self.warnings:
             doc["warnings"] = list(self.warnings)
         return doc

@@ -1,8 +1,8 @@
-"""Versioned English stop-word lists.
+"""The English stop-word list.
 
 Keyword extraction must behave identically across runs and platforms, so the
-list is shipped with the package and addressed by id instead of being pulled
-from an external NLP dependency.
+list is shipped with the package instead of being pulled from an external NLP
+dependency.
 """
 
 from __future__ import annotations
@@ -33,16 +33,4 @@ wouldn't
 you you'd you'll you're you've your yours yourself yourselves
 """
 
-STOP_LISTS: dict[str, frozenset[str]] = {
-    "en-basic-v1": frozenset(_EN_BASIC_V1.split()),
-}
-
-DEFAULT_STOP_LIST_ID = "en-basic-v1"
-
-
-def stop_words(list_id: str = DEFAULT_STOP_LIST_ID) -> frozenset[str]:
-    """Return the stop-word set registered under ``list_id``."""
-    try:
-        return STOP_LISTS[list_id]
-    except KeyError:
-        raise KeyError(f"unknown stop-word list id: {list_id!r}") from None
+STOP_WORDS = frozenset(_EN_BASIC_V1.split())

@@ -111,6 +111,15 @@ class TestSanitize:
         path.write_text(json.dumps({"bounds": {"b_min": 0, "b_max": 1}, "use_mock": True, "oops": 1}))
         assert main(["sanitize", "--config", str(path), "--prompt", PROMPT]) == 2
 
+    def test_whitebox_mode_is_a_config_error(self, tmp_path, capsys):
+        # White-box rewriting needs a step oracle, which a config cannot supply.
+        path = tmp_path / "whitebox.json"
+        path.write_text(
+            json.dumps({"bounds": {"b_min": 0, "b_max": 8}, "use_mock": True, "mode": "whitebox"})
+        )
+        assert main(["sanitize", "--config", str(path), "--prompt", PROMPT]) == 2
+        assert "unknown config keys: ['mode']" in capsys.readouterr().err
+
     def test_seed_changes_samples_not_schema(self, mock_config, capsys):
         main(["sanitize", "--config", mock_config, "--prompt", PROMPT, "--seed", "1"])
         first = json.loads(capsys.readouterr().out)

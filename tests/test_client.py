@@ -12,7 +12,6 @@ from promptsan.client import (
     Message,
     MockChatModel,
     TransportError,
-    mock_complete,
 )
 from promptsan.metrics import rouge1
 
@@ -147,17 +146,9 @@ def paraphrase_request(question: str, temperature: float, seed: int = 0) -> Chat
 
 
 class TestMockModel:
-    def test_frame_headers_match_renderer(self):
-        # The mock recognizes the regeneration template by these exact lines.
-        from promptsan import client as client_mod
-        from promptsan import prompting
-
-        assert client_mod.REWRITE_HEADER == prompting.REWRITE_HEADER
-        assert client_mod.AVOID_HEADER == prompting.AVOID_HEADER
-
     def test_identical_requests_identical_responses(self):
         req = paraphrase_request("where does the silver heron nest", 0.8)
-        assert mock_complete(req) == mock_complete(req)
+        assert MockChatModel().complete(req) == MockChatModel().complete(req)
 
     def test_temperature_zero_is_identity_up_to_forced_table(self):
         mock = MockChatModel()
@@ -168,8 +159,8 @@ class TestMockModel:
 
     def test_seed_changes_output(self):
         question = "where does the silver heron usually nest in spring"
-        low = mock_complete(paraphrase_request(question, 1.0, seed=1))
-        high = mock_complete(paraphrase_request(question, 1.0, seed=2))
+        low = MockChatModel().complete(paraphrase_request(question, 1.0, seed=1))
+        high = MockChatModel().complete(paraphrase_request(question, 1.0, seed=2))
         assert low.text != high.text
 
     def test_edit_intensity_monotone_over_fixture(self, rng):
@@ -189,7 +180,7 @@ class TestMockModel:
         req = ChatRequest.single(
             PROMPT.format(q="one two three four five six"), temperature=0.0, max_tokens=3
         )
-        resp = mock_complete(req)
+        resp = MockChatModel().complete(req)
         assert resp.tokens_generated == 3
         assert len(resp.text.split()) == 3
 
@@ -200,7 +191,7 @@ class TestMockModel:
             "Avoid using the following tokens:\n"
             "harbor, lantern"
         )
-        resp = mock_complete(ChatRequest.single(content, temperature=0.0))
+        resp = MockChatModel().complete(ChatRequest.single(content, temperature=0.0))
         assert resp.text == "Where is the hidden"
 
     def test_choice_frame_returns_plausible_label(self):
@@ -217,7 +208,7 @@ class TestMockModel:
                 "Answer:",
             ]
         )
-        resp = mock_complete(ChatRequest.single(content, temperature=0.0))
+        resp = MockChatModel().complete(ChatRequest.single(content, temperature=0.0))
         assert resp.text == "B"
 
     def test_document_frame_answers_from_tokens(self):
@@ -229,6 +220,6 @@ class TestMockModel:
                 "Answer:",
             ]
         )
-        resp = mock_complete(ChatRequest.single(content, temperature=0.0))
+        resp = MockChatModel().complete(ChatRequest.single(content, temperature=0.0))
         assert set(resp.text.split()) <= {"ledger", "observatory", "pier", "kiosk"}
         assert len(resp.text.split()) == 3

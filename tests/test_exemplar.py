@@ -4,7 +4,6 @@ from promptsan.exemplar import (
     ScoringError,
     SelectionError,
     UnigramPerplexityScorer,
-    score_perplexity,
     select_exemplar,
 )
 from promptsan.mechanisms import PrivacyLedger, Stage
@@ -16,23 +15,23 @@ class TestUnigramScorer:
     def test_two_copy_group_scores_two(self):
         scorer = UnigramPerplexityScorer(["a b", "a b"])
         # counts {a: 2, b: 2}, add-one over vocab of 2 -> p = 3/6 for both.
-        assert score_perplexity("a b", scorer) == pytest.approx(2.0, abs=1e-12)
+        assert scorer("a b") == pytest.approx(2.0, abs=1e-12)
 
     def test_single_token_vocabulary_is_certain(self):
         scorer = UnigramPerplexityScorer(["x x x"])
-        assert score_perplexity("x", scorer) == pytest.approx(1.0, abs=1e-12)
+        assert scorer("x") == pytest.approx(1.0, abs=1e-12)
 
     def test_perplexity_at_least_one(self):
         scorer = UnigramPerplexityScorer(["rust harbor lantern", "quiet meadow"])
         for text in ("rust", "meadow lantern", "unseen tokens here"):
-            assert score_perplexity(text, scorer) >= 1.0
+            assert scorer(text) >= 1.0
 
     def test_empty_text_rejected(self):
         scorer = UnigramPerplexityScorer(["a b"])
         with pytest.raises(ScoringError):
-            score_perplexity("", scorer)
+            scorer("")
         with pytest.raises(ScoringError):
-            score_perplexity("...", scorer)
+            scorer("...")
 
 
 class TestSelectExemplar:
@@ -87,6 +86,24 @@ class TestSelectExemplar:
         group = make_group(["...", "valid text"])
         chosen = select_exemplar(group, UnigramPerplexityScorer(group.texts()))
         assert chosen.index == 1
+
+    def test_custom_scorer_never_sees_an_empty_token_stream(self):
+        seen = []
+
+        def scorer(text: str) -> float:
+            seen.append(text)
+            return float(len(text))
+
+        group = make_group(["...", "valid text", "!!!", "more valid text"])
+        assert select_exemplar(group, scorer).index == 1
+        assert seen == ["valid text", "more valid text"]
+
+    def test_default_scorer_matches_explicit_unigram_scorer(self, rng):
+        words = ["silver", "archive", "meadow", "kettle", "harbor", "lantern", "canal"]
+        for _ in range(20):
+            texts = [" ".join(rng.choice(words, size=6)) for _ in range(8)] + ["..."]
+            group = make_group(texts)
+            assert select_exemplar(group) == select_exemplar(group, UnigramPerplexityScorer(texts))
 
     def test_all_unscorable_is_error(self):
         group = make_group(["...", "!!!"])

@@ -15,7 +15,7 @@ import json
 
 from promptsan.cli import main
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel
-from promptsan.evaluation import emit_report, aggregate, run_experiment, synthetic_qa_records
+from promptsan.evaluation import aggregate, emit_report, run_experiment, synthetic_qa_records
 from promptsan.keywords import ReleaseMethod
 from promptsan.mechanisms import ClipBounds
 from promptsan.pipeline import PipelineConfig, run_pipeline

@@ -189,10 +189,6 @@ class TestTopkDp:
         with pytest.raises(ValueError):
             topk_dp(hist({"ant": 1}), 2, 1.0, rng)
 
-    def test_joint_strategy_not_available(self, rng):
-        with pytest.raises(NotImplementedError):
-            topk_dp(hist({"ant": 1, "bat": 1}), 1, 1.0, rng, strategy="joint")
-
     def test_ledger_charged_exactly_epsilon(self, rng):
         ledger = PrivacyLedger()
         topk_dp(hist({"ant": 4, "bat": 1}), 1, 2.5, rng, ledger=ledger)

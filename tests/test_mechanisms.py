@@ -15,7 +15,6 @@ from promptsan.mechanisms import (
     em_sample,
     em_sample_many,
     epsilon_per_token,
-    ledger_total,
     schedule_total,
     softmax,
     temperature_for_epsilon,
@@ -165,11 +164,6 @@ class TestLedger:
         ledger.record(Stage.POST_PROCESS, math.inf, 5)
         ledger.record(Stage.POST_PROCESS, 100.0, 5)
         assert ledger.total() == before
-
-    def test_ledger_total_function_matches_method(self):
-        ledger = PrivacyLedger()
-        ledger.record(Stage.REWRITE, 1.5, 4)
-        assert ledger_total(ledger) == ledger.total()
 
     @given(
         st.lists(

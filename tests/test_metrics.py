@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from promptsan.metrics import Metric, all_metrics, bleu, metric_tokenize, rouge1, rougeL
+from promptsan.metrics import Metric, all_metrics, bleu, rouge1, rougeL
+from promptsan.normalization import tokenize
 
 WORDS = ["harbor", "lantern", "meadow", "kettle", "canal", "archive", "the", "on", "cat"]
 token_lists = st.lists(st.sampled_from(WORDS), min_size=0, max_size=12)
@@ -38,7 +39,7 @@ class TestRouge1:
         ref = "the cat sat on the mat"
         hyp = "the cat on a mat"
         score = rouge1(ref, hyp)
-        overlap = oracle_clipped_overlap(metric_tokenize(ref), metric_tokenize(hyp))
+        overlap = oracle_clipped_overlap(tokenize(ref), tokenize(hyp))
         assert overlap == 4  # second "the" clipped away
         precision, recall = overlap / 5, overlap / 6
         assert score.value == pytest.approx(2 * precision * recall / (precision + recall), abs=1e-12)

@@ -1,8 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
+from promptsan import normalization
 from promptsan.client import MockChatModel
 from promptsan.exemplar import ScoredParaphrase
 from promptsan.keywords import ReleaseMethod, tokenize_normalize, topk_ndp, build_histogram
@@ -41,6 +43,23 @@ class TestRunPipeline:
         assert result.released.method is ReleaseMethod.NDP
         assert result.ledger.total() == result.ledger.rewrite_total()
         assert result.exemplar.text in result.group.texts()
+
+    def test_each_rewrite_tokenized_once_per_stage2_consumer(self, mock_client, monkeypatch):
+        # m for the histogram, m for the exemplar, 1 for the leakage check.
+        calls = 0
+        original = normalization.tokenize
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("promptsan") and getattr(module, "tokenize", None) is original:
+                monkeypatch.setattr(module, "tokenize", counting)
+        result = run_pipeline(PROMPT, config(m=10, retry_on_leakage=0), mock_client)
+        assert result.group.size == 10
+        assert calls == 2 * 10 + 1
 
     def test_dp_release_adds_epsilon2(self, mock_client):
         result = run_pipeline(PROMPT, config(release_method=ReleaseMethod.DP, epsilon2=1.0), mock_client)
