@@ -62,20 +62,22 @@ def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
 
 
 def _parse_bounds(doc: dict) -> ClipBounds:
+    if not isinstance(doc, dict):
+        raise ConfigError("bounds must be a JSON object")
     _reject_unknown(doc, _BOUNDS_KEYS, "bounds")
-    if "unit_epsilon" in doc:
-        if "b_min" in doc or "b_max" in doc:
-            raise ConfigError("bounds: give either unit_epsilon or b_min/b_max, not both")
-        return ClipBounds.from_unit_epsilon(float(doc["unit_epsilon"]))
+    if "unit_epsilon" in doc and ("b_min" in doc or "b_max" in doc):
+        raise ConfigError("bounds: give either unit_epsilon or b_min/b_max, not both")
     try:
+        if "unit_epsilon" in doc:
+            return ClipBounds.from_unit_epsilon(float(doc["unit_epsilon"]))
         return ClipBounds(float(doc["b_min"]), float(doc["b_max"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bounds: {exc}") from exc
 
 
 def parse_schedule(spec: str) -> RewriteSchedule:
     try:
-        low, high, step = (float(x) for x in spec.split(":"))
+        low, high, step = (float(x) for x in str(spec).split(":"))
         return RewriteSchedule.from_range(low, high, step)
     except ValueError as exc:
         raise ConfigError(f"invalid schedule {spec!r} (expected low:high:step)") from exc
@@ -96,19 +98,18 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
         raise ConfigError("config requires bounds")
     bounds = _parse_bounds(doc["bounds"])
 
-    schedule: RewriteSchedule | float
-    if "schedule" in doc:
-        schedule = parse_schedule(doc["schedule"])
-        m = doc.get("m", schedule.total)
-    else:
-        schedule = float(doc.get("temperature", 1.0))
-        m = doc.get("m", 10)
-
     method_name = str(doc.get("release_method", "ndp")).upper()
     if method_name not in ("NDP", "DP"):
         raise ConfigError(f"release_method must be ndp or dp, got {method_name!r}")
 
+    schedule: RewriteSchedule | float
     try:
+        if "schedule" in doc:
+            schedule = parse_schedule(doc["schedule"])
+            m = doc.get("m", schedule.total)
+        else:
+            schedule = float(doc.get("temperature", 1.0))
+            m = doc.get("m", 10)
         config = PipelineConfig(
             bounds=bounds,
             m=int(m),
@@ -123,11 +124,14 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
             retry_on_leakage=int(doc.get("retry_on_leakage", 0)),
             fallback_to_exemplar=bool(doc.get("fallback_to_exemplar", False)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     if doc.get("use_mock", False):
-        client: object = MockChatModel(seed=int(doc.get("mock_seed", 0)))
+        try:
+            client: object = MockChatModel(seed=int(doc.get("mock_seed", 0)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"mock_seed: {exc}") from exc
     else:
         client_doc = doc.get("client")
         if not isinstance(client_doc, dict):
@@ -143,6 +147,8 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
             )
         except KeyError as exc:
             raise ConfigError(f"client config missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"client config: {exc}") from exc
         client = HttpChatClient(endpoint)
         if "model" not in doc:
             config = replace(config, model=endpoint.model)
@@ -171,8 +177,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _read_prompt(spec: str) -> str:
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(spec[1:], encoding="utf-8") as fh:
+                return fh.read().strip()
+        except OSError as exc:
+            raise ConfigError(f"cannot read prompt file: {exc}") from exc
     return spec
 
 

@@ -98,6 +98,12 @@ class EndpointConfig:
     max_inflight: int = 4
     api_key_env: str = "PROMPTSAN_API_KEY"
 
+    def __post_init__(self) -> None:
+        if not self.max_inflight >= 1:
+            raise ValueError(f"max_inflight must be at least 1, got {self.max_inflight!r}")
+        if not self.timeout_s > 0:
+            raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
+
     def api_key(self) -> str | None:
         return os.environ.get(self.api_key_env) or None
 
@@ -123,7 +129,21 @@ class HttpChatClient:
         self.base_delay_s = base_delay_s
         self.backoff_factor = backoff_factor
         self._sleep = sleeper
-        self._session = session or requests.Session()
+        if session is None:
+            # Pool a connection for every call that may be in flight, so each
+            # wave of Stage-1 calls reuses the last one's connections.
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(
+                pool_maxsize=max(endpoint.max_inflight, requests.adapters.DEFAULT_POOLSIZE)
+            )
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
+
+    @property
+    def max_inflight(self) -> int:
+        """How many Stage-1 calls of one prompt may be in flight at once."""
+        return self.endpoint.max_inflight
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -154,7 +174,11 @@ class HttpChatClient:
                 last_failure = f"transport error: {exc}"
             else:
                 if resp.status_code == 200:
-                    return self._parse(resp.json(), started, attempt)
+                    try:
+                        data = resp.json()
+                    except ValueError as exc:
+                        raise ClientError(f"malformed completion payload: {exc}") from exc
+                    return self._parse(data, started, attempt)
                 excerpt = resp.text[:200]
                 if resp.status_code in _RETRYABLE_STATUSES:
                     last_failure = f"HTTP {resp.status_code}: {excerpt}"
@@ -176,8 +200,10 @@ class HttpChatClient:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ClientError(f"malformed completion payload: {exc}") from exc
-        usage = data.get("usage") or {}
-        tokens = usage.get("completion_tokens")
+        if not isinstance(text, str):
+            raise ClientError("malformed completion payload: content is not a string")
+        usage = data.get("usage")
+        tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
         if not isinstance(tokens, int) or tokens < 0:
             tokens = len(text.split())
         latency_ms = int((time.monotonic() - started) * 1000)

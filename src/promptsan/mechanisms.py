@@ -11,7 +11,6 @@ plus the ledger that accumulates the composed budget across a pipeline run.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -106,16 +105,15 @@ class LedgerEntry:
 class PrivacyLedger:
     """Append-only record of budget-consuming events.
 
-    Appends must be serialized by the caller when shared across threads; a
-    lock is kept here only to make the common single-pipeline case safe.
+    A ledger has one writer: concurrent Stage-1 slots each record into their
+    own ledger, which the caller's thread then merges in slot order. Holding
+    no lock, a ledger pickles like any dataclass.
     """
 
     entries: list[LedgerEntry] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def append(self, entry: LedgerEntry) -> None:
-        with self._lock:
-            self.entries.append(entry)
+        self.entries.append(entry)
 
     def record(self, stage: Stage, epsilon_per_unit: float, units: int, note: str = "") -> LedgerEntry:
         entry = LedgerEntry(stage, epsilon_per_unit, units, note)

@@ -65,8 +65,11 @@ class PipelineConfig:
             self.epsilon2 is None or self.epsilon2 <= 0
         ):
             raise ValueError("DP keyword release requires a positive epsilon2")
-        if isinstance(self.schedule, RewriteSchedule) and self.schedule.total != self.m:
-            raise ValueError("schedule must cover exactly m rewrites")
+        if isinstance(self.schedule, RewriteSchedule):
+            if self.schedule.total != self.m:
+                raise ValueError("schedule must cover exactly m rewrites")
+        elif not self.schedule > 0:
+            raise ValueError(f"rewrite temperature must be positive, got {self.schedule!r}")
 
     def rewrite_params(self) -> RewriteParams:
         temperature = (

@@ -11,8 +11,9 @@ charges tokens_generated * epsilon_per_token to the ledger.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -309,6 +310,10 @@ def rewrite_group(
     Each slot draws from its own child random stream, so rewrites never see
     one another's output and slot order does not perturb the samples. Failed
     slots are dropped with a warning; only an all-failed group is an error.
+
+    A client with a ``max_inflight`` attribute has up to that many slots in
+    flight at once; rewrites, warnings and ledger entries still come out in
+    slot order, exactly as from a sequential run.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -326,30 +331,74 @@ def rewrite_group(
     # slot's draws depend on its position but never on its temperature.
     child_rngs = rng.spawn(m)
 
+    def run_slot(slot: int, slot_ledger: PrivacyLedger) -> Rewrite:
+        slot_params = replace(params, temperature=temperatures[slot], epsilon_per_token=None)
+        if params.mode == "whitebox":
+            assert oracle is not None
+            return paraphrase_whitebox(prompt, slot_params, oracle, child_rngs[slot], slot_ledger)
+        assert client is not None
+        slot_seed = int(child_rngs[slot].integers(0, 2**63))
+        return paraphrase_blackbox(prompt, slot_params, client, slot_ledger, seed=slot_seed)
+
+    # Only a client that declares how many calls it may have in flight (the
+    # HTTP client) gets worker threads; in-process clients and oracles would
+    # pay for the threads and gain nothing.
+    workers = min(m, getattr(client, "max_inflight", 1)) if params.mode == "blackbox" else 1
+    if workers > 1:
+        outcomes = _fan_out(run_slot, m, workers, ledger)
+    else:
+        outcomes = []
+        for slot in range(m):
+            try:
+                outcomes.append(run_slot(slot, ledger))
+            except RewriteError as exc:
+                outcomes.append(exc)
+
     rewrites: list[Rewrite] = []
     issues: list[str] = []
-    for slot, temperature in enumerate(temperatures):
-        slot_params = replace(params, temperature=temperature, epsilon_per_token=None)
-        try:
-            if params.mode == "whitebox":
-                assert oracle is not None
-                rewrites.append(
-                    paraphrase_whitebox(prompt, slot_params, oracle, child_rngs[slot], ledger)
-                )
-            else:
-                assert client is not None
-                slot_seed = int(child_rngs[slot].integers(0, 2**63))
-                rewrites.append(
-                    paraphrase_blackbox(prompt, slot_params, client, ledger, seed=slot_seed)
-                )
-        except RewriteError as exc:
-            issues.append(f"slot {slot} (T={temperature:g}) failed: {exc}")
+    for slot, outcome in enumerate(outcomes):
+        if isinstance(outcome, RewriteError):
+            issues.append(f"slot {slot} (T={temperatures[slot]:g}) failed: {outcome}")
+        else:
+            rewrites.append(outcome)
 
     if not rewrites:
         raise GroupRewriteError(
             f"all {m} rewrites failed: " + "; ".join(issues[:3])
         )
     return ParaphraseGroup(source=prompt, rewrites=tuple(rewrites), warnings=tuple(issues))
+
+
+def _fan_out(
+    run_slot: Callable[[int, PrivacyLedger], Rewrite],
+    m: int,
+    workers: int,
+    ledger: PrivacyLedger,
+) -> list[Rewrite | RewriteError]:
+    """Run the m slots on ``workers`` threads, each into its own slot ledger.
+
+    Waits for every slot, then appends the slot ledgers' entries to ``ledger``
+    in slot order on the calling thread, so the ledger reads as it would after
+    a sequential run. The merge happens even when a slot or the pool itself
+    fails, because slots that ran have spent their budget. A slot that raises
+    anything but ``RewriteError`` is re-raised (the first such slot) after it.
+    """
+    slot_ledgers = [PrivacyLedger() for _ in range(m)]
+    futures = []
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for slot in range(m):
+                futures.append(pool.submit(run_slot, slot, slot_ledgers[slot]))
+    finally:
+        for slot_ledger in slot_ledgers:
+            for entry in slot_ledger.entries:
+                ledger.append(entry)
+
+    outcomes = [future.exception() or future.result() for future in futures]
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException) and not isinstance(outcome, RewriteError):
+            raise outcome
+    return outcomes
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import csv
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from promptsan.cli import main
+from promptsan.client import ChatRequest, Message, MockChatModel
 from promptsan.evaluation import synthetic_qa_records
 
 
@@ -134,6 +137,11 @@ class TestSanitize:
         assert main(["sanitize", "--config", mock_config, "--prompt", f"@{prompt_file}"]) == 0
         assert json.loads(capsys.readouterr().out)["original"] == PROMPT
 
+    def test_missing_prompt_file_exits_two(self, mock_config, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        assert main(["sanitize", "--config", mock_config, "--prompt", f"@{missing}"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read prompt file:")
+
     def test_audit_file_appended(self, mock_config, tmp_path, capsys):
         audit = tmp_path / "audit.jsonl"
         main(["sanitize", "--config", mock_config, "--prompt", PROMPT, "--audit", str(audit)])
@@ -155,6 +163,112 @@ class TestSanitize:
         temps = [r["temperature"] for r in doc["group"]["rewrites"]]
         assert len(temps) == 11
         assert temps == sorted(set(temps))
+
+
+class MockServiceHandler(BaseHTTPRequestHandler):
+    """A chat-completions service answering as ``MockChatModel(seed=0)`` does."""
+
+    model = MockChatModel(seed=0)
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        resp = self.model.complete(
+            ChatRequest(
+                model=body["model"],
+                messages=tuple(Message(m["role"], m["content"]) for m in body["messages"]),
+                temperature=body["temperature"],
+                max_tokens=body["max_tokens"],
+                seed=body.get("seed"),
+            )
+        )
+        data = json.dumps(
+            {
+                "choices": [{"message": {"role": "assistant", "content": resp.text}}],
+                "usage": {"completion_tokens": resp.tokens_generated},
+            }
+        ).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def mock_service():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), MockServiceHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+BASE_CONFIG = {"m": 10, "k": 8, "bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": 7}
+
+
+def write_config(tmp_path, doc: dict, name: str = "config.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"bounds": {"unit_epsilon": -1}}, "bounds: epsilon at unit temperature must be positive"),
+            ({"schedule": 5}, "invalid schedule 5"),
+            ({"temperature": 0}, "rewrite temperature must be positive"),
+            ({"temperature": "hot"}, "could not convert string to float"),
+            ({"bounds": [0, 8]}, "bounds must be a JSON object"),
+            ({"mock_seed": "x"}, "mock_seed"),
+        ],
+    )
+    def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True, **overrides})
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "client, message",
+        [
+            ({"max_inflight": 0}, "max_inflight must be at least 1"),
+            ({"max_inflight": "x"}, "invalid literal for int()"),
+            ({"timeout_s": 0}, "timeout_s must be positive"),
+        ],
+    )
+    def test_bad_client_value_exits_two(self, tmp_path, capsys, client, message):
+        doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m", **client}}
+        config = write_config(tmp_path, doc)
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: client config: ") and message in err
+
+
+class TestSanitizeOverHttp:
+    def test_output_is_identical_at_max_inflight_one_and_eight(self, tmp_path, capsys, mock_service):
+        outputs = []
+        for max_inflight in (1, 8):
+            doc = {
+                **BASE_CONFIG,
+                "schedule": "0.5:1.4:0.1",
+                "client": {"base_url": mock_service, "model": "mock", "max_inflight": max_inflight},
+            }
+            config = write_config(tmp_path, doc, f"inflight{max_inflight}.json")
+            assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 0
+            outputs.append(capsys.readouterr().out)
+        local = write_config(tmp_path, {**BASE_CONFIG, "schedule": "0.5:1.4:0.1", "use_mock": True})
+        assert main(["sanitize", "--config", local, "--prompt", PROMPT]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestKeywords:

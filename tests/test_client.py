@@ -2,6 +2,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from promptsan.client import (
@@ -13,7 +14,9 @@ from promptsan.client import (
     MockChatModel,
     TransportError,
 )
+from promptsan.mechanisms import ClipBounds, PrivacyLedger
 from promptsan.metrics import rouge1
+from promptsan.rewriting import RewriteParams, rewrite_group
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -27,9 +30,11 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).requests_seen.append(body)
         status, payload = self.script.pop(0) if self.script else (500, {"error": "script empty"})
-        data = json.dumps(payload).encode()
+        # A str payload is sent as it is, as a misbehaving service might.
+        raw = isinstance(payload, str)
+        data = payload.encode() if raw else json.dumps(payload).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", "text/html" if raw else "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -114,12 +119,121 @@ class TestHttpClient:
         assert body["temperature"] == 0.3
         assert body["max_tokens"] == 32
 
+    def test_non_json_reply_is_a_client_error(self, stub_server):
+        ScriptedHandler.script = [(200, "<html>oops")]
+        with pytest.raises(ClientError, match="malformed completion payload"):
+            fast_client(stub_server).complete(REQ)
+        assert len(ScriptedHandler.requests_seen) == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": 7}}], "usage": {"completion_tokens": 1}},
+        ],
+    )
+    def test_non_string_content_is_a_client_error(self, stub_server, payload):
+        ScriptedHandler.script = [(200, payload)]
+        with pytest.raises(ClientError, match="malformed completion payload"):
+            fast_client(stub_server).complete(REQ)
+
+    def test_usage_that_is_not_an_object_falls_back_to_estimate(self, stub_server):
+        ScriptedHandler.script = [(200, {**completion_payload("one two"), "usage": 5})]
+        assert fast_client(stub_server).complete(REQ).tokens_generated == 2
+
+    def test_non_json_reply_drops_only_its_slot(self, stub_server):
+        # Four slots in flight at once; whichever request arrives first gets the bad body.
+        ScriptedHandler.script = [(200, "<html>oops")] + [
+            (200, completion_payload("fine words", tokens=2)) for _ in range(3)
+        ]
+        client = fast_client(stub_server)
+        assert client.max_inflight == 4
+        params = RewriteParams(
+            mode="blackbox", temperature=1.0, max_tokens=16, bounds=ClipBounds(0.0, 8.0)
+        )
+        ledger = PrivacyLedger()
+        group = rewrite_group(
+            "p q", 4, 1.0, params, np.random.default_rng(0), ledger, client=client
+        )
+        assert group.texts() == ["fine words"] * 3
+        assert len(group.warnings) == 1
+        assert "malformed completion payload" in group.warnings[0]
+        assert len(ledger.entries) == 3
+
     def test_api_key_header_from_environment(self, stub_server, monkeypatch):
         monkeypatch.setenv("PROMPTSAN_API_KEY", "sk-test")
         client = fast_client(stub_server)
         assert client._headers()["Authorization"] == "Bearer sk-test"
         monkeypatch.delenv("PROMPTSAN_API_KEY")
         assert "Authorization" not in client._headers()
+
+
+class KeepAliveBarrierHandler(BaseHTTPRequestHandler):
+    """Keeps connections open and answers only once ``barrier`` calls are waiting."""
+
+    protocol_version = "HTTP/1.1"
+    barrier: threading.Barrier
+    peers: set = set()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).peers.add(self.client_address)
+        type(self).barrier.wait()
+        data = json.dumps(completion_payload("fine words", tokens=2)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_connections_are_reused_above_the_default_pool_size():
+    m = 12
+    KeepAliveBarrierHandler.barrier = threading.Barrier(m, timeout=5)
+    KeepAliveBarrierHandler.peers = set()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveBarrierHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    client = HttpChatClient(
+        EndpointConfig(base_url=f"http://{host}:{port}", model="m", max_inflight=m),
+        sleeper=lambda _: None,
+    )
+    params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=16, bounds=ClipBounds(0.0, 8.0))
+    try:
+        for seed in (0, 1):
+            group = rewrite_group(
+                "p q", m, 1.0, params, np.random.default_rng(seed), PrivacyLedger(), client=client
+            )
+            assert group.size == m
+    finally:
+        client._session.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    # The second group of m concurrent calls opens no connection of its own.
+    assert len(KeepAliveBarrierHandler.peers) == m
+
+
+class TestEndpointConfig:
+    @pytest.mark.parametrize("max_inflight", [0, -1])
+    def test_max_inflight_below_one_rejected(self, max_inflight):
+        with pytest.raises(ValueError, match="max_inflight"):
+            EndpointConfig(base_url="http://x", model="m", max_inflight=max_inflight)
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0])
+    def test_nonpositive_timeout_rejected(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s"):
+            EndpointConfig(base_url="http://x", model="m", timeout_s=timeout_s)
+
+    def test_client_exposes_max_inflight(self):
+        endpoint = EndpointConfig(base_url="http://x", model="m", max_inflight=7)
+        assert HttpChatClient(endpoint).max_inflight == 7
+        assert EndpointConfig(base_url="http://x", model="m").max_inflight == 4
 
 
 class TestRequestValidation:

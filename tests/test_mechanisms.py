@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -189,6 +190,16 @@ class TestLedger:
         for entry in entries:
             ledger.append(entry)
         assert ledger.total() == pytest.approx(1.5 * 2 + 0.25 * 8 + 19.4 + 3.0 * 5, rel=1e-12)
+
+    def test_pickle_round_trip(self):
+        ledger = PrivacyLedger()
+        ledger.record(Stage.REWRITE, 19.4, 20, "blackbox T=1 (nominal bounds)")
+        ledger.record(Stage.KEYWORD_RELEASE, 1.0, 1)
+        ledger.record(Stage.POST_PROCESS, math.inf, 3)
+        restored = pickle.loads(pickle.dumps(ledger))
+        assert restored == ledger
+        assert restored.to_rows() == ledger.to_rows()
+        assert restored.total() == ledger.total()
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,13 @@
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage, schedule_total
+from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import (
     ConstantStepOracle,
     DegenerateBoundsError,
@@ -230,6 +236,102 @@ class TestRewriteGroup:
                 source="s",
                 rewrites=(Rewrite(text="a b c", params=params, tokens_generated=3),),
             )
+
+
+class InflightMock:
+    """The mock behind a ``max_inflight`` attribute, so rewrite_group fans out."""
+
+    def __init__(self, max_inflight: int) -> None:
+        self.max_inflight = max_inflight
+        self.mock = MockChatModel()
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        return self.mock.complete(req)
+
+
+class BarrierClient:
+    """Returns only once four calls are waiting together."""
+
+    max_inflight = 4
+
+    def __init__(self) -> None:
+        self.barrier = threading.Barrier(4, timeout=5)
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        self.barrier.wait()
+        return ChatResponse(text="kept text", tokens_generated=2)
+
+
+class FailAtTemperature:
+    """Raises ``error`` for the slot at ``temperature``; answers the rest."""
+
+    max_inflight = 4
+
+    def __init__(self, temperature: float, error: Exception) -> None:
+        self.temperature = temperature
+        self.error = error
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        if req.temperature == self.temperature:
+            raise self.error
+        return ChatResponse(text="kept text", tokens_generated=2)
+
+
+class TestFanOut:
+    # Six slots at T = 0.5, 0.6, ..., 1.0, so a slot is known by its temperature.
+    schedule = RewriteSchedule.from_range(0.5, 1.0, 0.1)
+
+    def params(self):
+        return RewriteParams(
+            mode="blackbox", temperature=1.0, max_tokens=64, bounds=ClipBounds(0.0, 8.0)
+        )
+
+    def test_four_slots_are_in_flight_at_once(self, rng):
+        # Sequential slots would leave the first caller alone at the barrier
+        # until it times out and breaks.
+        ledger = PrivacyLedger()
+        group = rewrite_group("p q", 8, 1.0, self.params(), rng, ledger, client=BarrierClient())
+        assert group.size == 8
+        assert len(ledger.entries) == 8
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [RewriteSchedule.from_range(0.5, 1.5, 0.1), RewriteSchedule.from_range(0.5, 1.5, 0.25, count_each=2)],
+    )
+    def test_pipeline_output_is_identical_at_any_max_inflight(self, schedule):
+        config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=schedule.total, schedule=schedule, seed=5)
+        prompt = "Where would the silver archive usually store a hidden journal during the harbor festival?"
+        outputs = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for client in (MockChatModel(), InflightMock(1), InflightMock(4), InflightMock(8)):
+                result = run_pipeline(prompt, config, client)
+                outputs.add(
+                    json.dumps(result.to_json_dict(), ensure_ascii=False)
+                    + json.dumps(result.ledger.to_rows())
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs) == 1
+
+    def test_untyped_error_raises_after_every_other_slot_is_charged(self, rng):
+        ledger = PrivacyLedger()
+        client = FailAtTemperature(0.8, KeyError("boom"))
+        with pytest.raises(KeyError):
+            rewrite_group("p q", 6, self.schedule, self.params(), rng, ledger, client=client)
+        assert [e.note for e in ledger.entries] == [
+            f"blackbox T={t:g} (nominal bounds)" for t in (0.5, 0.6, 0.7, 0.9, 1.0)
+        ]
+
+    def test_failed_slot_is_dropped_in_slot_order(self, rng):
+        ledger = PrivacyLedger()
+        client = FailAtTemperature(0.6, TransportError("stub outage", attempts=3))
+        group = rewrite_group("p q", 6, self.schedule, self.params(), rng, ledger, client=client)
+        assert [r.params.temperature for r in group.rewrites] == [0.5, 0.7, 0.8, 0.9, 1.0]
+        assert len(group.warnings) == 1
+        assert group.warnings[0].startswith("slot 1 (T=0.6) failed:")
+        assert len(ledger.entries) == 5
 
 
 class TestCalibration:
