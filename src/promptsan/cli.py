@@ -8,6 +8,7 @@ credential is only ever read from an environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -138,12 +139,18 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
             raise ConfigError("config requires a client section unless use_mock is true")
         _reject_unknown(client_doc, _CLIENT_KEYS, "client")
         try:
+            # Only the keys the config sets; EndpointConfig holds the defaults.
+            optional = {
+                key: cast(client_doc[key])
+                for key, cast in (("timeout_s", float), ("max_inflight", int))
+                if key in client_doc
+            }
+            if "api_key_env" in client_doc:
+                optional["api_key_env"] = client_doc["api_key_env"]
             endpoint = EndpointConfig(
                 base_url=client_doc["base_url"],
                 model=client_doc.get("model", config.model),
-                timeout_s=float(client_doc.get("timeout_s", 30.0)),
-                max_inflight=int(client_doc.get("max_inflight", 4)),
-                api_key_env=client_doc.get("api_key_env", "PROMPTSAN_API_KEY"),
+                **optional,
             )
         except KeyError as exc:
             raise ConfigError(f"client config missing {exc}") from exc
@@ -185,9 +192,25 @@ def _read_prompt(spec: str) -> str:
     return spec
 
 
+def _closing(client: object) -> contextlib.AbstractContextManager:
+    """Close a loaded client on exit when it holds resources (the HTTP client)."""
+    return contextlib.closing(client) if hasattr(client, "close") else contextlib.nullcontext()
+
+
 def cmd_sanitize(args: argparse.Namespace) -> int:
     try:
         config, client, audit_path = load_cli_config(args.config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with _closing(client):
+        return _sanitize(args, config, client, audit_path)
+
+
+def _sanitize(
+    args: argparse.Namespace, config: PipelineConfig, client: object, audit_path: str | None
+) -> int:
+    try:
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         if args.schedule is not None:
@@ -205,8 +228,12 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
             prompt, config, client, audit_path=args.audit or audit_path
         )
     except PipelineStageError as exc:
-        trail = {k: str(v) for k, v in exc.partial.items()}
-        print(f"error: {exc}\npartial trail: {json.dumps(trail)}", file=sys.stderr)
+        trail = {k: str(v) for k, v in exc.partial.items() if k != "ledger"}
+        print(
+            f"error: {exc}\npartial trail: {json.dumps(trail)}\n"
+            f"budget charged before the failure: {exc.partial['ledger'].total():g}",
+            file=sys.stderr,
+        )
         return 1
     print(json.dumps(result.to_json_dict(), indent=2, ensure_ascii=False))
     if args.report:
@@ -251,6 +278,15 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         config, client, _ = load_cli_config(args.config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with _closing(client):
+        return _evaluate(args, config, client)
+
+
+def _evaluate(args: argparse.Namespace, config: PipelineConfig, client: object) -> int:
+    try:
         methods = args.methods.split(",") if args.methods else ["group-ndp"]
         temperatures = (
             tuple(float(t) for t in args.temperatures.split(","))
@@ -290,7 +326,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             seed=config.seed,
             audit_path=args.audit,
         )
-    except (PipelineStageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failed = sum(1 for r in rows if r.failed)

@@ -68,6 +68,9 @@ class ChatResponse:
     tokens_generated: int
     latency_ms: int = 0
     attempts: int = 1
+    # False when the service reported no usage and tokens_generated is only
+    # an estimate; budget accounting then charges the request's max_tokens.
+    tokens_reported: bool = True
 
 
 class ChatClient(Protocol):
@@ -103,6 +106,8 @@ class EndpointConfig:
             raise ValueError(f"max_inflight must be at least 1, got {self.max_inflight!r}")
         if not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
+        if not (isinstance(self.api_key_env, str) and self.api_key_env):
+            raise ValueError(f"api_key_env must be a non-empty string, got {self.api_key_env!r}")
 
     def api_key(self) -> str | None:
         return os.environ.get(self.api_key_env) or None
@@ -129,6 +134,7 @@ class HttpChatClient:
         self.base_delay_s = base_delay_s
         self.backoff_factor = backoff_factor
         self._sleep = sleeper
+        self._owns_session = session is None
         if session is None:
             # Pool a connection for every call that may be in flight, so each
             # wave of Stage-1 calls reuses the last one's connections.
@@ -139,6 +145,11 @@ class HttpChatClient:
             session.mount("http://", adapter)
             session.mount("https://", adapter)
         self._session = session
+
+    def close(self) -> None:
+        """Close the session this client built; a caller-supplied one stays open."""
+        if self._owns_session:
+            self._session.close()
 
     @property
     def max_inflight(self) -> int:
@@ -204,11 +215,13 @@ class HttpChatClient:
             raise ClientError("malformed completion payload: content is not a string")
         usage = data.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
-        if not isinstance(tokens, int) or tokens < 0:
+        reported = isinstance(tokens, int) and tokens >= 0
+        if not reported:
             tokens = len(text.split())
         latency_ms = int((time.monotonic() - started) * 1000)
         return ChatResponse(
-            text=text, tokens_generated=tokens, latency_ms=latency_ms, attempts=attempts
+            text=text, tokens_generated=tokens, latency_ms=latency_ms, attempts=attempts,
+            tokens_reported=reported,
         )
 
 

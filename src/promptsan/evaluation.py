@@ -21,8 +21,8 @@ from .client import ChatClient, ChatRequest, ClientError, TransportError
 from .keywords import ReleaseMethod
 from .mechanisms import PrivacyLedger
 from .metrics import all_metrics, rouge1
-from .pipeline import PipelineConfig, run_pipeline
-from .rewriting import paraphrase_blackbox
+from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
+from .rewriting import RewriteError, paraphrase_blackbox
 
 CSQA_LABELS = ("A", "B", "C", "D", "E")
 
@@ -144,6 +144,12 @@ class SanitizedText:
 
 
 class Sanitizer(Protocol):
+    """Sanitizes one question.
+
+    A typed failure is a ``PipelineStageError`` whose ``partial["ledger"]``
+    holds the budget charged before it; the grid records it as a failed row.
+    """
+
     name: str
     temperature: float
 
@@ -189,9 +195,14 @@ class ParaphraseSanitizer:
     def __call__(self, question: str) -> SanitizedText:
         ledger = PrivacyLedger()
         params = replace(self.config.rewrite_params(), mode="blackbox", temperature=self.temperature)
-        rewrite = paraphrase_blackbox(
-            question, params, self.client, ledger, seed=stable_seed(self.repeat_seed, question)
-        )
+        try:
+            rewrite = paraphrase_blackbox(
+                question, params, self.client, ledger, seed=stable_seed(self.repeat_seed, question)
+            )
+        except RewriteError as exc:
+            raise PipelineStageError(
+                "stage-1 rewriting", exc, {"original": question, "ledger": ledger}
+            ) from exc
         return SanitizedText(text=rewrite.text, ledger_total=ledger.total())
 
 
@@ -297,8 +308,27 @@ def evaluate_item(
     answerer: ChatClient,
     repeat_index: int = 0,
 ) -> EvalRow:
-    """Sanitize once, then score privacy and utility from that same output."""
-    sanitized = sanitizer(record.question)
+    """Sanitize once, then score privacy and utility from that same output.
+
+    A sanitizer failure becomes a failed row carrying the budget the failed
+    run had already charged.
+    """
+    try:
+        sanitized = sanitizer(record.question)
+    except PipelineStageError as exc:
+        return EvalRow(
+            method=sanitizer.name,
+            temperature=sanitizer.temperature,
+            repeat_index=repeat_index,
+            item_id=record.id,
+            rouge1=0.0,
+            rougeL=0.0,
+            bleu=0.0,
+            utility=0.0,
+            ledger_total=exc.partial["ledger"].total(),
+            failed=True,
+            note=f"sanitizer failed in {exc.stage}: {exc.__cause__}",
+        )
     privacy = all_metrics(record.question, sanitized.text)
     try:
         utility, note = _answer_utility(

@@ -159,16 +159,22 @@ def clip_logits(u: LogitVector, bounds: ClipBounds) -> LogitVector:
 
 
 def softmax(values: Sequence[float] | np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax with max-subtraction for numerical stability."""
+    """Temperature softmax with max-subtraction for numerical stability.
+
+    Allocates one vocabulary-sized array and works in it in place; the
+    returned array is fresh, so a caller may overwrite it.
+    """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    work = np.asarray(values, dtype=np.float64) / temperature
+    top = work.max()
+    # NaN propagates through max, +inf shows in max and -inf in min.
+    if not (math.isfinite(top) and math.isfinite(work.min())):
         raise ValueError("softmax requires finite logits")
-    scaled = arr / temperature
-    scaled = scaled - scaled.max()
-    exp = np.exp(scaled)
-    return exp / exp.sum()
+    work -= top
+    np.exp(work, out=work)
+    work /= work.sum()
+    return work
 
 
 def em_sample(u_clipped: LogitVector, temperature: float, rng: np.random.Generator) -> int:
@@ -180,17 +186,37 @@ def em_sample(u_clipped: LogitVector, temperature: float, rng: np.random.Generat
     return int(em_sample_many(u_clipped, temperature, 1, rng)[0])
 
 
+# Prefix length the CDF grows by until it covers the largest uniform draw.
+CDF_CHUNK = 4096
+
+
 def em_sample_many(
     u_clipped: LogitVector, temperature: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized em_sample: n independent draws from the same distribution."""
+    """Vectorized em_sample: n independent draws from the same distribution.
+
+    Inverse-CDF sampling that builds only the prefix of the CDF the draws
+    need: the cumulative sum grows chunk by chunk, in place over the
+    probabilities, until it exceeds the largest uniform draw. Each chunk
+    re-accumulates from the previous prefix, so every entry is summed exactly
+    as a full ``cumsum`` sums it and the draws match the full-CDF search.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    probs = softmax(u_clipped.values, temperature)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # guard against cumulative rounding
-    draws = np.searchsorted(cdf, rng.random(n), side="right")
-    return np.minimum(draws, probs.size - 1)
+    work = softmax(u_clipped.values, temperature)
+    uniforms = rng.random(n)
+    largest = uniforms.max()
+    size = work.size
+    end = min(CDF_CHUNK, size)
+    np.cumsum(work[:end], out=work[:end])
+    while end < size and work[end - 1] <= largest:
+        nxt = min(end + CDF_CHUNK, size)
+        np.cumsum(work[end - 1:nxt], out=work[end - 1:nxt])
+        end = nxt
+    if end == size:
+        work[-1] = 1.0  # guard against cumulative rounding
+    draws = np.searchsorted(work[:end], uniforms, side="right")
+    return np.minimum(draws, size - 1)
 
 
 def schedule_total(

@@ -113,7 +113,11 @@ class SanitizedResult:
 
 
 class PipelineStageError(RuntimeError):
-    """A stage failed; carries the artifacts completed before the failure."""
+    """A stage failed; carries the artifacts completed before the failure.
+
+    ``partial["ledger"]`` is the run's ledger, holding every charge made
+    before the failure.
+    """
 
     def __init__(self, stage: str, cause: Exception, partial: dict) -> None:
         super().__init__(f"pipeline failed in {stage}: {cause}")
@@ -144,7 +148,7 @@ def run_pipeline(
     root = np.random.default_rng(config.seed)
     rewrite_rng, release_rng = root.spawn(2)
 
-    partial: dict = {"original": prompt}
+    partial: dict = {"original": prompt, "ledger": ledger}
     try:
         if stage1_rewriter is None:
             group = rewrite_group(

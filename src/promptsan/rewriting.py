@@ -261,8 +261,9 @@ def paraphrase_blackbox(
 
     The remote service cannot enforce clipping, so the per-token epsilon is
     nominal, derived from the configured bounds; the ledger entry is flagged
-    accordingly. Units are the tokens the service reports (max_tokens when
-    usage is missing).
+    accordingly. Units are the tokens the service reports; when it reports
+    none (or zero), or the client only estimated the count, the ledger
+    charges max_tokens.
     """
     if params.mode != "blackbox":
         raise ValueError("paraphrase_blackbox requires blackbox params")
@@ -282,7 +283,8 @@ def paraphrase_blackbox(
     except (ClientError, TransportError) as exc:
         raise RewriteError(f"completion service failed: {exc}") from exc
 
-    units = resp.tokens_generated if resp.tokens_generated > 0 else params.max_tokens
+    reported = resp.tokens_reported and resp.tokens_generated > 0
+    units = resp.tokens_generated if reported else params.max_tokens
     ledger.record(
         Stage.REWRITE, eps, units, f"blackbox T={params.temperature:g} (nominal bounds)"
     )

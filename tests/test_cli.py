@@ -5,8 +5,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from promptsan.cli import main
-from promptsan.client import ChatRequest, Message, MockChatModel
+from promptsan.cli import load_cli_config, main
+from promptsan.client import (
+    REWRITE_HEADER,
+    ChatRequest,
+    EndpointConfig,
+    HttpChatClient,
+    Message,
+    MockChatModel,
+)
 from promptsan.evaluation import synthetic_qa_records
 
 
@@ -166,12 +173,20 @@ class TestSanitize:
 
 
 class MockServiceHandler(BaseHTTPRequestHandler):
-    """A chat-completions service answering as ``MockChatModel(seed=0)`` does."""
+    """A chat-completions service answering as ``MockChatModel(seed=0)`` does.
+
+    With ``refuse_final`` set it answers the Stage-3 generation request with
+    HTTP 400 instead.
+    """
 
     model = MockChatModel(seed=0)
+    refuse_final = False
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.refuse_final and REWRITE_HEADER in body["messages"][-1]["content"]:
+            self.send_error(400)
+            return
         resp = self.model.complete(
             ChatRequest(
                 model=body["model"],
@@ -243,6 +258,7 @@ class TestConfigErrors:
             ({"max_inflight": 0}, "max_inflight must be at least 1"),
             ({"max_inflight": "x"}, "invalid literal for int()"),
             ({"timeout_s": 0}, "timeout_s must be positive"),
+            ({"api_key_env": 5}, "api_key_env must be a non-empty string"),
         ],
     )
     def test_bad_client_value_exits_two(self, tmp_path, capsys, client, message):
@@ -253,7 +269,53 @@ class TestConfigErrors:
         assert err.startswith("error: client config: ") and message in err
 
 
+class TestClientSection:
+    def test_unset_keys_take_the_endpoint_defaults(self, tmp_path):
+        doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m"}}
+        _, client, _ = load_cli_config(write_config(tmp_path, doc))
+        client.close()
+        assert client.endpoint == EndpointConfig(base_url="http://127.0.0.1:9", model="m")
+
+    def test_set_keys_reach_the_endpoint(self, tmp_path):
+        section = {"timeout_s": "2.5", "max_inflight": 3, "api_key_env": "OTHER_KEY"}
+        doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m", **section}}
+        _, client, _ = load_cli_config(write_config(tmp_path, doc))
+        client.close()
+        assert client.endpoint == EndpointConfig(
+            base_url="http://127.0.0.1:9", model="m", timeout_s=2.5, max_inflight=3,
+            api_key_env="OTHER_KEY",
+        )
+
+
 class TestSanitizeOverHttp:
+    def test_commands_close_the_http_client_they_built(self, tmp_path, capsys, mock_service, monkeypatch):
+        closed = []
+        close = HttpChatClient.close
+        monkeypatch.setattr(HttpChatClient, "close", lambda self: closed.append(self) or close(self))
+        config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": mock_service, "model": "mock"}})
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 0
+        assert main(["sanitize", "--config", config, "--prompt", ""]) == 2
+        assert main([
+            "evaluate", "--dataset", csqa_fixture(tmp_path, n=2), "--format", "csqa_jsonl",
+            "--config", config, "--out", str(tmp_path / "r.csv"), "--repeats", "1",
+            "--methods", "paraphrase", "--temperatures", "1.0",
+        ]) == 0
+        assert len(closed) == 3
+
+    def test_stage_failure_exits_one_and_reports_the_budget_charged(
+        self, tmp_path, capsys, mock_service, monkeypatch
+    ):
+        local = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True}, "local.json")
+        assert main(["sanitize", "--config", local, "--prompt", PROMPT]) == 0
+        charged = json.loads(capsys.readouterr().out)["ledger_total"]
+        assert charged > 0
+        monkeypatch.setattr(MockServiceHandler, "refuse_final", True)
+        config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": mock_service, "model": "mock"}})
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 1
+        err = capsys.readouterr().err
+        assert "pipeline failed in stage-3 generation" in err
+        assert f"budget charged before the failure: {charged:g}\n" in err
+
     def test_output_is_identical_at_max_inflight_one_and_eight(self, tmp_path, capsys, mock_service):
         outputs = []
         for max_inflight in (1, 8):

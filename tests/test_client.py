@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 from promptsan.client import (
     ChatRequest,
@@ -14,9 +15,9 @@ from promptsan.client import (
     MockChatModel,
     TransportError,
 )
-from promptsan.mechanisms import ClipBounds, PrivacyLedger
+from promptsan.mechanisms import ClipBounds, PrivacyLedger, epsilon_per_token
 from promptsan.metrics import rouge1
-from promptsan.rewriting import RewriteParams, rewrite_group
+from promptsan.rewriting import RewriteParams, paraphrase_blackbox, rewrite_group
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -50,8 +51,12 @@ def stub_server():
     thread.start()
     ScriptedHandler.script = []
     ScriptedHandler.requests_seen = []
+    server.clients = []
     yield server
+    for client in server.clients:
+        client.close()
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 
@@ -68,7 +73,10 @@ def completion_payload(text: str, tokens: int | None = None) -> dict:
 
 
 def fast_client(server) -> HttpChatClient:
-    return HttpChatClient(endpoint_for(server), base_delay_s=0.001, sleeper=lambda _: None)
+    """A client without retry delays, closed when the ``stub_server`` fixture ends."""
+    client = HttpChatClient(endpoint_for(server), base_delay_s=0.001, sleeper=lambda _: None)
+    server.clients.append(client)
+    return client
 
 
 REQ = ChatRequest.single("hello there", model="test-model", temperature=0.3, max_tokens=32)
@@ -160,6 +168,38 @@ class TestHttpClient:
         assert "malformed completion payload" in group.warnings[0]
         assert len(ledger.entries) == 3
 
+    def test_missing_usage_charges_max_tokens_in_the_ledger(self, stub_server):
+        ScriptedHandler.script = [
+            (200, completion_payload("one two three")),
+            (200, completion_payload("one two three", tokens=3)),
+        ]
+        client = fast_client(stub_server)
+        bounds = ClipBounds(0.0, 8.0)
+        params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=16, bounds=bounds)
+        ledger = PrivacyLedger()
+        estimated = paraphrase_blackbox("p q", params, client, ledger)
+        reported = paraphrase_blackbox("p q", params, client, ledger)
+        assert estimated.text == reported.text == "one two three"
+        assert [e.units for e in ledger.entries] == [16, 3]
+        assert ledger.total() == 19 * epsilon_per_token(1.0, bounds)
+
+    def test_close_releases_only_a_session_it_built(self, stub_server):
+        ScriptedHandler.script = [(200, completion_payload("x", tokens=1)) for _ in range(2)]
+        endpoint = endpoint_for(stub_server)
+        borrowed = requests.Session()
+        owner = HttpChatClient(endpoint)
+        borrower = HttpChatClient(endpoint, session=borrowed)
+        pools = []
+        for client in (owner, borrower):
+            client.complete(REQ)
+            pools.append(client._session.get_adapter(endpoint.base_url).poolmanager.pools)
+        assert [len(p) for p in pools] == [1, 1]
+        owner.close()
+        borrower.close()
+        assert [len(p) for p in pools] == [0, 1]
+        borrowed.close()
+        assert len(pools[1]) == 0
+
     def test_api_key_header_from_environment(self, stub_server, monkeypatch):
         monkeypatch.setenv("PROMPTSAN_API_KEY", "sk-test")
         client = fast_client(stub_server)
@@ -210,7 +250,7 @@ def test_connections_are_reused_above_the_default_pool_size():
             )
             assert group.size == m
     finally:
-        client._session.close()
+        client.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
@@ -229,6 +269,11 @@ class TestEndpointConfig:
     def test_nonpositive_timeout_rejected(self, timeout_s):
         with pytest.raises(ValueError, match="timeout_s"):
             EndpointConfig(base_url="http://x", model="m", timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("api_key_env", ["", 5, None])
+    def test_api_key_env_must_name_a_variable(self, api_key_env):
+        with pytest.raises(ValueError, match="api_key_env"):
+            EndpointConfig(base_url="http://x", model="m", api_key_env=api_key_env)
 
     def test_client_exposes_max_inflight(self):
         endpoint = EndpointConfig(base_url="http://x", model="m", max_inflight=7)

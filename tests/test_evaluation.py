@@ -3,7 +3,13 @@ import json
 
 import pytest
 
-from promptsan.client import ChatRequest, ChatResponse, TransportError
+from promptsan.client import (
+    REWRITE_HEADER,
+    ChatRequest,
+    ChatResponse,
+    MockChatModel,
+    TransportError,
+)
 from promptsan.evaluation import (
     Choice,
     EvalRow,
@@ -230,6 +236,48 @@ class TestEvaluateItem:
             assert row.rougeL == privacy["rougeL"]
             assert row.bleu == privacy["bleu"]
             assert row.ledger_total == redo.ledger_total
+
+
+class FailingItemClient:
+    """The mock, except that every request containing ``marker`` fails."""
+
+    def __init__(self, marker: str) -> None:
+        self.mock = MockChatModel(seed=0)
+        self.marker = marker
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        if self.marker in req.messages[-1].content:
+            raise TransportError("service down", attempts=3)
+        return self.mock.complete(req)
+
+
+class TestSanitizerFailures:
+    CONFIG = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, seed=0, epsilon2=1.0)
+
+    def test_failed_item_becomes_a_failed_row_and_the_grid_goes_on(self):
+        records = synthetic_qa_records(3, seed=2)
+        grid = dict(methods=("group-ndp", "paraphrase"), temperatures=(0.5, 1.0), repeats=2)
+        rows = run_experiment(records, self.CONFIG, FailingItemClient(records[1].question), **grid)
+        baseline = run_experiment(records, self.CONFIG, MockChatModel(seed=0), **grid)
+        assert len(rows) == 24
+        failed = [r for r in rows if r.failed]
+        assert len(failed) == 8 and {r.item_id for r in failed} == {records[1].id}
+        assert all(r.note.startswith("sanitizer failed in stage-1 rewriting: ") for r in failed)
+        # Every rewrite of that item failed before anything was charged.
+        assert all(r.ledger_total == 0.0 for r in failed)
+        assert [r for r in rows if not r.failed] == [r for r in baseline if r.item_id != records[1].id]
+        assert {a["failed_count"] for a in aggregate(rows)} == {2}
+
+    def test_failed_row_carries_the_budget_already_charged(self):
+        # Stage 3 fails after Stage 1 charged the rewrites and Stage 2 the DP release.
+        records = synthetic_qa_records(2, seed=2)
+        grid = dict(methods=("group-ndp", "group-dp"), temperatures=(0.5,), repeats=1)
+        rows = run_experiment(records, self.CONFIG, FailingItemClient(REWRITE_HEADER), **grid)
+        baseline = run_experiment(records, self.CONFIG, MockChatModel(seed=0), **grid)
+        assert all(r.failed for r in rows)
+        assert all(r.note.startswith("sanitizer failed in stage-3 generation: ") for r in rows)
+        assert [r.ledger_total for r in rows] == [r.ledger_total for r in baseline]
+        assert min(r.ledger_total for r in rows) > 0
 
 
 def row(method="m", temperature=1.0, repeat=0, **vals) -> EvalRow:

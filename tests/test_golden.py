@@ -3,8 +3,10 @@
 One sha256 digest covers the ``run_pipeline`` result JSON (ledger rows
 included) across release methods, schedules, leakage retries and mock seeds,
 the CLI ``sanitize`` JSON, and the CLI ``evaluate`` CSV of a small grid. A
-refactor that claims "same behaviour" must leave the digest unchanged; a
-change that is announced as behavioural re-pins it and says why.
+second digest covers white-box ``run_pipeline`` JSON, so the exponential-
+mechanism sampler must return the same draw for every seed. A refactor that
+claims "same behaviour" must leave both digests unchanged; a change that is
+announced as behavioural re-pins one and says why.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
+
 from promptsan.cli import main
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel
 from promptsan.evaluation import aggregate, emit_report, run_experiment, synthetic_qa_records
 from promptsan.keywords import ReleaseMethod
-from promptsan.mechanisms import ClipBounds
+from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.pipeline import PipelineConfig, run_pipeline
-from promptsan.rewriting import RewriteSchedule
+from promptsan.rewriting import ConstantStepOracle, RewriteSchedule
 
 GOLDEN_SHA256 = "aa2ac32f72a115b199ae802ced25ba41162aca687f1bbc7dd4bff4fd1abcfaed"
+WHITEBOX_SHA256 = "c14930ca9cdaadb01cb010cadc479fcf3b9252cb836d69e92006f2ddd5e320b0"
 
 PROMPTS = (
     "Where would the silver archive usually store a hidden journal during the harbor festival?",
@@ -117,3 +122,39 @@ def test_seeded_outputs_are_byte_identical(tmp_path, capsys):
     parts = _pipeline_outputs() + _cli_outputs(tmp_path, capsys) + [_grid_csv(tmp_path)]
     digest = hashlib.sha256("\x1e".join(parts).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+class TableOracle:
+    """White-box oracle cycling through fixed logit vectors by context length."""
+
+    def __init__(self, tables: tuple[LogitVector, ...]) -> None:
+        self.vocab = ("</s>",) + tuple(f"w{i:05d}" for i in range(1, tables[0].vocab_size))
+        self.eos_index = 0
+        self._tables = tables
+
+    def step_logits(self, context) -> LogitVector:
+        return self._tables[len(context) % len(self._tables)]
+
+
+def _whitebox_outputs() -> list[str]:
+    values = np.random.default_rng(2024).normal(4.0, 2.5, size=(3, 32_000))
+    values[:, 0] = -10.0  # end-of-sequence is rare
+    # One table sorted ascending, so cold draws land in the last indices.
+    values[2] = np.sort(values[2])
+    big = TableOracle(tuple(LogitVector(row) for row in values))
+    tiny = ConstantStepOracle(vocab=("alpha", "beta", "gamma", "</s>"), logits=(1.0, 6.5, 3.0, 0.5), eos_index=3)
+    schedules = (0.1, 0.5, 1.0, 3.0, RewriteSchedule.from_range(0.5, 1.4, 0.1))
+    out = []
+    for schedule, (oracle, seed) in itertools.product(schedules, ((big, 5), (big, 6), (tiny, 5))):
+        config = PipelineConfig(
+            bounds=ClipBounds(0.0, 8.0), m=10, k=6, schedule=schedule,
+            mode="whitebox", seed=seed, max_tokens=24,
+        )
+        result = run_pipeline(PROMPTS[0], config, MockChatModel(seed=1), oracle=oracle)
+        out.append(json.dumps(result.to_json_dict(), ensure_ascii=False))
+    return out
+
+
+def test_seeded_whitebox_outputs_are_byte_identical():
+    digest = hashlib.sha256("\x1e".join(_whitebox_outputs()).encode("utf-8")).hexdigest()
+    assert digest == WHITEBOX_SHA256

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from promptsan.mechanisms import (
+    CDF_CHUNK,
     ClipBounds,
     LedgerEntry,
     LogitVector,
@@ -126,6 +128,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             em_sample(LogitVector([0.0, float("inf")]), 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_each_nonfinite_kind_is_rejected_anywhere(self, bad):
+        for values in ([bad, 0.0, 1.0], [0.0, bad, 1.0], [0.0, 1.0, bad]):
+            with pytest.raises(ValueError, match="softmax requires finite logits"):
+                em_sample(LogitVector(values), 1.0, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="softmax requires finite logits"):
+                softmax(values, temperature=0.5)
+
     def test_huge_logits_stay_stable(self):
         # Clipped ranges up to ~50 would overflow a naive exponentiation.
         probs = softmax([50.0, 0.0], temperature=0.05)
@@ -139,6 +149,86 @@ class TestSampling:
             probs = np.array([softmax(v, temperature) for v in vectors])
             ratio = (probs.max(axis=0) / probs.min(axis=0)).max()
             assert ratio <= math.exp(2.0 / temperature) + 1e-9
+
+
+def reference_em_sample_many(u: LogitVector, temperature: float, n: int, rng) -> np.ndarray:
+    """The sampler written out plainly: softmax, full cumulative sum, search."""
+    scaled = u.values / temperature
+    exp = np.exp(scaled - scaled.max())
+    cdf = np.cumsum(exp / exp.sum())
+    cdf[-1] = 1.0
+    return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), u.vocab_size - 1)
+
+
+def logit_shapes(size: int) -> dict[str, np.ndarray]:
+    normal = np.clip(np.random.default_rng(size).normal(4.0, 2.5, size), 0.0, 8.0)
+    spike = np.zeros(size)
+    spike[-1] = 8.0
+    return {"normal": normal, "ascending": np.linspace(0.0, 8.0, size), "last_spike": spike}
+
+
+class StubRng:
+    """Hands out fixed uniforms, to hit a CDF prefix exactly."""
+
+    def __init__(self, uniforms: list[float] | np.ndarray) -> None:
+        self.uniforms = uniforms
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == len(self.uniforms)
+        return np.array(self.uniforms)
+
+
+class TestEarlyExitCdf:
+    @pytest.mark.parametrize("size", [2, CDF_CHUNK - 1, CDF_CHUNK, CDF_CHUNK + 1, 32_000])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_draws_equal_the_full_cdf_search(self, size, n):
+        for shape, values in logit_shapes(size).items():
+            u = LogitVector(values)
+            for temperature in (0.05, 1.0, 4.0):
+                for seed in range(3):
+                    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = em_sample_many(u, temperature, n, ours)
+                    want = reference_em_sample_many(u, temperature, n, ref)
+                    assert np.array_equal(got, want), (shape, temperature, seed)
+                    assert ours.random() == ref.random()
+
+    def test_cold_draws_reach_the_last_chunk(self):
+        u = LogitVector(logit_shapes(32_000)["last_spike"])
+        draws = em_sample_many(u, 0.05, 1000, np.random.default_rng(0))
+        assert np.all(draws == 31_999)
+
+    def test_uniform_equal_to_a_chunk_end_prefix_searches_on(self):
+        # Chunks one and three share the mass equally and chunk two has none,
+        # so the first chunk's prefix is exactly 0.5. A draw of exactly 0.5
+        # belongs to the first index of chunk three, never to chunk two.
+        values = np.zeros(3 * CDF_CHUNK)
+        values[CDF_CHUNK:2 * CDF_CHUNK] = -1e4
+        u = LogitVector(values)
+        assert em_sample_many(u, 1.0, 1, StubRng([0.5])).tolist() == [2 * CDF_CHUNK]
+        assert em_sample_many(u, 1.0, 2, StubRng([0.25, 0.5])).tolist() == [CDF_CHUNK // 2, 2 * CDF_CHUNK]
+
+    def test_every_prefix_equals_the_full_cumulative_sum(self):
+        # Uniforms on each full-cumsum value and on the float just below it
+        # tell apart any prefix entry that differs from it in the last bit.
+        u = LogitVector(logit_shapes(32_000)["normal"])
+        exp = np.exp(u.values - u.values.max())
+        cdf = np.cumsum(exp / exp.sum())[:-1]
+        uniforms = np.concatenate([cdf, np.nextafter(cdf, 0.0)])
+        got = em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms))
+        want = reference_em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms))
+        assert np.array_equal(got, want)
+
+    def test_one_draw_holds_one_vocabulary_sized_array(self):
+        u = LogitVector(np.random.default_rng(0).normal(4.0, 2.5, 32_000))
+        rng = np.random.default_rng(1)
+        em_sample(u, 1.0, rng)
+        tracemalloc.start()
+        try:
+            em_sample(u, 1.0, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.values.nbytes
 
 
 class TestLedger:
