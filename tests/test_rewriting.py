@@ -4,8 +4,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
+from promptsan.evaluation import synthetic_qa_records
+from promptsan.keywords import ReleaseMethod
 from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage, schedule_total
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import (
@@ -227,6 +231,17 @@ class TestRewriteGroup:
                 PrivacyLedger(), client=EchoClient(),
             )
 
+    def test_untyped_error_stops_the_inline_run_at_its_slot(self, rng):
+        client = InlineFailAtTemperature(0.7, KeyError("boom"))
+        schedule = RewriteSchedule.from_range(0.5, 1.0, 0.1)
+        ledger = PrivacyLedger()
+        with pytest.raises(KeyError):
+            rewrite_group("p q", 6, schedule, self.params(), rng, ledger, client=client)
+        assert client.temperatures == [0.5, 0.6, 0.7]
+        assert [e.note for e in ledger.entries] == [
+            f"blackbox T={t:g} (nominal bounds)" for t in (0.5, 0.6)
+        ]
+
     def test_group_invariants(self):
         params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=2)
         with pytest.raises(ValueError):
@@ -262,19 +277,28 @@ class BarrierClient:
         return ChatResponse(text="kept text", tokens_generated=2)
 
 
-class FailAtTemperature:
-    """Raises ``error`` for the slot at ``temperature``; answers the rest."""
+class InlineFailAtTemperature:
+    """Raises ``error`` for the slot at ``temperature``; answers the rest.
 
-    max_inflight = 4
+    Declares no ``max_inflight``, so rewrite_group runs its slots inline.
+    """
 
     def __init__(self, temperature: float, error: Exception) -> None:
         self.temperature = temperature
         self.error = error
+        self.temperatures: list[float] = []
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        self.temperatures.append(req.temperature)
         if req.temperature == self.temperature:
             raise self.error
         return ChatResponse(text="kept text", tokens_generated=2)
+
+
+class FailAtTemperature(InlineFailAtTemperature):
+    """The same client with four calls in flight."""
+
+    max_inflight = 4
 
 
 class TestFanOut:
@@ -332,6 +356,73 @@ class TestFanOut:
         assert len(group.warnings) == 1
         assert group.warnings[0].startswith("slot 1 (T=0.6) failed:")
         assert len(ledger.entries) == 5
+
+
+class DropFirstSlot:
+    """The mock, except that the first call fails with a ``TransportError``."""
+
+    def __init__(self) -> None:
+        self.mock = MockChatModel()
+        self.lock = threading.Lock()
+        self.failed = False
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        with self.lock:
+            fail, self.failed = not self.failed, True
+        if fail:
+            raise TransportError("stub outage", attempts=3)
+        return self.mock.complete(req)
+
+
+QUESTIONS = [r.question for r in synthetic_qa_records(40, seed=11)]
+TEMPERATURES = (0.1, 0.25, 0.5, 1.0, 1.5)
+
+# Every schedule covers at least two slots, so dropping one leaves a group.
+schedules = st.one_of(
+    st.builds(RewriteSchedule.uniform, st.sampled_from(TEMPERATURES), st.integers(2, 10)),
+    st.builds(
+        lambda low, step, n, each: RewriteSchedule.from_range(low, low + step * (n - 1), step, each),
+        st.sampled_from(TEMPERATURES),
+        st.sampled_from((0.05, 0.1, 0.25)),
+        st.integers(2, 6),
+        st.integers(1, 2),
+    ),
+)
+
+
+@st.composite
+def pipeline_runs(draw):
+    """A prompt of 1-4 joined questions (at least 2 for DP) and its config."""
+    dp = draw(st.booleans())
+    count = draw(st.integers(2 if dp else 1, 4))
+    picks = draw(st.lists(st.integers(0, len(QUESTIONS) - 1), min_size=count, max_size=count, unique=True))
+    schedule = draw(schedules)
+    config = PipelineConfig(
+        bounds=ClipBounds(0.0, 8.0),
+        m=schedule.total,
+        schedule=schedule,
+        release_method=ReleaseMethod.DP if dp else ReleaseMethod.NDP,
+        epsilon2=draw(st.sampled_from((0.5, 1.0, 3.0))) if dp else None,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return " ".join(QUESTIONS[i] for i in picks), config
+
+
+class TestLedgerProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(pipeline_runs(), st.sampled_from(("mock", "inflight", "drop")))
+    def test_ledger_total_is_the_composed_budget_of_the_recorded_rewrites(self, run, client_kind):
+        prompt, config = run
+        client = {"mock": MockChatModel, "inflight": lambda: InflightMock(4), "drop": DropFirstSlot}[client_kind]()
+        result = run_pipeline(prompt, config, client)
+        rewrites = result.group.rewrites
+        assert len(rewrites) == config.m - (client_kind == "drop")
+        expected = schedule_total(
+            [r.tokens_generated for r in rewrites], [r.params.temperature for r in rewrites], config.bounds
+        )
+        assert result.ledger.rewrite_total() == expected
+        epsilon2 = config.epsilon2 if config.release_method is ReleaseMethod.DP else 0.0
+        assert result.ledger.total() == pytest.approx(expected + epsilon2, rel=1e-12, abs=0.0)
 
 
 class TestCalibration:
