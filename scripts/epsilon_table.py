@@ -9,9 +9,8 @@ across models. Pass either explicit bounds or the per-token constant at T=1
 
 import argparse
 
+from promptsan.evaluation import TEMPERATURE_GRID
 from promptsan.mechanisms import ClipBounds, epsilon_per_token
-
-GRID = (0.1, 0.15, 0.2, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 
 
 def main() -> None:
@@ -31,7 +30,7 @@ def main() -> None:
 
     header = f"{'T':>6} " + " ".join(f"{label:>12}" for label in labels)
     print(header)
-    for temperature in GRID:
+    for temperature in TEMPERATURE_GRID:
         row = " ".join(
             f"{epsilon_per_token(temperature, bounds):>12.1f}" for bounds in columns
         )

@@ -12,11 +12,15 @@ import argparse
 import time
 
 from promptsan.client import MockChatModel
-from promptsan.evaluation import aggregate, emit_report, run_experiment, synthetic_qa_records
+from promptsan.evaluation import (
+    TEMPERATURE_GRID,
+    aggregate,
+    emit_report,
+    run_experiment,
+    synthetic_qa_records,
+)
 from promptsan.mechanisms import ClipBounds
 from promptsan.pipeline import PipelineConfig
-
-GRID = (0.1, 0.15, 0.2, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 
 
 def main() -> None:
@@ -44,7 +48,7 @@ def main() -> None:
         config,
         MockChatModel(seed=0),
         methods=methods,
-        temperatures=GRID,
+        temperatures=TEMPERATURE_GRID,
         repeats=args.repeats,
         seed=args.seed,
         audit_path=args.audit,

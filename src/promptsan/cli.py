@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ import numpy as np
 from .client import EndpointConfig, HttpChatClient, MockChatModel
 from .evaluation import (
     REPORT_COLUMNS,
+    TEMPERATURE_GRID,
     aggregate,
     emit_report,
     load_dataset,
@@ -34,13 +36,10 @@ from .metrics import all_metrics
 from .pipeline import PipelineConfig, PipelineStageError, budget_report, run_pipeline
 from .rewriting import (
     DEFAULT_PARAPHRASE_TEMPLATE,
-    DegenerateBoundsError,
     RewriteSchedule,
     calibrate_bounds,
     paraphrase_group_from_json,
 )
-
-DEFAULT_TEMPERATURE_GRID = (0.1, 0.15, 0.2, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 
 
 class ConfigError(ValueError):
@@ -172,7 +171,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         return 2
     try:
         bounds = calibrate_bounds(samples)
-    except (ValueError, DegenerateBoundsError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -228,10 +227,14 @@ def _sanitize(
             prompt, config, client, audit_path=args.audit or audit_path
         )
     except PipelineStageError as exc:
-        trail = {k: str(v) for k, v in exc.partial.items() if k != "ledger"}
+        # Every artefact repeats the prompt, so only their names are printed.
+        completed = [k for k in exc.partial if k not in ("original", "ledger")]
+        digest = hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).hexdigest()
         print(
-            f"error: {exc}\npartial trail: {json.dumps(trail)}\n"
-            f"budget charged before the failure: {exc.partial['ledger'].total():g}",
+            f"error: {exc}\n"
+            f"completed before the failure: {', '.join(completed) or 'nothing'}\n"
+            f"budget charged before the failure: {exc.partial['ledger'].total():g}\n"
+            f"prompt blake2b: {digest}",
             file=sys.stderr,
         )
         return 1
@@ -291,9 +294,9 @@ def _evaluate(args: argparse.Namespace, config: PipelineConfig, client: object) 
         temperatures = (
             tuple(float(t) for t in args.temperatures.split(","))
             if args.temperatures
-            else DEFAULT_TEMPERATURE_GRID
+            else TEMPERATURE_GRID
         )
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -114,6 +114,11 @@ class EndpointConfig:
 
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+# Retry schedule: up to MAX_ATTEMPTS tries, the n-th retry after about
+# BASE_DELAY_S * BACKOFF_FACTOR**(n-1) seconds plus up to 25% jitter.
+MAX_ATTEMPTS = 3
+BASE_DELAY_S = 1.0
+BACKOFF_FACTOR = 2.0
 
 
 class HttpChatClient:
@@ -123,16 +128,10 @@ class HttpChatClient:
         self,
         endpoint: EndpointConfig,
         *,
-        max_attempts: int = 3,
-        base_delay_s: float = 1.0,
-        backoff_factor: float = 2.0,
         sleeper: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ) -> None:
         self.endpoint = endpoint
-        self.max_attempts = max_attempts
-        self.base_delay_s = base_delay_s
-        self.backoff_factor = backoff_factor
         self._sleep = sleeper
         self._owns_session = session is None
         if session is None:
@@ -176,7 +175,7 @@ class HttpChatClient:
 
         started = time.monotonic()
         last_failure = ""
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 resp = self._session.post(
                     url, json=body, headers=self._headers(), timeout=self.endpoint.timeout_s
@@ -197,12 +196,12 @@ class HttpChatClient:
                     raise ClientError(
                         f"HTTP {resp.status_code}: {excerpt}", status=resp.status_code
                     )
-            if attempt < self.max_attempts:
-                delay = self.base_delay_s * self.backoff_factor ** (attempt - 1)
+            if attempt < MAX_ATTEMPTS:
+                delay = BASE_DELAY_S * BACKOFF_FACTOR ** (attempt - 1)
                 self._sleep(delay * (1.0 + 0.25 * random.random()))
         raise TransportError(
-            f"request failed after {self.max_attempts} attempts: {last_failure}",
-            attempts=self.max_attempts,
+            f"request failed after {MAX_ATTEMPTS} attempts: {last_failure}",
+            attempts=MAX_ATTEMPTS,
         )
 
     @staticmethod
@@ -245,6 +244,13 @@ QUESTION_PREFIX = "Question:"
 
 _B36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
+# Edit rates per unit of temperature bucket, and their caps: the share of
+# content words substituted, filler words appended (per word), and adjacent
+# swaps (per word).
+SUB_SLOPE, SUB_CAP = 0.55, 0.75
+FILL_SLOPE, FILL_CAP = 0.5, 0.75
+SHUFFLE_SLOPE = 0.25
+
 
 def _tag(value: int) -> str:
     return _B36[(value // 36) % 36] + _B36[value % 36]
@@ -269,11 +275,6 @@ class MockChatModel:
     """
 
     seed: int = 0
-    sub_slope: float = 0.55
-    sub_cap: float = 0.75
-    fill_slope: float = 0.5
-    fill_cap: float = 0.75
-    shuffle_slope: float = 0.25
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         content = "\n".join(m.content for m in req.messages)
@@ -360,11 +361,11 @@ class MockChatModel:
         shuffle_draws = rng.random(64)
 
         bucket = self._bucket(req.temperature)
-        sub_rate = min(self.sub_cap, self.sub_slope * bucket)
-        fill_rate = min(self.fill_cap, self.fill_slope * bucket)
+        sub_rate = min(SUB_CAP, SUB_SLOPE * bucket)
+        fill_rate = min(FILL_CAP, FILL_SLOPE * bucket)
         n_sub = int(sub_rate * len(content_positions))
         n_fill = int(fill_rate * len(words))
-        n_shuffle = min(int(self.shuffle_slope * bucket * len(words)), len(shuffle_draws))
+        n_shuffle = min(int(SHUFFLE_SLOPE * bucket * len(words)), len(shuffle_draws))
 
         # Contiguous cyclic substitution window: growing n_sub extends it.
         window = {(offset + j) % len(content_positions) for j in range(n_sub)} if content_positions else set()

@@ -17,7 +17,15 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .client import ChatClient, ChatRequest, ClientError, TransportError
+from .client import (
+    CHOICES_HEADER,
+    DOC_TOKENS_PREFIX,
+    QUESTION_PREFIX,
+    ChatClient,
+    ChatRequest,
+    ClientError,
+    TransportError,
+)
 from .keywords import ReleaseMethod
 from .mechanisms import PrivacyLedger
 from .metrics import all_metrics, rouge1
@@ -25,6 +33,9 @@ from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
 from .rewriting import RewriteError, paraphrase_blackbox
 
 CSQA_LABELS = ("A", "B", "C", "D", "E")
+
+# The criterion-10 grid of rewrite temperatures.
+TEMPERATURE_GRID = (0.1, 0.15, 0.2, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 
 
 @dataclass(frozen=True)
@@ -252,8 +263,8 @@ def csqa_answer_prompt(question: str, choices: Sequence[Choice]) -> str:
     lines = [
         "Answer the following multiple-choice question. "
         "Respond with only the letter of the correct choice.",
-        f"Question: {question}",
-        "Choices:",
+        f"{QUESTION_PREFIX} {question}",
+        CHOICES_HEADER,
     ]
     lines.extend(f"{c.label}. {c.text}" for c in choices)
     lines.append("Answer:")
@@ -264,8 +275,8 @@ def docvqa_answer_prompt(question: str, context: Sequence[str]) -> str:
     return "\n".join(
         [
             "Use the document tokens to answer the question. Respond with a short answer.",
-            f"Document tokens: {' '.join(context)}",
-            f"Question: {question}",
+            f"{DOC_TOKENS_PREFIX} {' '.join(context)}",
+            f"{QUESTION_PREFIX} {question}",
             "Answer:",
         ]
     )
@@ -358,7 +369,7 @@ def run_experiment(
     client: ChatClient,
     *,
     methods: Sequence[str] = ("group-ndp",),
-    temperatures: Sequence[float] = (0.1, 0.15, 0.2, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5),
+    temperatures: Sequence[float] = TEMPERATURE_GRID,
     repeats: int = 5,
     answerer: ChatClient | None = None,
     seed: int = 0,

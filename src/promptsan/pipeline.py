@@ -71,13 +71,20 @@ class PipelineConfig:
         elif not self.schedule > 0:
             raise ValueError(f"rewrite temperature must be positive, got {self.schedule!r}")
 
+    def rewrite_schedule(self) -> RewriteSchedule:
+        """The m slot temperatures; a single temperature covers every slot."""
+        if isinstance(self.schedule, RewriteSchedule):
+            return self.schedule
+        return RewriteSchedule.uniform(float(self.schedule), self.m)
+
     def rewrite_params(self) -> RewriteParams:
-        temperature = (
-            self.schedule if isinstance(self.schedule, (int, float)) else self.schedule.expand()[0]
-        )
+        """Parameters shared by every slot, at the first slot's temperature.
+
+        rewrite_group gives each slot its own temperature from the schedule.
+        """
         return RewriteParams(
             mode=self.mode,
-            temperature=float(temperature),
+            temperature=float(self.rewrite_schedule().entries[0][0]),
             max_tokens=self.max_tokens,
             prompt_template=self.prompt_template,
             bounds=self.bounds,
@@ -153,8 +160,7 @@ def run_pipeline(
         if stage1_rewriter is None:
             group = rewrite_group(
                 prompt,
-                config.m,
-                config.schedule,
+                config.rewrite_schedule(),
                 config.rewrite_params(),
                 rewrite_rng,
                 ledger,

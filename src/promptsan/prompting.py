@@ -9,7 +9,6 @@ words is only flagged, since instruction following is not guaranteed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,21 +29,12 @@ class FinalPromptRequest:
     exemplar: str
     forbidden: tuple[str, ...]
     template_id: str = "default-v1"
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
         if len(set(self.forbidden)) != len(self.forbidden):
             raise ValueError("forbidden word list must be deduplicated")
         if self.template_id not in TEMPLATES:
             raise ValueError(f"unknown template id: {self.template_id!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
-        if self.temperature > 0.01:
-            warnings.warn(
-                f"final generation temperature {self.temperature} exceeds the 0.01 "
-                "advisory ceiling; output is no longer near-deterministic",
-                stacklevel=2,
-            )
 
 
 def render_template(req: FinalPromptRequest) -> str:
@@ -95,7 +85,7 @@ def generate_sanitized(
         chat_req = ChatRequest.single(
             final_prompt,
             model=model,
-            temperature=req.temperature,
+            temperature=0.0,
             max_tokens=max_tokens,
             seed=attempt,
         )

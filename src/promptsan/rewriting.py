@@ -10,10 +10,9 @@ charges tokens_generated * epsilon_per_token to the ledger.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class RewriteParams:
     max_tokens: int
     prompt_template: str = DEFAULT_PARAPHRASE_TEMPLATE
     bounds: ClipBounds | None = None
-    epsilon_per_token: float | None = None
     model: str = "mock"
 
     def __post_init__(self) -> None:
@@ -64,13 +62,6 @@ class RewriteParams:
             raise ValueError("max_tokens must be positive")
         if self.mode == "whitebox" and self.bounds is None:
             raise ValueError("whitebox rewriting requires clip bounds")
-        if self.epsilon_per_token is not None and self.bounds is not None:
-            implied = epsilon_per_token(self.temperature, self.bounds)
-            if not math.isclose(self.epsilon_per_token, implied, rel_tol=1e-9):
-                raise ValueError(
-                    f"epsilon_per_token {self.epsilon_per_token} inconsistent with "
-                    f"temperature {self.temperature} and bounds (implies {implied})"
-                )
 
     def render_prompt(self, prompt: str) -> str:
         return self.prompt_template.replace("{prompt}", prompt)
@@ -298,8 +289,7 @@ def paraphrase_blackbox(
 
 def rewrite_group(
     prompt: str,
-    m: int,
-    schedule: RewriteSchedule | float,
+    schedule: RewriteSchedule,
     params: RewriteParams,
     rng: np.random.Generator,
     ledger: PrivacyLedger,
@@ -307,54 +297,63 @@ def rewrite_group(
     client: ChatClient | None = None,
     oracle: StepOracle | None = None,
 ) -> ParaphraseGroup:
-    """Produce the m-rewrite group, one independent rewrite per schedule slot.
+    """Produce the group, one independent rewrite per schedule slot.
 
     Each slot draws from its own child random stream, so rewrites never see
     one another's output and slot order does not perturb the samples. Failed
     slots are dropped with a warning; only an all-failed group is an error.
 
-    A client with a ``max_inflight`` attribute has up to that many slots in
-    flight at once; rewrites, warnings and ledger entries still come out in
-    slot order, exactly as from a sequential run.
+    Each slot records into its own ledger, and the slot ledgers are appended
+    to ``ledger`` in slot order once the slots are done, also when one
+    raised, because slots that ran have spent their budget. A client with a
+    ``max_inflight`` attribute has up to that many slots in flight at once;
+    rewrites, warnings and ledger entries still come out in slot order,
+    exactly as from an inline run. A slot that raises anything but
+    ``RewriteError`` stops an inline run at that slot; in flight, every slot
+    finishes before the first such error in slot order is re-raised.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if isinstance(schedule, (int, float)):
-        schedule = RewriteSchedule.uniform(float(schedule), m)
-    if schedule.total != m:
-        raise ValueError(f"schedule covers {schedule.total} rewrites, expected {m}")
     if params.mode == "blackbox" and client is None:
         raise ValueError("blackbox rewriting needs a chat client")
     if params.mode == "whitebox" and oracle is None:
         raise ValueError("whitebox rewriting needs a step oracle")
 
     temperatures = schedule.expand()
+    m = len(temperatures)
     # One child stream per slot, derived by index from the root stream, so a
     # slot's draws depend on its position but never on its temperature.
     child_rngs = rng.spawn(m)
+    slot_ledgers = [PrivacyLedger() for _ in range(m)]
 
-    def run_slot(slot: int, slot_ledger: PrivacyLedger) -> Rewrite:
-        slot_params = replace(params, temperature=temperatures[slot], epsilon_per_token=None)
-        if params.mode == "whitebox":
-            assert oracle is not None
-            return paraphrase_whitebox(prompt, slot_params, oracle, child_rngs[slot], slot_ledger)
-        assert client is not None
-        slot_seed = int(child_rngs[slot].integers(0, 2**63))
-        return paraphrase_blackbox(prompt, slot_params, client, slot_ledger, seed=slot_seed)
+    def run_slot(slot: int) -> Rewrite | RewriteError:
+        slot_params = replace(params, temperature=temperatures[slot])
+        try:
+            if params.mode == "whitebox":
+                assert oracle is not None
+                return paraphrase_whitebox(
+                    prompt, slot_params, oracle, child_rngs[slot], slot_ledgers[slot]
+                )
+            assert client is not None
+            slot_seed = int(child_rngs[slot].integers(0, 2**63))
+            return paraphrase_blackbox(prompt, slot_params, client, slot_ledgers[slot], seed=slot_seed)
+        except RewriteError as exc:
+            return exc
 
     # Only a client that declares how many calls it may have in flight (the
     # HTTP client) gets worker threads; in-process clients and oracles would
     # pay for the threads and gain nothing.
     workers = min(m, getattr(client, "max_inflight", 1)) if params.mode == "blackbox" else 1
-    if workers > 1:
-        outcomes = _fan_out(run_slot, m, workers, ledger)
-    else:
-        outcomes = []
-        for slot in range(m):
-            try:
-                outcomes.append(run_slot(slot, ledger))
-            except RewriteError as exc:
-                outcomes.append(exc)
+    try:
+        if workers > 1:
+            # Not pool.map: it cancels pending slots once a result raises.
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(run_slot, slot) for slot in range(m)]
+            outcomes = [future.result() for future in futures]
+        else:
+            outcomes = [run_slot(slot) for slot in range(m)]
+    finally:
+        for slot_ledger in slot_ledgers:
+            for entry in slot_ledger.entries:
+                ledger.append(entry)
 
     rewrites: list[Rewrite] = []
     issues: list[str] = []
@@ -371,69 +370,17 @@ def rewrite_group(
     return ParaphraseGroup(source=prompt, rewrites=tuple(rewrites), warnings=tuple(issues))
 
 
-def _fan_out(
-    run_slot: Callable[[int, PrivacyLedger], Rewrite],
-    m: int,
-    workers: int,
-    ledger: PrivacyLedger,
-) -> list[Rewrite | RewriteError]:
-    """Run the m slots on ``workers`` threads, each into its own slot ledger.
-
-    Waits for every slot, then appends the slot ledgers' entries to ``ledger``
-    in slot order on the calling thread, so the ledger reads as it would after
-    a sequential run. The merge happens even when a slot or the pool itself
-    fails, because slots that ran have spent their budget. A slot that raises
-    anything but ``RewriteError`` is re-raised (the first such slot) after it.
-    """
-    slot_ledgers = [PrivacyLedger() for _ in range(m)]
-    futures = []
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for slot in range(m):
-                futures.append(pool.submit(run_slot, slot, slot_ledgers[slot]))
-    finally:
-        for slot_ledger in slot_ledgers:
-            for entry in slot_ledger.entries:
-                ledger.append(entry)
-
-    outcomes = [future.exception() or future.result() for future in futures]
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException) and not isinstance(outcome, RewriteError):
-            raise outcome
-    return outcomes
-
-
-@dataclass(frozen=True)
-class CalibrationStats:
-    mean: float
-    std: float
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
-        if self.std < 0:
-            raise ValueError("std must be nonnegative")
-
-    def to_bounds(self) -> ClipBounds:
-        return ClipBounds(self.mean, self.mean + 4.0 * self.std)
-
-
 class DegenerateBoundsError(ValueError):
     pass
 
 
-def calibration_stats(samples: Sequence[float]) -> CalibrationStats:
+def calibrate_bounds(samples: Sequence[float]) -> ClipBounds:
+    """Clip bounds (mu, mu + 4*sigma) from observed logit samples."""
     arr = np.asarray(list(samples), dtype=np.float64)
     if arr.size < 2:
         raise ValueError("calibration needs at least 2 samples")
     # Population standard deviation: fixed variant so results are exact.
-    return CalibrationStats(mean=float(arr.mean()), std=float(arr.std()), sample_count=int(arr.size))
-
-
-def calibrate_bounds(samples: Sequence[float]) -> ClipBounds:
-    """Clip bounds (mu, mu + 4*sigma) from observed logit samples."""
-    stats = calibration_stats(samples)
-    if stats.std == 0.0:
+    mean, std = float(arr.mean()), float(arr.std())
+    if std == 0.0:
         raise DegenerateBoundsError("zero variance in logit samples: bounds would be degenerate")
-    return stats.to_bounds()
+    return ClipBounds(mean, mean + 4.0 * std)

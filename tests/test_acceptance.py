@@ -226,7 +226,7 @@ def test_criterion_6_keyword_extraction_determinism():
         )
         group = rewrite_group(
             "Where would the silver archive usually store a hidden journal during the festival?",
-            10, 0.75, params, np.random.default_rng(99), PrivacyLedger(),
+            RewriteSchedule.uniform(0.75, 10), params, np.random.default_rng(99), PrivacyLedger(),
             client=MockChatModel(seed=1),
         )
         hist = build_histogram(group)

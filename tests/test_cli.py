@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -129,6 +130,21 @@ class TestSanitize:
         )
         assert main(["sanitize", "--config", str(path), "--prompt", PROMPT]) == 2
         assert "unknown config keys: ['mode']" in capsys.readouterr().err
+
+    def test_stage_failure_prints_no_prompt_text(self, tmp_path, capsys):
+        prompt = "Alice Moreau lives at 12 Rue Cler"
+        config = write_config(
+            tmp_path,
+            {**BASE_CONFIG, "use_mock": True, "release_method": "dp", "epsilon2": 1, "k": 500},
+        )
+        assert main(["sanitize", "--config", config, "--prompt", prompt]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.lower()
+        assert "pipeline failed in stage-2 control" in err
+        assert "completed before the failure: group, histogram" in err
+        assert hashlib.blake2b(prompt.encode(), digest_size=16).hexdigest() in err
+        assert "moreau" not in err and "cler" not in err
+        assert captured.out == ""
 
     def test_seed_changes_samples_not_schema(self, mock_config, capsys):
         main(["sanitize", "--config", mock_config, "--prompt", PROMPT, "--seed", "1"])

@@ -17,7 +17,7 @@ from promptsan.client import (
 )
 from promptsan.mechanisms import ClipBounds, PrivacyLedger, epsilon_per_token
 from promptsan.metrics import rouge1
-from promptsan.rewriting import RewriteParams, paraphrase_blackbox, rewrite_group
+from promptsan.rewriting import RewriteParams, RewriteSchedule, paraphrase_blackbox, rewrite_group
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -74,7 +74,7 @@ def completion_payload(text: str, tokens: int | None = None) -> dict:
 
 def fast_client(server) -> HttpChatClient:
     """A client without retry delays, closed when the ``stub_server`` fixture ends."""
-    client = HttpChatClient(endpoint_for(server), base_delay_s=0.001, sleeper=lambda _: None)
+    client = HttpChatClient(endpoint_for(server), sleeper=lambda _: None)
     server.clients.append(client)
     return client
 
@@ -117,6 +117,17 @@ class TestHttpClient:
         with pytest.raises(TransportError) as exc_info:
             fast_client(stub_server).complete(REQ)
         assert exc_info.value.attempts == 3
+
+    def test_retry_delays_double_from_one_second_with_jitter(self, stub_server):
+        ScriptedHandler.script = [(503, {}), (503, {}), (503, {})]
+        delays: list[float] = []
+        client = HttpChatClient(endpoint_for(stub_server), sleeper=delays.append)
+        stub_server.clients.append(client)
+        with pytest.raises(TransportError):
+            client.complete(REQ)
+        assert len(delays) == 2
+        assert 1.0 <= delays[0] <= 1.25
+        assert 2.0 <= delays[1] <= 2.5
 
     def test_request_body_shape(self, stub_server):
         ScriptedHandler.script = [(200, completion_payload("x"))]
@@ -161,7 +172,7 @@ class TestHttpClient:
         )
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "p q", 4, 1.0, params, np.random.default_rng(0), ledger, client=client
+            "p q", RewriteSchedule.uniform(1.0, 4), params, np.random.default_rng(0), ledger, client=client
         )
         assert group.texts() == ["fine words"] * 3
         assert len(group.warnings) == 1
@@ -246,7 +257,8 @@ def test_connections_are_reused_above_the_default_pool_size():
     try:
         for seed in (0, 1):
             group = rewrite_group(
-                "p q", m, 1.0, params, np.random.default_rng(seed), PrivacyLedger(), client=client
+                "p q", RewriteSchedule.uniform(1.0, m), params, np.random.default_rng(seed),
+                PrivacyLedger(), client=client,
             )
             assert group.size == m
     finally:

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -147,6 +148,13 @@ class TestRunPipeline:
         assert result.ledger.rewrite_total() == pytest.approx(
             sum(r.tokens_generated for r in result.group.rewrites) * 2 * 8.0, rel=1e-12
         )
+
+    def test_a_single_temperature_covers_every_slot(self):
+        cfg = config(schedule=0.5, m=4)
+        assert cfg.rewrite_schedule() == RewriteSchedule.uniform(0.5, 4)
+        assert cfg.rewrite_params().temperature == 0.5
+        # The temperature follows m rather than being fixed at construction.
+        assert replace(cfg, m=6).rewrite_schedule() == RewriteSchedule.uniform(0.5, 6)
 
     def test_dp_requires_epsilon2(self):
         with pytest.raises(ValueError):

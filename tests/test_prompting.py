@@ -54,10 +54,6 @@ class TestRenderTemplate:
         with pytest.raises(ValueError):
             FinalPromptRequest(exemplar="Q", forbidden=(), template_id="nope")
 
-    def test_temperature_ceiling_warns(self):
-        with pytest.warns(UserWarning):
-            FinalPromptRequest(exemplar="Q", forbidden=(), temperature=0.5)
-
     def test_round_trip_injective(self, rng):
         words = ["harbor", "lantern", "meadow", "kettle", "canal", "archive", "quarry"]
         seen = set()
