@@ -124,13 +124,13 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
             retry_on_leakage=int(doc.get("retry_on_leakage", 0)),
             fallback_to_exemplar=bool(doc.get("fallback_to_exemplar", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     if doc.get("use_mock", False):
         try:
             client: object = MockChatModel(seed=int(doc.get("mock_seed", 0)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"mock_seed: {exc}") from exc
     else:
         client_doc = doc.get("client")
@@ -153,7 +153,7 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
             )
         except KeyError as exc:
             raise ConfigError(f"client config missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"client config: {exc}") from exc
         client = HttpChatClient(endpoint)
         if "model" not in doc:
@@ -218,7 +218,7 @@ def _sanitize(
         prompt = _read_prompt(args.prompt)
         if not prompt:
             raise ConfigError("prompt is empty")
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or PipelineConfig rejecting a flag
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

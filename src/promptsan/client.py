@@ -121,6 +121,17 @@ BASE_DELAY_S = 1.0
 BACKOFF_FACTOR = 2.0
 
 
+def _describe_error_reply(resp: requests.Response) -> str:
+    """Status, body length and body hash of an error reply, never the body.
+
+    A service may echo the request in its error body, and the request holds
+    the prompt.
+    """
+    body = resp.content
+    digest = hashlib.blake2b(body, digest_size=8).hexdigest()
+    return f"HTTP {resp.status_code}: {len(body)}-byte body, blake2b {digest}"
+
+
 class HttpChatClient:
     """POSTs chat-completions requests with bounded exponential-backoff retries."""
 
@@ -189,13 +200,11 @@ class HttpChatClient:
                     except ValueError as exc:
                         raise ClientError(f"malformed completion payload: {exc}") from exc
                     return self._parse(data, started, attempt)
-                excerpt = resp.text[:200]
+                failure = _describe_error_reply(resp)
                 if resp.status_code in _RETRYABLE_STATUSES:
-                    last_failure = f"HTTP {resp.status_code}: {excerpt}"
+                    last_failure = failure
                 else:
-                    raise ClientError(
-                        f"HTTP {resp.status_code}: {excerpt}", status=resp.status_code
-                    )
+                    raise ClientError(failure, status=resp.status_code)
             if attempt < MAX_ATTEMPTS:
                 delay = BASE_DELAY_S * BACKOFF_FACTOR ** (attempt - 1)
                 self._sleep(delay * (1.0 + 0.25 * random.random()))

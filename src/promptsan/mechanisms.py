@@ -158,17 +158,16 @@ def clip_logits(u: LogitVector, bounds: ClipBounds) -> LogitVector:
     return LogitVector(np.clip(u.values, bounds.b_min, bounds.b_max))
 
 
-def softmax(values: Sequence[float] | np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax with max-subtraction for numerical stability.
+def _normalise(work: np.ndarray, temperature: float) -> np.ndarray:
+    """Turn ``work`` into softmax(work/T) in place and return it.
 
-    Allocates one vocabulary-sized array and works in it in place; the
-    returned array is fresh, so a caller may overwrite it.
+    Checks finiteness on the max and the min instead of a separate mask pass:
+    NaN propagates through max, +inf shows in max and -inf in min.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    work = np.asarray(values, dtype=np.float64) / temperature
+    work /= temperature
     top = work.max()
-    # NaN propagates through max, +inf shows in max and -inf in min.
     if not (math.isfinite(top) and math.isfinite(work.min())):
         raise ValueError("softmax requires finite logits")
     work -= top
@@ -177,13 +176,29 @@ def softmax(values: Sequence[float] | np.ndarray, temperature: float = 1.0) -> n
     return work
 
 
-def em_sample(u_clipped: LogitVector, temperature: float, rng: np.random.Generator) -> int:
-    """Draw one vocabulary index with probability softmax(u/T).
+def softmax(values: Sequence[float] | np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Temperature softmax with max-subtraction for numerical stability.
 
-    Equivalent to the exponential mechanism with the logits as utility; the
-    caller is responsible for having clipped ``u_clipped`` already.
+    Allocates one vocabulary-sized array and works in it in place; the
+    returned array is fresh, so a caller may overwrite it.
     """
-    return int(em_sample_many(u_clipped, temperature, 1, rng)[0])
+    return _normalise(np.array(values, dtype=np.float64), temperature)
+
+
+def em_sample(
+    u: LogitVector,
+    temperature: float,
+    rng: np.random.Generator,
+    *,
+    bounds: ClipBounds | None = None,
+) -> int:
+    """Draw one vocabulary index with probability softmax(clip(u)/T).
+
+    Equivalent to the exponential mechanism with the logits as utility. The
+    privacy cost holds only for clipped logits: pass ``bounds`` or pre-clip
+    ``u`` with ``clip_logits``.
+    """
+    return int(em_sample_many(u, temperature, 1, rng, bounds=bounds)[0])
 
 
 # Prefix length the CDF grows by until it covers the largest uniform draw.
@@ -191,19 +206,26 @@ CDF_CHUNK = 4096
 
 
 def em_sample_many(
-    u_clipped: LogitVector, temperature: float, n: int, rng: np.random.Generator
+    u: LogitVector,
+    temperature: float,
+    n: int,
+    rng: np.random.Generator,
+    *,
+    bounds: ClipBounds | None = None,
 ) -> np.ndarray:
     """Vectorized em_sample: n independent draws from the same distribution.
 
-    Inverse-CDF sampling that builds only the prefix of the CDF the draws
-    need: the cumulative sum grows chunk by chunk, in place over the
-    probabilities, until it exceeds the largest uniform draw. Each chunk
+    Pass ``bounds`` or pre-clip ``u``. The logits are clipped into the one
+    working array, which then holds the probabilities and, in place over
+    them, the prefix of the CDF the draws need: the cumulative sum grows
+    chunk by chunk until it exceeds the largest uniform draw. Each chunk
     re-accumulates from the previous prefix, so every entry is summed exactly
     as a full ``cumsum`` sums it and the draws match the full-CDF search.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    work = softmax(u_clipped.values, temperature)
+    lo, hi = (-math.inf, math.inf) if bounds is None else (bounds.b_min, bounds.b_max)
+    work = _normalise(np.clip(u.values, lo, hi), temperature)
     uniforms = rng.random(n)
     largest = uniforms.max()
     size = work.size

@@ -41,8 +41,12 @@ def _f1(precision: float, recall: float) -> float:
 
 def rouge1(reference: str, hypothesis: str) -> MetricScore:
     """Unigram overlap with clipped counts, reported as F1."""
-    ref = Counter(tokenize(reference))
-    hyp = Counter(tokenize(hypothesis))
+    return _rouge1(tokenize(reference), tokenize(hypothesis))
+
+
+def _rouge1(ref_tokens: list[str], hyp_tokens: list[str]) -> MetricScore:
+    ref = Counter(ref_tokens)
+    hyp = Counter(hyp_tokens)
     overlap = sum((ref & hyp).values())
     precision = overlap / sum(hyp.values()) if hyp else 0.0
     recall = overlap / sum(ref.values()) if ref else 0.0
@@ -70,8 +74,10 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rougeL(reference: str, hypothesis: str) -> MetricScore:
     """Longest-common-subsequence overlap, reported as F1."""
-    ref = tokenize(reference)
-    hyp = tokenize(hypothesis)
+    return _rougeL(tokenize(reference), tokenize(hypothesis))
+
+
+def _rougeL(ref: list[str], hyp: list[str]) -> MetricScore:
     lcs = _lcs_length(ref, hyp)
     precision = lcs / len(hyp) if hyp else 0.0
     recall = lcs / len(ref) if ref else 0.0
@@ -94,8 +100,10 @@ def bleu(reference: str, hypothesis: str) -> MetricScore:
     smoothed to 1/(2 * hypothesis n-gram count). Brevity penalty applies only
     when the hypothesis is shorter than the reference.
     """
-    ref = tokenize(reference)
-    hyp = tokenize(hypothesis)
+    return _bleu(tokenize(reference), tokenize(hypothesis))
+
+
+def _bleu(ref: list[str], hyp: list[str]) -> MetricScore:
     if not hyp or not ref:
         return MetricScore(value=0.0, metric=Metric.BLEU, details={"precisions": []})
 
@@ -118,8 +126,10 @@ def bleu(reference: str, hypothesis: str) -> MetricScore:
 
 
 def all_metrics(reference: str, hypothesis: str) -> dict[str, float]:
+    """The three metric values, from one tokenisation of each text."""
+    ref, hyp = tokenize(reference), tokenize(hypothesis)
     return {
-        "rouge1": rouge1(reference, hypothesis).value,
-        "rougeL": rougeL(reference, hypothesis).value,
-        "bleu": bleu(reference, hypothesis).value,
+        "rouge1": _rouge1(ref, hyp).value,
+        "rougeL": _rougeL(ref, hyp).value,
+        "bleu": _bleu(ref, hyp).value,
     }

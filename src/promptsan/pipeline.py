@@ -61,6 +61,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.release_method is ReleaseMethod.DP and (
             self.epsilon2 is None or self.epsilon2 <= 0
         ):

@@ -22,7 +22,7 @@ from .mechanisms import (
     LogitVector,
     PrivacyLedger,
     Stage,
-    clip_logits,
+    clip_logits,  # noqa: F401  -- unused here; perfbench/layers.py wraps this binding
     em_sample,
     epsilon_per_token,
 )
@@ -200,7 +200,7 @@ def paraphrase_whitebox(
     rng: np.random.Generator,
     ledger: PrivacyLedger,
 ) -> Rewrite:
-    """Decode one paraphrase token by token: clip, sample, append.
+    """Decode one paraphrase token by token: sample from the clipped logits, append.
 
     Stops at an end-of-sequence index or at max_tokens. The end-of-sequence
     draw is still an exponential-mechanism invocation, so it counts toward
@@ -217,8 +217,7 @@ def paraphrase_whitebox(
     try:
         for _ in range(params.max_tokens):
             u = oracle.step_logits(context)
-            u_clipped = clip_logits(u, params.bounds)
-            idx = em_sample(u_clipped, params.temperature, rng)
+            idx = em_sample(u, params.temperature, rng, bounds=params.bounds)
             tokens_generated += 1
             if oracle.eos_index is not None and idx == oracle.eos_index:
                 break

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from promptsan import client as client_module
 from promptsan.cli import load_cli_config, main
 from promptsan.client import (
     REWRITE_HEADER,
@@ -199,7 +205,9 @@ class MockServiceHandler(BaseHTTPRequestHandler):
     refuse_final = False
 
     def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.answer(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+
+    def answer(self, body: dict) -> None:
         if self.refuse_final and REWRITE_HEADER in body["messages"][-1]["content"]:
             self.send_error(400)
             return
@@ -260,6 +268,9 @@ class TestConfigErrors:
             ({"temperature": "hot"}, "could not convert string to float"),
             ({"bounds": [0, 8]}, "bounds must be a JSON object"),
             ({"mock_seed": "x"}, "mock_seed"),
+            ({"m": math.inf}, "cannot convert float infinity to integer"),
+            ({"mock_seed": -math.inf}, "mock_seed: cannot convert float infinity"),
+            ({"seed": -1}, "seed must be nonnegative, got -1"),
         ],
     )
     def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
@@ -267,6 +278,12 @@ class TestConfigErrors:
         assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--schedule", "0:1:0.5"]])
+    def test_bad_flag_exits_two(self, tmp_path, capsys, flags):
+        config = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True})
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "client, message",
@@ -376,6 +393,185 @@ class TestKeywords:
 
     def test_missing_group_file_exits_two(self, tmp_path):
         assert main(["keywords", "--group", str(tmp_path / "nope.json")]) == 2
+
+
+SECRET_PROMPT = "Alice Moreau lives at 12 Rue Cler"
+
+
+def _leaks(text: str) -> bool:
+    lowered = text.lower()
+    return "moreau" in lowered or "cler" in lowered
+
+
+class EchoingServiceHandler(MockServiceHandler):
+    """Answers with ``status`` and the request body echoed back.
+
+    With ``odd_seeds_only`` set it echoes only the Stage-1 requests whose
+    slot seed is odd, every attempt of them, and answers the rest as the mock.
+    """
+
+    status = 400
+    odd_seeds_only = False
+    echoed: list = []
+
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.loads(raw)
+        if self.odd_seeds_only and body.get("seed", 0) % 2 == 0:
+            self.answer(body)
+            return
+        type(self).echoed.append(raw)
+        self.send_response(self.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+
+@pytest.fixture
+def echoing_service(monkeypatch):
+    monkeypatch.setattr(client_module, "BASE_DELAY_S", 0.0)
+    EchoingServiceHandler.echoed = []
+    server = ThreadingHTTPServer(("127.0.0.1", 0), EchoingServiceHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert any(b"Moreau" in raw for raw in EchoingServiceHandler.echoed)
+
+
+@pytest.mark.parametrize("status", [400, 503])
+class TestErrorBodiesStayOutOfTelemetry:
+    """A service echoing the request in its error body must not leak the prompt."""
+
+    def config(self, tmp_path, service: str) -> str:
+        return write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": service, "model": "mock"}})
+
+    def test_sanitize_stderr(self, tmp_path, capsys, echoing_service, monkeypatch, status):
+        monkeypatch.setattr(EchoingServiceHandler, "status", status)
+        config = self.config(tmp_path, echoing_service)
+        assert main(["sanitize", "--config", config, "--prompt", SECRET_PROMPT]) == 1
+        err = capsys.readouterr().err
+        assert f"HTTP {status}: " in err and "-byte body, blake2b " in err
+        assert not _leaks(err)
+
+    def test_group_warnings(self, tmp_path, capsys, echoing_service, monkeypatch, status):
+        monkeypatch.setattr(EchoingServiceHandler, "status", status)
+        monkeypatch.setattr(EchoingServiceHandler, "odd_seeds_only", True)
+        config = self.config(tmp_path, echoing_service)
+        assert main(["sanitize", "--config", config, "--prompt", SECRET_PROMPT]) == 0
+        captured = capsys.readouterr()
+        warnings = json.loads(captured.out)["group"]["warnings"]
+        assert 0 < len(warnings) < BASE_CONFIG["m"]
+        assert all(f"HTTP {status}: " in w for w in warnings)
+        assert not _leaks("\n".join(warnings)) and not _leaks(captured.err)
+
+    def test_evaluate_audit(self, tmp_path, capsys, echoing_service, monkeypatch, status):
+        monkeypatch.setattr(EchoingServiceHandler, "status", status)
+        dataset = tmp_path / "dev.jsonl"
+        choices = [{"label": label, "text": f"place {label}"} for label in "ABCDE"]
+        dataset.write_text(
+            json.dumps({"id": "q0", "answerKey": "A", "question": {"stem": SECRET_PROMPT, "choices": choices}})
+        )
+        audit = tmp_path / "rows.jsonl"
+        assert main([
+            "evaluate", "--dataset", str(dataset), "--format", "csqa_jsonl",
+            "--config", self.config(tmp_path, echoing_service), "--out", str(tmp_path / "r.csv"),
+            "--repeats", "1", "--methods", "paraphrase,group-ndp", "--temperatures", "1.0",
+            "--audit", str(audit),
+        ]) == 0
+        rows = [json.loads(line) for line in audit.read_text().splitlines()]
+        assert len(rows) == 2 and all(row["failed"] for row in rows)
+        assert all(f"HTTP {status}: " in row["note"] for row in rows)
+        assert not _leaks(audit.read_text()) and not _leaks(capsys.readouterr().err)
+
+
+# Values no config key expects. The bounded ones leave out finite floats so
+# large that int() of them would ask for a huge group, token budget or
+# regeneration count.
+BOUNDED_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(["b_min", "x"]), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 2.5, -0.5, "3", "1e3"]),
+)
+ODD_VALUES = st.one_of(BOUNDED_ODD_VALUES, st.floats(allow_nan=True, allow_infinity=True))
+SMALL_INT = st.integers(min_value=-3, max_value=8)
+SMALL_FLOAT = st.floats(min_value=-2.0, max_value=4.0)
+SCHEDULES = st.builds(
+    lambda low, high, step: f"{low}:{high}:{step}",
+    st.sampled_from([-0.5, 0.0, 0.5, 1.0, "x"]),
+    st.sampled_from([0.5, 1.0, 2.0, "nan"]),
+    st.sampled_from([0.0, -0.5, 0.25, 0.5, "inf"]),
+)
+# A config that loads; group size, tokens and regenerations stay small, so
+# every example runs fast.
+VALID_CONFIG = st.fixed_dictionaries(
+    {
+        "use_mock": st.just(True),
+        "bounds": st.one_of(
+            st.builds(lambda lo, width: {"b_min": lo, "b_max": lo + width},
+                      st.floats(-1.0, 1.0), st.floats(0.5, 10.0)),
+            st.builds(lambda eps: {"unit_epsilon": eps}, st.floats(0.5, 20.0)),
+        ),
+        "m": st.integers(1, 5),
+        "max_tokens": st.integers(1, 24),
+    },
+    optional={
+        "k": st.integers(0, 8),
+        "temperature": st.floats(0.1, 3.0),
+        "release_method": st.sampled_from(["ndp", "dp"]),
+        "epsilon2": st.floats(0.1, 5.0),
+        "seed": st.integers(0, 2**31),
+        "mock_seed": st.integers(0, 2**31),
+        "retry_on_leakage": st.integers(0, 2),
+        "fallback_to_exemplar": st.booleans(),
+    },
+)
+# Values that replace up to two keys of a valid config.
+MUTATIONS = {
+    "m": st.one_of(SMALL_INT, BOUNDED_ODD_VALUES),
+    "k": st.one_of(SMALL_INT, BOUNDED_ODD_VALUES),
+    "max_tokens": st.one_of(st.integers(min_value=-2, max_value=24), BOUNDED_ODD_VALUES),
+    "retry_on_leakage": st.one_of(st.integers(min_value=-1, max_value=2), BOUNDED_ODD_VALUES),
+    "temperature": st.one_of(SMALL_FLOAT, ODD_VALUES),
+    "schedule": st.one_of(SCHEDULES, ODD_VALUES),
+    "release_method": st.one_of(st.sampled_from(["DP", "topk"]), ODD_VALUES),
+    "epsilon2": st.one_of(SMALL_FLOAT, ODD_VALUES),
+    "bounds": st.one_of(
+        st.fixed_dictionaries(
+            {}, optional={key: st.one_of(SMALL_FLOAT, ODD_VALUES) for key in ("b_min", "b_max", "unit_epsilon")},
+        ),
+        ODD_VALUES,
+    ),
+    "seed": st.one_of(st.integers(), ODD_VALUES),
+    "mock_seed": st.one_of(st.integers(), ODD_VALUES),
+    "prompt_template": st.one_of(st.sampled_from(["{prompt}", "Say: {prompt}", "{other}", "{", "}"]), ODD_VALUES),
+    "model": ODD_VALUES,
+    "fallback_to_exemplar": ODD_VALUES,
+    "unexpected": ODD_VALUES,
+}
+
+
+class TestFuzzedConfig:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        doc=VALID_CONFIG,
+        mutated=st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=2, unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({key: MUTATIONS[key] for key in keys})
+        ),
+        prompt=st.sampled_from([PROMPT, "", "   ", "a", "{prompt}"]),
+    )
+    def test_sanitize_exits_cleanly_on_any_config(self, tmp_path_factory, doc, mutated, prompt):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+        path.write_text(json.dumps({**doc, **mutated}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sanitize", "--config", str(path), "--prompt", prompt])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestScore:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -110,7 +111,9 @@ class TestHttpClient:
         with pytest.raises(ClientError) as exc_info:
             fast_client(stub_server).complete(REQ)
         assert exc_info.value.status == 400
-        assert "bad request" in str(exc_info.value)
+        body = json.dumps({"error": "bad request"}).encode()
+        digest = hashlib.blake2b(body, digest_size=8).hexdigest()
+        assert str(exc_info.value) == f"HTTP 400: {len(body)}-byte body, blake2b {digest}"
 
     def test_exhausted_retries_raise_transport_error(self, stub_server):
         ScriptedHandler.script = [(503, {}), (503, {}), (503, {})]

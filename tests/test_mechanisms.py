@@ -231,6 +231,86 @@ class TestEarlyExitCdf:
         assert peak < 1.5 * u.values.nbytes
 
 
+def bounded_logit_shapes(size: int, bounds: ClipBounds) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(size)
+    inside = rng.uniform(bounds.b_min, bounds.b_max, size)
+    outside = rng.normal(bounds.b_min + bounds.range() / 2, 3 * bounds.range(), size)
+    raw_inf = outside.copy()
+    raw_inf[rng.integers(0, size, max(1, size // 5))] = np.inf
+    raw_inf[rng.integers(0, size, max(1, size // 5))] = -np.inf
+    return {"inside": inside, "outside": outside, "raw_inf": raw_inf}
+
+
+class TestBoundedSampling:
+    """``bounds=`` clips inside the sampler exactly as clip_logits clips before it."""
+
+    BOUNDS = ClipBounds(0.0, 8.0)
+
+    @pytest.mark.parametrize("size", [2, CDF_CHUNK + 1, 32_000])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_draws_equal_clip_then_the_reference_sampler(self, size, n):
+        for shape, values in bounded_logit_shapes(size, self.BOUNDS).items():
+            u = LogitVector(values)
+            clipped = clip_logits(u, self.BOUNDS)
+            for temperature in (0.05, 1.0, 4.0):
+                for seed in range(3):
+                    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = em_sample_many(u, temperature, n, ours, bounds=self.BOUNDS)
+                    want = reference_em_sample_many(clipped, temperature, n, ref)
+                    assert np.array_equal(got, want), (shape, temperature, seed)
+                    assert ours.random() == ref.random()
+
+    def test_single_draws_equal_clip_then_sample(self):
+        u = LogitVector(bounded_logit_shapes(32_000, self.BOUNDS)["raw_inf"])
+        clipped = clip_logits(u, self.BOUNDS)
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for temperature in (0.5, 1.0, 3.0):
+            for _ in range(50):
+                assert em_sample(u, temperature, ours, bounds=self.BOUNDS) == em_sample(
+                    clipped, temperature, ref
+                )
+
+    def test_every_prefix_equals_the_clipped_full_cumulative_sum(self):
+        # Uniforms on and just below each prefix of the reference CDF tell
+        # apart any clipped logit that differs from clip_logits' in the last bit.
+        u = LogitVector(bounded_logit_shapes(32_000, self.BOUNDS)["raw_inf"])
+        clipped = clip_logits(u, self.BOUNDS).values
+        exp = np.exp(clipped - clipped.max())
+        cdf = np.cumsum(exp / exp.sum())[:-1]
+        uniforms = np.concatenate([cdf, np.nextafter(cdf, 0.0)])
+        got = em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms), bounds=self.BOUNDS)
+        want = reference_em_sample_many(LogitVector(clipped), 1.0, uniforms.size, StubRng(uniforms))
+        assert np.array_equal(got, want)
+
+    def test_raw_infinities_clip_to_the_bounds(self):
+        # +inf saturates to b_max and -inf to b_min, so the two ends carry
+        # the probabilities of logits sitting exactly on the bounds.
+        u = LogitVector([np.inf, -np.inf])
+        probs = softmax(clip_logits(u, self.BOUNDS).values, 1.0)
+        uniforms = [probs[0] - 1e-12, probs[0] + 1e-12]
+        draws = em_sample_many(u, 1.0, 2, StubRng(uniforms), bounds=self.BOUNDS)
+        assert draws.tolist() == [0, 1]
+
+    def test_nan_is_rejected_anywhere(self):
+        for position in range(3):
+            values = [0.0, 20.0, -20.0]
+            values[position] = float("nan")
+            with pytest.raises(ValueError, match="softmax requires finite logits"):
+                em_sample(LogitVector(values), 1.0, np.random.default_rng(0), bounds=self.BOUNDS)
+
+    def test_one_bounded_draw_holds_one_vocabulary_sized_array(self):
+        u = LogitVector(np.random.default_rng(0).normal(4.0, 2.5, 32_000))
+        rng = np.random.default_rng(1)
+        em_sample(u, 1.0, rng, bounds=self.BOUNDS)
+        tracemalloc.start()
+        try:
+            em_sample(u, 1.0, rng, bounds=self.BOUNDS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.values.nbytes
+
+
 class TestLedger:
     def test_group_rewrite_total(self):
         ledger = PrivacyLedger()

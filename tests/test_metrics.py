@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from promptsan import metrics
 from promptsan.metrics import Metric, all_metrics, bleu, rouge1, rougeL
 from promptsan.normalization import tokenize
 
@@ -148,6 +149,24 @@ class TestProperties:
         scores = all_metrics("a b c", "a b c")
         assert set(scores) == {"rouge1", "rougeL", "bleu"}
         assert scores["rouge1"] == 1.0
+
+    def test_all_metrics_tokenises_each_text_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        all_metrics("Where is the harbor lantern?", "Where's the lantern, by the harbor?")
+        assert calls == ["Where is the harbor lantern?", "Where's the lantern, by the harbor?"]
+
+    @given(
+        st.lists(st.sampled_from(WORDS + ["Harbor,", "lantern!", "--"]), max_size=12),
+        st.lists(st.sampled_from(WORDS + ["Harbor,", "lantern!", "--"]), max_size=12),
+    )
+    def test_all_metrics_equals_the_three_public_metrics(self, ref, hyp):
+        ref_text, hyp_text = " ".join(ref), " ".join(hyp)
+        assert all_metrics(ref_text, hyp_text) == {
+            "rouge1": rouge1(ref_text, hyp_text).value,
+            "rougeL": rougeL(ref_text, hyp_text).value,
+            "bleu": bleu(ref_text, hyp_text).value,
+        }
 
     def test_metric_enum_tagging(self):
         assert rouge1("a", "a").metric is Metric.ROUGE1
