@@ -223,7 +223,8 @@ class HttpChatClient:
             raise ClientError("malformed completion payload: content is not a string")
         usage = data.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
-        reported = isinstance(tokens, int) and tokens >= 0
+        # bool is an int subclass, but true/false is no token count.
+        reported = isinstance(tokens, int) and not isinstance(tokens, bool) and tokens >= 0
         if not reported:
             tokens = len(text.split())
         latency_ms = int((time.monotonic() - started) * 1000)

@@ -72,6 +72,7 @@ class PipelineConfig:
                 raise ValueError("schedule must cover exactly m rewrites")
         elif not self.schedule > 0:
             raise ValueError(f"rewrite temperature must be positive, got {self.schedule!r}")
+        self.rewrite_params()  # RewriteParams checks the settings it shares
 
     def rewrite_schedule(self) -> RewriteSchedule:
         """The m slot temperatures; a single temperature covers every slot."""

@@ -62,6 +62,8 @@ class RewriteParams:
             raise ValueError("max_tokens must be positive")
         if self.mode == "whitebox" and self.bounds is None:
             raise ValueError("whitebox rewriting requires clip bounds")
+        if "{prompt}" not in self.prompt_template:
+            raise ValueError("prompt_template must contain {prompt}")
 
     def render_prompt(self, prompt: str) -> str:
         return self.prompt_template.replace("{prompt}", prompt)

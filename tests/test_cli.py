@@ -271,6 +271,9 @@ class TestConfigErrors:
             ({"m": math.inf}, "cannot convert float infinity to integer"),
             ({"mock_seed": -math.inf}, "mock_seed: cannot convert float infinity"),
             ({"seed": -1}, "seed must be nonnegative, got -1"),
+            ({"prompt_template": "no placeholder"}, "prompt_template must contain {prompt}"),
+            ({"prompt_template": "{"}, "prompt_template must contain {prompt}"),
+            ({"max_tokens": 0}, "max_tokens must be positive"),
         ],
     )
     def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):

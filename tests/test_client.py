@@ -159,6 +159,13 @@ class TestHttpClient:
         with pytest.raises(ClientError, match="malformed completion payload"):
             fast_client(stub_server).complete(REQ)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_token_count_is_not_reported(self, stub_server, flag):
+        ScriptedHandler.script = [(200, {**completion_payload("one two"), "usage": {"completion_tokens": flag}})]
+        resp = fast_client(stub_server).complete(REQ)
+        assert resp.tokens_reported is False
+        assert resp.tokens_generated == 2
+
     def test_usage_that_is_not_an_object_falls_back_to_estimate(self, stub_server):
         ScriptedHandler.script = [(200, {**completion_payload("one two"), "usage": 5})]
         assert fast_client(stub_server).complete(REQ).tokens_generated == 2
@@ -196,6 +203,15 @@ class TestHttpClient:
         assert estimated.text == reported.text == "one two three"
         assert [e.units for e in ledger.entries] == [16, 3]
         assert ledger.total() == 19 * epsilon_per_token(1.0, bounds)
+
+    def test_boolean_token_count_charges_max_tokens_in_the_ledger(self, stub_server):
+        ScriptedHandler.script = [(200, {**completion_payload("one two three"), "usage": {"completion_tokens": True}})]
+        bounds = ClipBounds(0.0, 8.0)
+        params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=64, bounds=bounds)
+        ledger = PrivacyLedger()
+        paraphrase_blackbox("p q", params, fast_client(stub_server), ledger)
+        assert [row["units"] for row in ledger.to_rows()] == [64]
+        assert ledger.total() == 1024.0
 
     def test_close_releases_only_a_session_it_built(self, stub_server):
         ScriptedHandler.script = [(200, completion_payload("x", tokens=1)) for _ in range(2)]

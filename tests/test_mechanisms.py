@@ -4,16 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptsan.mechanisms import (
-    CDF_CHUNK,
+    BLOCK,
     ClipBounds,
     LedgerEntry,
     LogitVector,
     PrivacyLedger,
     Stage,
+    _certified_draws,
+    _exp_weights,
     clip_logits,
     em_sample,
     em_sample_many,
@@ -160,6 +162,11 @@ def reference_em_sample_many(u: LogitVector, temperature: float, n: int, rng) ->
     return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), u.vocab_size - 1)
 
 
+# Vocabularies whose last block is ragged, full and one entry long, for any
+# power-of-two BLOCK up to 4096.
+TAIL_SIZES = (4095, 4096, 4097)
+
+
 def logit_shapes(size: int) -> dict[str, np.ndarray]:
     normal = np.clip(np.random.default_rng(size).normal(4.0, 2.5, size), 0.0, 8.0)
     spike = np.zeros(size)
@@ -179,7 +186,7 @@ class StubRng:
 
 
 class TestEarlyExitCdf:
-    @pytest.mark.parametrize("size", [2, CDF_CHUNK - 1, CDF_CHUNK, CDF_CHUNK + 1, 32_000])
+    @pytest.mark.parametrize("size", [2, BLOCK - 1, BLOCK, BLOCK + 1, *TAIL_SIZES, 32_000])
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_draws_equal_the_full_cdf_search(self, size, n):
         for shape, values in logit_shapes(size).items():
@@ -198,14 +205,14 @@ class TestEarlyExitCdf:
         assert np.all(draws == 31_999)
 
     def test_uniform_equal_to_a_chunk_end_prefix_searches_on(self):
-        # Chunks one and three share the mass equally and chunk two has none,
-        # so the first chunk's prefix is exactly 0.5. A draw of exactly 0.5
-        # belongs to the first index of chunk three, never to chunk two.
-        values = np.zeros(3 * CDF_CHUNK)
-        values[CDF_CHUNK:2 * CDF_CHUNK] = -1e4
+        # Blocks one and three share the mass equally and block two has none,
+        # so the first block's prefix is exactly 0.5. A draw of exactly 0.5
+        # belongs to the first index of block three, never to block two.
+        values = np.zeros(3 * BLOCK)
+        values[BLOCK:2 * BLOCK] = -1e4
         u = LogitVector(values)
-        assert em_sample_many(u, 1.0, 1, StubRng([0.5])).tolist() == [2 * CDF_CHUNK]
-        assert em_sample_many(u, 1.0, 2, StubRng([0.25, 0.5])).tolist() == [CDF_CHUNK // 2, 2 * CDF_CHUNK]
+        assert em_sample_many(u, 1.0, 1, StubRng([0.5])).tolist() == [2 * BLOCK]
+        assert em_sample_many(u, 1.0, 2, StubRng([0.25, 0.5])).tolist() == [BLOCK // 2, 2 * BLOCK]
 
     def test_every_prefix_equals_the_full_cumulative_sum(self):
         # Uniforms on each full-cumsum value and on the float just below it
@@ -246,7 +253,7 @@ class TestBoundedSampling:
 
     BOUNDS = ClipBounds(0.0, 8.0)
 
-    @pytest.mark.parametrize("size", [2, CDF_CHUNK + 1, 32_000])
+    @pytest.mark.parametrize("size", [2, BLOCK + 1, 4097, 32_000])
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_draws_equal_clip_then_the_reference_sampler(self, size, n):
         for shape, values in bounded_logit_shapes(size, self.BOUNDS).items():
@@ -309,6 +316,96 @@ class TestBoundedSampling:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * u.values.nbytes
+
+
+def benchmark_logits(size: int = 32_000) -> np.ndarray:
+    """The white-box benchmark's logit shape: N(4, 2.5), a rare end-of-sequence token."""
+    values = np.random.default_rng(size).normal(4.0, 2.5, size)
+    values[0] = -10.0
+    return values
+
+
+def reference_prefixes(values: np.ndarray, temperature: float) -> np.ndarray:
+    """The reference CDF of already clipped logits, without its forced last entry."""
+    scaled = values / temperature
+    exp = np.exp(scaled - scaled.max())
+    return np.cumsum(exp / exp.sum())[:-1]
+
+
+class TestCertifiedBlockSearch:
+    """The block search returns the reference draw or leaves the draw to the exact path."""
+
+    BOUNDS = ClipBounds(-1e4, 8.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 37, 32_000]),
+        bounded=st.booleans(),
+        temperature=st.floats(0.05, 4.0),
+        zero_blocks=st.lists(st.floats(0.0, 1.0), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.one_of(
+            st.integers(1, 130),
+            st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=3),
+        ),
+    )
+    def test_draws_equal_the_reference_draw_for_draw(
+        self, size, bounded, temperature, zero_blocks, seed, draws
+    ):
+        gen = np.random.default_rng(seed)
+        values = gen.normal(4.0, 2.5, size)
+        for at in zero_blocks:
+            start = int(at * (size // BLOCK)) * BLOCK
+            values[start:start + BLOCK] = -1e4  # exp underflows to 0
+        bounds = None
+        if bounded:
+            bounds = self.BOUNDS
+            values[gen.integers(0, size, 4)] = [np.inf, -np.inf, 20.0, -2e4]
+        u = LogitVector(values)
+        clipped = u if bounds is None else clip_logits(u, bounds)
+        if isinstance(draws, int):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = em_sample_many(u, temperature, draws, ours, bounds=bounds)
+            assert np.array_equal(got, reference_em_sample_many(clipped, temperature, draws, ref))
+            assert ours.random() == ref.random()
+            return
+        # Uniforms on a reference prefix, or one ulp below it.
+        cdf = reference_prefixes(clipped.values, temperature)
+        picked = cdf[[int(at * (cdf.size - 1)) for at, _ in draws]]
+        uniforms = np.where([below for _, below in draws], np.nextafter(picked, 0.0), picked)
+        uniforms = uniforms[uniforms < 1.0]
+        if uniforms.size:
+            got = em_sample_many(u, temperature, uniforms.size, StubRng(uniforms), bounds=bounds)
+            want = reference_em_sample_many(clipped, temperature, uniforms.size, StubRng(uniforms))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 3.0])
+    def test_typical_draws_are_all_decided(self, temperature):
+        values = np.clip(benchmark_logits(), 0.0, 8.0)
+        uniforms = np.random.default_rng(0).random(5000)
+        draws = _certified_draws(_exp_weights(values.copy(), temperature), uniforms)
+        want = reference_em_sample_many(LogitVector(values), temperature, uniforms.size, StubRng(uniforms))
+        assert np.array_equal(draws, want)
+
+    def test_draws_of_the_first_and_last_index_are_decided(self):
+        # Index 0 has no lower neighbour and index V-1 no upper one, so draws
+        # close to 0 or to 1 need only the other margin.
+        values = np.zeros(32_000)
+        values[[0, -1]] = 20.0
+        uniforms = np.array([0.0, 1e-12, 0.25, 0.75, 1 - 1e-12, np.nextafter(1.0, 0.0)])
+        draws = _certified_draws(_exp_weights(values, 1.0), uniforms)
+        assert draws.tolist() == [0, 0, 0, 31_999, 31_999, 31_999]
+
+    def test_uniforms_on_a_prefix_reach_the_exact_path(self):
+        values = np.clip(benchmark_logits(), 0.0, 8.0)
+        u = LogitVector(values)
+        weights = _exp_weights(values.copy(), 1.0)
+        cdf = reference_prefixes(values, 1.0)
+        for x in cdf[np.linspace(0, cdf.size - 1, 100).astype(int)]:
+            assert _certified_draws(weights, np.array([x])).tolist() == [-1]
+            assert em_sample_many(u, 1.0, 1, StubRng([x])).tolist() == (
+                reference_em_sample_many(u, 1.0, 1, StubRng([x])).tolist()
+            )
 
 
 class TestLedger:

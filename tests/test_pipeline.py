@@ -156,6 +156,11 @@ class TestRunPipeline:
         # The temperature follows m rather than being fixed at construction.
         assert replace(cfg, m=6).rewrite_schedule() == RewriteSchedule.uniform(0.5, 6)
 
+    @pytest.mark.parametrize("template", ["no placeholder", "{"])
+    def test_template_without_the_prompt_placeholder_rejected(self, template):
+        with pytest.raises(ValueError, match="prompt_template must contain {prompt}"):
+            config(prompt_template=template)
+
     def test_dp_requires_epsilon2(self):
         with pytest.raises(ValueError):
             config(release_method=ReleaseMethod.DP)

@@ -45,6 +45,11 @@ class TestParams:
         with pytest.raises(ValueError):
             RewriteParams(mode="graybox", temperature=1.0, max_tokens=10)
 
+    @pytest.mark.parametrize("template", ["no placeholder", "{", "{prompt"])
+    def test_template_without_the_prompt_placeholder_rejected(self, template):
+        with pytest.raises(ValueError, match="prompt_template must contain {prompt}"):
+            RewriteParams(mode="blackbox", temperature=1.0, max_tokens=10, prompt_template=template)
+
 
 class TestParaphraseWhitebox:
     def test_suppressed_eos_runs_to_max_tokens(self, rng):
