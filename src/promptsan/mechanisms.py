@@ -209,6 +209,10 @@ def em_sample(
 
 # Entries per block of the approximate CDF the certified search reads.
 BLOCK = 256
+# One searched draw costs about what the exact path spends on this many
+# entries (7-8 us against about 4 ns per entry, measured at V from 512 to
+# 64,000), so a call searches only when n * SEARCH_DRAW_ENTRIES < V.
+SEARCH_DRAW_ENTRIES = 2048
 
 
 def _certified_draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -271,21 +275,22 @@ def em_sample_many(
     its exact total, so R_k <= 1. The reference's sum, division and cumsum
     give m <= 2V, so |C_k - R_k| <= 2V·u. The block sums, their running sum,
     the in-block running sum, the total and the division give m <= 3·BLOCK
-    + 2·ceil(V/BLOCK), at most 4V as the search runs only for V > BLOCK.
+    + 2·ceil(V/BLOCK), at most 4V as the search runs only for V >
+    SEARCH_DRAW_ENTRIES > BLOCK.
     Hence δ = 8·V·u (2.8e-11 at V = 32,000, where a typical p_i is 3e-5)
     exceeds |Ĉ_k - C_k| <= 6V·u, and the spare 2V·u covers rounding x ± δ
     and subnormal quotients, whose error is absolute.
 
     The exact path is the reference run in place. It takes every draw the
-    search leaves undecided, and every call with n·BLOCK >= V, where one
-    O(V) pass costs less than n blocks.
+    search leaves undecided, and every call with n·SEARCH_DRAW_ENTRIES >= V,
+    where one O(V) pass costs less than n searched draws.
     """
     if n < 1:
         raise ValueError("n must be positive")
     lo, hi = (-math.inf, math.inf) if bounds is None else (bounds.b_min, bounds.b_max)
     work = _exp_weights(np.clip(u.values, lo, hi), temperature)
     uniforms = rng.random(n)
-    if n * BLOCK < work.size:
+    if n * SEARCH_DRAW_ENTRIES < work.size:
         draws = _certified_draws(work, uniforms)
         if draws.min() >= 0:
             return draws

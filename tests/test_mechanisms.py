@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from promptsan.mechanisms import (
     BLOCK,
+    SEARCH_DRAW_ENTRIES,
     ClipBounds,
     LedgerEntry,
     LogitVector,
@@ -185,6 +186,19 @@ class StubRng:
         return np.array(self.uniforms)
 
 
+def block_search_matches(values: np.ndarray, temperature: float, uniforms) -> np.ndarray:
+    """Run the block search alone on already clipped logits; return its decided mask.
+
+    Asserts that every draw it decides equals the reference draw.
+    """
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    draws = _certified_draws(_exp_weights(values.copy(), temperature), uniforms)
+    want = reference_em_sample_many(LogitVector(values), temperature, uniforms.size, StubRng(uniforms))
+    decided = draws >= 0
+    assert np.array_equal(draws[decided], want[decided])
+    return decided
+
+
 class TestEarlyExitCdf:
     @pytest.mark.parametrize("size", [2, BLOCK - 1, BLOCK, BLOCK + 1, *TAIL_SIZES, 32_000])
     @pytest.mark.parametrize("n", [1, 7, 1000])
@@ -203,6 +217,7 @@ class TestEarlyExitCdf:
         u = LogitVector(logit_shapes(32_000)["last_spike"])
         draws = em_sample_many(u, 0.05, 1000, np.random.default_rng(0))
         assert np.all(draws == 31_999)
+        assert block_search_matches(u.values, 0.05, np.random.default_rng(0).random(1000)).all()
 
     def test_uniform_equal_to_a_chunk_end_prefix_searches_on(self):
         # Blocks one and three share the mass equally and block two has none,
@@ -213,6 +228,7 @@ class TestEarlyExitCdf:
         u = LogitVector(values)
         assert em_sample_many(u, 1.0, 1, StubRng([0.5])).tolist() == [2 * BLOCK]
         assert em_sample_many(u, 1.0, 2, StubRng([0.25, 0.5])).tolist() == [BLOCK // 2, 2 * BLOCK]
+        block_search_matches(values, 1.0, [0.25, 0.5])
 
     def test_every_prefix_equals_the_full_cumulative_sum(self):
         # Uniforms on each full-cumsum value and on the float just below it
@@ -224,6 +240,7 @@ class TestEarlyExitCdf:
         got = em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms))
         want = reference_em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms))
         assert np.array_equal(got, want)
+        block_search_matches(u.values, 1.0, uniforms)
 
     def test_one_draw_holds_one_vocabulary_sized_array(self):
         u = LogitVector(np.random.default_rng(0).normal(4.0, 2.5, 32_000))
@@ -288,6 +305,7 @@ class TestBoundedSampling:
         got = em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms), bounds=self.BOUNDS)
         want = reference_em_sample_many(LogitVector(clipped), 1.0, uniforms.size, StubRng(uniforms))
         assert np.array_equal(got, want)
+        block_search_matches(clipped, 1.0, uniforms)
 
     def test_raw_infinities_clip_to_the_bounds(self):
         # +inf saturates to b_max and -inf to b_min, so the two ends carry
@@ -339,7 +357,9 @@ class TestCertifiedBlockSearch:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        size=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 37, 32_000]),
+        size=st.sampled_from(
+            [BLOCK - 1, BLOCK, BLOCK + 1, SEARCH_DRAW_ENTRIES + 1, SEARCH_DRAW_ENTRIES + BLOCK + 37, 32_000]
+        ),
         bounded=st.booleans(),
         temperature=st.floats(0.05, 4.0),
         zero_blocks=st.lists(st.floats(0.0, 1.0), max_size=3),
@@ -368,6 +388,7 @@ class TestCertifiedBlockSearch:
             got = em_sample_many(u, temperature, draws, ours, bounds=bounds)
             assert np.array_equal(got, reference_em_sample_many(clipped, temperature, draws, ref))
             assert ours.random() == ref.random()
+            block_search_matches(clipped.values, temperature, np.random.default_rng(seed).random(draws))
             return
         # Uniforms on a reference prefix, or one ulp below it.
         cdf = reference_prefixes(clipped.values, temperature)
@@ -378,14 +399,27 @@ class TestCertifiedBlockSearch:
             got = em_sample_many(u, temperature, uniforms.size, StubRng(uniforms), bounds=bounds)
             want = reference_em_sample_many(clipped, temperature, uniforms.size, StubRng(uniforms))
             assert np.array_equal(got, want)
+            block_search_matches(clipped.values, temperature, uniforms)
 
     @pytest.mark.parametrize("temperature", [0.5, 1.0, 3.0])
     def test_typical_draws_are_all_decided(self, temperature):
         values = np.clip(benchmark_logits(), 0.0, 8.0)
         uniforms = np.random.default_rng(0).random(5000)
-        draws = _certified_draws(_exp_weights(values.copy(), temperature), uniforms)
-        want = reference_em_sample_many(LogitVector(values), temperature, uniforms.size, StubRng(uniforms))
-        assert np.array_equal(draws, want)
+        assert block_search_matches(values, temperature, uniforms).all()
+
+    @pytest.mark.parametrize("size", [SEARCH_DRAW_ENTRIES, SEARCH_DRAW_ENTRIES + 1, 32_000])
+    def test_a_call_searches_only_below_the_measured_cutoff(self, size, monkeypatch):
+        calls = []
+
+        def spy(weights, uniforms):
+            calls.append(uniforms.size)
+            return _certified_draws(weights, uniforms)
+
+        monkeypatch.setattr("promptsan.mechanisms._certified_draws", spy)
+        u = LogitVector(benchmark_logits(size))
+        for n in range(1, 20):
+            em_sample_many(u, 1.0, n, np.random.default_rng(n))
+        assert calls == [n for n in range(1, 20) if n * SEARCH_DRAW_ENTRIES < size]
 
     def test_draws_of_the_first_and_last_index_are_decided(self):
         # Index 0 has no lower neighbour and index V-1 no upper one, so draws
