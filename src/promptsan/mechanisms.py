@@ -276,10 +276,10 @@ def em_sample_many(
     give m <= 2V, so |C_k - R_k| <= 2V·u. The block sums, their running sum,
     the in-block running sum, the total and the division give m <= 3·BLOCK
     + 2·ceil(V/BLOCK), at most 4V as the search runs only for V >
-    SEARCH_DRAW_ENTRIES > BLOCK.
-    Hence δ = 8·V·u (2.8e-11 at V = 32,000, where a typical p_i is 3e-5)
-    exceeds |Ĉ_k - C_k| <= 6V·u, and the spare 2V·u covers rounding x ± δ
-    and subnormal quotients, whose error is absolute.
+    SEARCH_DRAW_ENTRIES > BLOCK. Hence δ = 8·V·u (2.8e-11 at V = 32,000,
+    where a typical p_i is 3e-5) exceeds |Ĉ_k - C_k| <= 6V·u, and the spare
+    2V·u covers rounding x ± δ and subnormal quotients, whose error is
+    absolute.
 
     The exact path is the reference run in place. It takes every draw the
     search leaves undecided, and every call with n·SEARCH_DRAW_ENTRIES >= V,
