@@ -14,13 +14,15 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
-import requests
 
 from .normalization import _STRIP_CHARS, tokenize
 from .stopwords import STOP_WORDS
+
+if TYPE_CHECKING:  # pragma: no cover
+    import requests
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,10 @@ class HttpChatClient:
         sleeper: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ) -> None:
+        # requests is imported here, not at module level, so that importing
+        # promptsan does not pay for it until an HTTP client is built.
+        import requests
+
         self.endpoint = endpoint
         self._sleep = sleeper
         self._owns_session = session is None
@@ -174,6 +180,8 @@ class HttpChatClient:
         return headers
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        import requests
+
         url = self.endpoint.base_url.rstrip("/") + "/chat/completions"
         body: dict = {
             "model": req.model or self.endpoint.model,
@@ -266,14 +274,6 @@ def _tag(value: int) -> str:
     return _B36[(value // 36) % 36] + _B36[value % 36]
 
 
-def _split_punct(raw: str) -> tuple[str, str, str]:
-    core = raw.strip(_STRIP_CHARS)
-    if not core:
-        return "", raw, ""
-    start = raw.index(core)
-    return core, raw[:start], raw[start + len(core) :]
-
-
 @dataclass
 class MockChatModel:
     """Seeded stand-in for a chat service.
@@ -357,41 +357,44 @@ class MockChatModel:
         words = target.split()
         if not words:
             return ""
+        cores = [w.strip(_STRIP_CHARS) for w in words]
+        lowered = [core.lower() for core in cores]
         content_positions = [
-            i for i, w in enumerate(words) if w.strip(_STRIP_CHARS).lower() not in STOP_WORDS
-            and w.strip(_STRIP_CHARS)
+            i for i, core in enumerate(cores) if core and lowered[i] not in STOP_WORDS
         ]
+        n_content = len(content_positions)
 
         rng = self._rng(content, req.seed)
         # All draws happen up front and independently of temperature, so a
         # hotter request reuses the same edits and only adds more of them.
-        offset = int(rng.integers(0, max(len(content_positions), 1)))
-        variant_tags = rng.integers(0, 1296, size=max(len(content_positions), 1))
-        fill_tags = rng.integers(0, 1296, size=len(words) + 1)
-        shuffle_draws = rng.random(64)
+        offset = int(rng.integers(0, max(n_content, 1)))
+        variant_tags = rng.integers(0, 1296, size=max(n_content, 1)).tolist()
+        fill_tags = rng.integers(0, 1296, size=len(words) + 1).tolist()
+        shuffle_draws = rng.random(64).tolist()
 
         bucket = self._bucket(req.temperature)
         sub_rate = min(SUB_CAP, SUB_SLOPE * bucket)
         fill_rate = min(FILL_CAP, FILL_SLOPE * bucket)
-        n_sub = int(sub_rate * len(content_positions))
+        n_sub = int(sub_rate * n_content)
         n_fill = int(fill_rate * len(words))
         n_shuffle = min(int(SHUFFLE_SLOPE * bucket * len(words)), len(shuffle_draws))
 
-        # Contiguous cyclic substitution window: growing n_sub extends it.
-        window = {(offset + j) % len(content_positions) for j in range(n_sub)} if content_positions else set()
         out = list(words)
         for i, pos in enumerate(content_positions):
-            core, before, after = _split_punct(out[pos])
-            forced = FORCED_SYNONYMS.get(core.lower())
-            if forced is not None:
-                out[pos] = before + forced + after
-            elif i in window:
-                out[pos] = before + core + _tag(int(variant_tags[i])) + after
+            forced = FORCED_SYNONYMS.get(lowered[pos])
+            # The substitution window is the n_sub content words from offset
+            # on, cyclically: growing n_sub extends it.
+            if forced is None and (i - offset) % n_content >= n_sub:
+                continue
+            word, core = words[pos], cores[pos]
+            start = len(word) - len(word.lstrip(_STRIP_CHARS))
+            new_core = forced if forced is not None else core + _tag(variant_tags[i])
+            out[pos] = word[:start] + new_core + word[start + len(core) :]
 
         if len(out) > 1:
             for k in range(n_shuffle):
                 pos = int(shuffle_draws[k] * (len(out) - 1))
                 out[pos], out[pos + 1] = out[pos + 1], out[pos]
 
-        out.extend("zq" + _tag(int(fill_tags[j])) for j in range(n_fill))
+        out.extend("zq" + _tag(fill_tags[j]) for j in range(n_fill))
         return " ".join(out)

@@ -10,6 +10,7 @@ toolkit runnable and exactly testable without language-model weights.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -58,12 +59,13 @@ class UnigramPerplexityScorer:
         return scorer
 
     def _fit(self, token_lists: Iterable[Sequence[str]]) -> None:
-        self.counts: dict[str, int] = {}
-        self.total = 0
+        self.counts: Counter[str] = Counter()
         for tokens in token_lists:
-            for tok in tokens:
-                self.counts[tok] = self.counts.get(tok, 0) + 1
-                self.total += 1
+            self.counts.update(tokens)
+        self.total = self.counts.total()
+        denom = self.total + len(self.counts)
+        # One log-probability per distinct word, summed per token when scoring.
+        self._log_probs = {tok: math.log((c + 1) / denom) for tok, c in self.counts.items()}
 
     def __call__(self, text: str) -> float:
         return self.perplexity(tokenize(text))
@@ -71,10 +73,13 @@ class UnigramPerplexityScorer:
     def perplexity(self, tokens: Sequence[str]) -> float:
         if not tokens:
             raise ScoringError("cannot score an empty token stream")
-        denom = self.total + len(self.counts)
+        unseen = math.log(1 / (self.total + len(self.counts)))
+        log_probs = self._log_probs
+        # A plain left-to-right sum: sum() compensates from Python 3.12 on,
+        # which would make scores depend on the interpreter version.
         log_sum = 0.0
         for tok in tokens:
-            log_sum += math.log((self.counts.get(tok, 0) + 1) / denom)
+            log_sum += log_probs.get(tok, unseen)
         return math.exp(-log_sum / len(tokens))
 
 
@@ -85,14 +90,15 @@ def select_exemplar(
 ) -> ScoredParaphrase:
     """Return the rewrite with minimal perplexity; ties go to the lowest index.
 
-    Each rewrite is tokenized once. Rewrites with no tokens, and rewrites a
+    The default scorer fits and scores on the group's shared token lists
+    (``ParaphraseGroup.token_lists``). Rewrites with no tokens, and rewrites a
     custom scorer rejects, are skipped; if nothing is scorable the selection
     fails. A zero-cost post-processing entry is appended when a ledger is
     supplied.
     """
     if not group.rewrites:
         raise SelectionError("cannot select from an empty group")
-    token_lists = [tokenize(r.text) for r in group.rewrites]
+    token_lists = group.token_lists
     unigram = UnigramPerplexityScorer.from_tokens(token_lists) if scorer is None else None
     best: ScoredParaphrase | None = None
     for index, (rewrite, tokens) in enumerate(zip(group.rewrites, token_lists)):

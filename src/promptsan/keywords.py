@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping
@@ -83,15 +84,13 @@ def build_histogram(group: "ParaphraseGroup") -> KeywordHistogram:
     """Count word occurrences over every rewrite in the group.
 
     Counts accumulate globally across rewrites (every occurrence, not
-    per-document presence); the original prompt is never counted.
+    per-document presence); the original prompt is never counted. Words are
+    the group's shared rewrite tokens without the stop words.
     """
-    counts: dict[str, int] = {}
-    total = 0
-    for rewrite in group.rewrites:
-        for word in tokenize_normalize(rewrite.text):
-            counts[word] = counts.get(word, 0) + 1
-            total += 1
-    return KeywordHistogram(counts=counts, total_words=total)
+    counts: Counter[str] = Counter()
+    for tokens in group.token_lists:
+        counts.update([tok for tok in tokens if tok not in STOP_WORDS])
+    return KeywordHistogram(counts=counts, total_words=counts.total())
 
 
 def _ranked(counts: Mapping[str, int]) -> list[str]:

@@ -58,18 +58,24 @@ def _rouge1(ref_tokens: list[str], hyp_tokens: list[str]) -> MetricScore:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
+    """Length of a longest common subsequence, by the bit-vector recurrence.
+
+    Allison & Dix (1986), in Hyyrö's (2004) form: bit i of ``row`` stands for
+    token i of ``a``, and after each token of ``b`` the zero bits of ``row``
+    count the LCS so far. One pass of integer operations per token of ``b``
+    replaces a row of the dynamic programme.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for tok in a:
-        curr = [0] * (len(b) + 1)
-        for j, other in enumerate(b, start=1):
-            if tok == other:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = max(prev[j], curr[j - 1])
-        prev = curr
-    return prev[-1]
+    matches: dict[str, int] = {}
+    for i, tok in enumerate(a):
+        matches[tok] = matches.get(tok, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    row = full
+    for tok in b:
+        hit = row & matches.get(tok, 0)
+        row = ((row + hit) | (row - hit)) & full
+    return len(a) - row.bit_count()
 
 
 def rougeL(reference: str, hypothesis: str) -> MetricScore:

@@ -189,6 +189,8 @@ def run_pipeline(
         partial["exemplar"] = exemplar
     except Exception as exc:
         raise PipelineStageError("stage-2 control", exc, partial) from exc
+    finally:
+        group.forget_token_lists()
 
     try:
         request = FinalPromptRequest(

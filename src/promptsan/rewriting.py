@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Protocol, Sequence
 
 import numpy as np
 
+from . import keywords
 from .client import ChatClient, ChatRequest, ClientError, TransportError
 from .mechanisms import (
     ClipBounds,
@@ -96,6 +98,20 @@ class ParaphraseGroup:
 
     def texts(self) -> list[str]:
         return [r.text for r in self.rewrites]
+
+    @cached_property
+    def token_lists(self) -> list[list[str]]:
+        """Each rewrite's tokens, stop words kept, tokenised once per group.
+
+        Stage 2 reads them twice: the keyword histogram drops the stop words,
+        and the exemplar scorer fits and scores on them as they are.
+        """
+        # keywords' binding, which perfbench/layers.py wraps to count calls.
+        return [keywords.tokenize(r.text) for r in self.rewrites]
+
+    def forget_token_lists(self) -> None:
+        """Drop the cached token lists, so a result that keeps the group does not keep them."""
+        self.__dict__.pop("token_lists", None)
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 import requests
 
+import promptsan
 from promptsan.client import (
     ChatRequest,
     ClientError,
@@ -413,3 +417,17 @@ class TestMockModel:
         resp = MockChatModel().complete(ChatRequest.single(content, temperature=0.0))
         assert set(resp.text.split()) <= {"ledger", "observatory", "pier", "kiosk"}
         assert len(resp.text.split()) == 3
+
+
+def test_importing_the_package_leaves_requests_unloaded():
+    # requests is imported when an HTTP client is built, not with the package.
+    src = os.path.dirname(os.path.dirname(promptsan.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, promptsan, promptsan.client\n"
+        "assert 'requests' not in sys.modules, 'import promptsan loaded requests'\n"
+        "from promptsan.client import EndpointConfig, HttpChatClient\n"
+        "HttpChatClient(EndpointConfig('http://127.0.0.1:9', 'm')).close()\n"
+        "assert 'requests' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})

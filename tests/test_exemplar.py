@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from promptsan.exemplar import (
     ScoringError,
@@ -9,6 +13,17 @@ from promptsan.exemplar import (
 from promptsan.mechanisms import PrivacyLedger, Stage
 
 from conftest import make_group
+
+WORDS = ["harbor", "lantern", "meadow", "kettle", "the", "on", "a", "zq7y"]
+
+
+def per_token_perplexity(scorer: UnigramPerplexityScorer, tokens: list[str]) -> float:
+    """The definition, one math.log per token, summed left to right."""
+    denom = scorer.total + len(scorer.counts)
+    log_sum = 0.0
+    for tok in tokens:
+        log_sum += math.log((scorer.counts.get(tok, 0) + 1) / denom)
+    return math.exp(-log_sum / len(tokens))
 
 
 class TestUnigramScorer:
@@ -25,6 +40,23 @@ class TestUnigramScorer:
         scorer = UnigramPerplexityScorer(["rust harbor lantern", "quiet meadow"])
         for text in ("rust", "meadow lantern", "unseen tokens here"):
             assert scorer(text) >= 1.0
+
+    @given(
+        st.lists(st.lists(st.sampled_from(WORDS), max_size=15), min_size=1, max_size=10),
+        st.lists(st.sampled_from(WORDS + ["unseen", "never", "Ünïcode"]), min_size=1, max_size=30),
+    )
+    def test_perplexity_equals_the_per_token_log_sum(self, fit_lists, tokens):
+        scorer = UnigramPerplexityScorer.from_tokens(fit_lists)
+        if not scorer.total:
+            with pytest.raises(ZeroDivisionError):
+                scorer.perplexity(tokens)
+            return
+        assert scorer.perplexity(tokens) == per_token_perplexity(scorer, tokens)
+
+    def test_unseen_tokens_score_exactly(self):
+        scorer = UnigramPerplexityScorer(["harbor lantern harbor", "meadow"])
+        for tokens in (["unseen"], ["unseen", "harbor", "never", "meadow"], ["harbor"] * 7):
+            assert scorer.perplexity(tokens) == per_token_perplexity(scorer, tokens)
 
     def test_empty_text_rejected(self):
         scorer = UnigramPerplexityScorer(["a b"])

@@ -29,6 +29,22 @@ def oracle_lcs(a: list[str], b: list[str]) -> int:
     return table[-1][-1]
 
 
+def dp_lcs_length(a: list[str], b: list[str]) -> int:
+    """The rolling-row dynamic programme ``metrics._lcs_length`` ran before its bit-vector form."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for tok in a:
+        curr = [0] * (len(b) + 1)
+        for j, other in enumerate(b, start=1):
+            if tok == other:
+                curr[j] = prev[j - 1] + 1
+            else:
+                curr[j] = max(prev[j], curr[j - 1])
+        prev = curr
+    return prev[-1]
+
+
 class TestRouge1:
     def test_identity(self):
         assert rouge1("the cat sat", "the cat sat").value == 1.0
@@ -69,6 +85,36 @@ class TestRougeL:
 
     def test_empty_cases(self):
         assert rougeL("", "anything").value == 0.0
+
+
+class TestBitVectorLcs:
+    """``metrics._lcs_length`` returns the dynamic programme's integer."""
+
+    @given(
+        st.data(),
+        st.integers(1, 8),
+        st.lists(st.integers(0, 7), max_size=90),
+        st.lists(st.integers(0, 7), max_size=90),
+    )
+    def test_equals_the_dynamic_programme(self, data, vocab, a, b):
+        a = [f"w{i % vocab}" for i in a]
+        b = [f"w{i % vocab}" for i in b]
+        if data.draw(st.booleans()):
+            a, b = b, a
+        assert metrics._lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @pytest.mark.parametrize("n_a, n_b", [(0, 0), (0, 5), (5, 0), (1, 1), (63, 70), (64, 64), (65, 90), (130, 70)])
+    def test_all_equal_and_disjoint_lists(self, n_a, n_b):
+        same_a, same_b = ["x"] * n_a, ["x"] * n_b
+        assert metrics._lcs_length(same_a, same_b) == dp_lcs_length(same_a, same_b) == min(n_a, n_b)
+        assert metrics._lcs_length(same_a, ["y"] * n_b) == 0
+
+    @pytest.mark.parametrize("length", [70, 71, 128, 200])
+    def test_long_lists(self, length):
+        a = [f"w{(i * 7) % 13}" for i in range(length)]
+        b = [f"w{(i * 5) % 11}" for i in range(length + 3)]
+        assert metrics._lcs_length(a, b) == dp_lcs_length(a, b)
+        assert metrics._lcs_length(a, list(reversed(a))) == dp_lcs_length(a, list(reversed(a)))
 
 
 class TestBleu:

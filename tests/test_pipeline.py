@@ -45,8 +45,8 @@ class TestRunPipeline:
         assert result.ledger.total() == result.ledger.rewrite_total()
         assert result.exemplar.text in result.group.texts()
 
-    def test_each_rewrite_tokenized_once_per_stage2_consumer(self, mock_client, monkeypatch):
-        # m for the histogram, m for the exemplar, 1 for the leakage check.
+    def test_each_rewrite_tokenized_once_per_prompt(self, mock_client, monkeypatch):
+        # m shared by the histogram and the exemplar, 1 for the leakage check.
         calls = 0
         original = normalization.tokenize
 
@@ -60,7 +60,7 @@ class TestRunPipeline:
                 monkeypatch.setattr(module, "tokenize", counting)
         result = run_pipeline(PROMPT, config(m=10, retry_on_leakage=0), mock_client)
         assert result.group.size == 10
-        assert calls == 2 * 10 + 1
+        assert calls == 10 + 1
 
     def test_dp_release_adds_epsilon2(self, mock_client):
         result = run_pipeline(PROMPT, config(release_method=ReleaseMethod.DP, epsilon2=1.0), mock_client)
