@@ -89,7 +89,10 @@ def build_histogram(group: "ParaphraseGroup") -> KeywordHistogram:
     """
     counts: Counter[str] = Counter()
     for tokens in group.token_lists:
-        counts.update([tok for tok in tokens if tok not in STOP_WORDS])
+        counts.update(tokens)
+    # Deleting keys keeps the remaining words in first-occurrence order.
+    for word in STOP_WORDS.intersection(counts):
+        del counts[word]
     return KeywordHistogram(counts=counts, total_words=counts.total())
 
 

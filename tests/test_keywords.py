@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from promptsan.keywords import (
     KeywordHistogram,
@@ -53,6 +55,23 @@ class TestBuildHistogram:
         tenfold = build_histogram(make_group([sentence] * 10))
         assert dict(tenfold.counts) == {w: 10 * c for w, c in single.counts.items()}
         assert tenfold.total_words == 10 * single.total_words
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["The", "harbor,", "of", "Lantern", "lantern!", "--", "and", "it's", "zq7y"]))
+            .map(" ".join),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_counts_and_key_order_equal_a_per_token_count(self, texts):
+        expected: dict[str, int] = {}
+        for text in texts:
+            for word in tokenize_normalize(text):
+                expected[word] = expected.get(word, 0) + 1
+        h = build_histogram(make_group(texts))
+        assert list(h.counts.items()) == list(expected.items())
+        assert h.total_words == sum(expected.values())
 
     def test_source_prompt_not_counted(self):
         group = make_group(["rewrite words only"], source="secret original")
