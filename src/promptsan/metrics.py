@@ -65,8 +65,6 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     count the LCS so far. One pass of integer operations per token of ``b``
     replaces a row of the dynamic programme.
     """
-    if not a or not b:
-        return 0
     matches: dict[str, int] = {}
     for i, tok in enumerate(a):
         matches[tok] = matches.get(tok, 0) | (1 << i)

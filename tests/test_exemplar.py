@@ -53,11 +53,6 @@ class TestUnigramScorer:
             return
         assert scorer.perplexity(tokens) == per_token_perplexity(scorer, tokens)
 
-    def test_unseen_tokens_score_exactly(self):
-        scorer = UnigramPerplexityScorer(["harbor lantern harbor", "meadow"])
-        for tokens in (["unseen"], ["unseen", "harbor", "never", "meadow"], ["harbor"] * 7):
-            assert scorer.perplexity(tokens) == per_token_perplexity(scorer, tokens)
-
     def test_empty_text_rejected(self):
         scorer = UnigramPerplexityScorer(["a b"])
         with pytest.raises(ScoringError):
