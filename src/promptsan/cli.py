@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
@@ -34,25 +35,14 @@ from .keywords import (
 from .mechanisms import ClipBounds
 from .metrics import all_metrics
 from .pipeline import PipelineConfig, PipelineStageError, budget_report, run_pipeline
-from .rewriting import (
-    DEFAULT_PARAPHRASE_TEMPLATE,
-    RewriteSchedule,
-    calibrate_bounds,
-    paraphrase_group_from_json,
-)
+from .rewriting import RewriteSchedule, calibrate_bounds, paraphrase_group_from_json
 
 
 class ConfigError(ValueError):
     pass
 
 
-_TOP_KEYS = {
-    "m", "k", "temperature", "schedule", "release_method", "epsilon2", "bounds",
-    "seed", "max_tokens", "prompt_template", "model", "use_mock", "mock_seed",
-    "client", "retry_on_leakage", "fallback_to_exemplar", "audit_path",
-}
 _BOUNDS_KEYS = {"b_min", "b_max", "unit_epsilon"}
-_CLIENT_KEYS = {"base_url", "model", "timeout_s", "max_inflight", "api_key_env"}
 
 
 def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
@@ -83,6 +73,45 @@ def parse_schedule(spec: str) -> RewriteSchedule:
         raise ConfigError(f"invalid schedule {spec!r} (expected low:high:step)") from exc
 
 
+def _json(kind: type) -> Callable[[object], object]:
+    """A cast that accepts only JSON values of ``kind``; a boolean is no integer."""
+    name = {bool: "true or false", int: "a JSON integer", str: "a JSON string"}[kind]
+
+    def cast(value: object) -> object:
+        if type(value) is not kind:
+            raise TypeError(f"must be {name}, got {value!r}")
+        return value
+
+    return cast
+
+
+# The cast of each key a config may set. Only the keys a config sets are
+# passed on, so PipelineConfig, MockChatModel and EndpointConfig hold every
+# default.
+_TOP_CASTS: dict[str, Callable[[object], object]] = {
+    "m": _json(int), "k": _json(int), "seed": _json(int), "max_tokens": _json(int),
+    "retry_on_leakage": _json(int), "fallback_to_exemplar": _json(bool),
+    "temperature": float, "schedule": parse_schedule, "epsilon2": float,
+    "release_method": lambda value: ReleaseMethod(str(value).upper()),
+    "prompt_template": str, "use_mock": _json(bool), "mock_seed": _json(int),
+    "audit_path": _json(str),
+}
+_TOP_KEYS = {*_TOP_CASTS, "bounds", "client"}
+_CLIENT_CASTS: dict[str, Callable[[object], object]] = {"timeout_s": float, "max_inflight": _json(int)}
+_CLIENT_KEYS = {*_CLIENT_CASTS, "base_url", "model", "api_key_env"}
+
+
+def _cast_present(doc: dict, casts: dict[str, Callable[[object], object]], prefix: str) -> dict:
+    present = {}
+    for key, cast in casts.items():
+        if key in doc:
+            try:
+                present[key] = cast(doc[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{prefix}{key}: {exc}") from exc
+    return present
+
+
 def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
     """Read the JSON config file into a pipeline config plus chat client."""
     try:
@@ -97,69 +126,32 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
     if "bounds" not in doc:
         raise ConfigError("config requires bounds")
     bounds = _parse_bounds(doc["bounds"])
-
-    method_name = str(doc.get("release_method", "ndp")).upper()
-    if method_name not in ("NDP", "DP"):
-        raise ConfigError(f"release_method must be ndp or dp, got {method_name!r}")
-
-    schedule: RewriteSchedule | float
+    fields = _cast_present(doc, _TOP_CASTS, "")
+    use_mock = fields.pop("use_mock", False)
+    mock = {"seed": fields.pop("mock_seed")} if "mock_seed" in fields else {}
+    audit_path = fields.pop("audit_path", None)
+    temperature = fields.pop("temperature", None)
+    if "schedule" in fields:
+        fields.setdefault("m", fields["schedule"].total)
+    elif temperature is not None:
+        fields["schedule"] = temperature
     try:
-        if "schedule" in doc:
-            schedule = parse_schedule(doc["schedule"])
-            m = doc.get("m", schedule.total)
-        else:
-            schedule = float(doc.get("temperature", 1.0))
-            m = doc.get("m", 10)
-        config = PipelineConfig(
-            bounds=bounds,
-            m=int(m),
-            k=int(doc.get("k", 10)),
-            schedule=schedule,
-            release_method=ReleaseMethod(method_name),
-            epsilon2=float(doc["epsilon2"]) if "epsilon2" in doc else None,
-            seed=int(doc.get("seed", 0)),
-            max_tokens=int(doc.get("max_tokens", 64)),
-            prompt_template=str(doc.get("prompt_template", DEFAULT_PARAPHRASE_TEMPLATE)),
-            model=str(doc.get("model", "mock")),
-            retry_on_leakage=int(doc.get("retry_on_leakage", 0)),
-            fallback_to_exemplar=bool(doc.get("fallback_to_exemplar", False)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        config = PipelineConfig(bounds=bounds, **fields)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if doc.get("use_mock", False):
-        try:
-            client: object = MockChatModel(seed=int(doc.get("mock_seed", 0)))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"mock_seed: {exc}") from exc
-    else:
-        client_doc = doc.get("client")
-        if not isinstance(client_doc, dict):
-            raise ConfigError("config requires a client section unless use_mock is true")
-        _reject_unknown(client_doc, _CLIENT_KEYS, "client")
-        try:
-            # Only the keys the config sets; EndpointConfig holds the defaults.
-            optional = {
-                key: cast(client_doc[key])
-                for key, cast in (("timeout_s", float), ("max_inflight", int))
-                if key in client_doc
-            }
-            if "api_key_env" in client_doc:
-                optional["api_key_env"] = client_doc["api_key_env"]
-            endpoint = EndpointConfig(
-                base_url=client_doc["base_url"],
-                model=client_doc.get("model", config.model),
-                **optional,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"client config missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"client config: {exc}") from exc
-        client = HttpChatClient(endpoint)
-        if "model" not in doc:
-            config = replace(config, model=endpoint.model)
-
-    return config, client, doc.get("audit_path")
+    if use_mock:
+        return config, MockChatModel(**mock), audit_path
+    client_doc = doc.get("client")
+    if not isinstance(client_doc, dict):
+        raise ConfigError("config requires a client section unless use_mock is true")
+    _reject_unknown(client_doc, _CLIENT_KEYS, "client")
+    settings = {**client_doc, **_cast_present(client_doc, _CLIENT_CASTS, "client config: ")}
+    try:
+        endpoint = EndpointConfig(**settings)
+    except (TypeError, ValueError) as exc:  # TypeError: base_url or model missing
+        raise ConfigError(f"client config: {exc}") from exc
+    return config, HttpChatClient(endpoint), audit_path
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:

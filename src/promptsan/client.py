@@ -37,7 +37,7 @@ class Message:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    model: str
+    model: str  # "" means the client's own model
     messages: tuple[Message, ...]
     temperature: float
     max_tokens: int
@@ -56,12 +56,11 @@ class ChatRequest:
         cls,
         content: str,
         *,
-        model: str = "mock",
         temperature: float = 0.0,
         max_tokens: int = 256,
         seed: int | None = None,
     ) -> "ChatRequest":
-        return cls(model, (Message("user", content),), temperature, max_tokens, seed)
+        return cls("", (Message("user", content),), temperature, max_tokens, seed)
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,8 @@ class EndpointConfig:
     api_key_env: str = "PROMPTSAN_API_KEY"
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.model, str) and self.model):
+            raise ValueError(f"model must be a non-empty string, got {self.model!r}")
         if not self.max_inflight >= 1:
             raise ValueError(f"max_inflight must be at least 1, got {self.max_inflight!r}")
         if not self.timeout_s > 0:

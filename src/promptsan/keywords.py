@@ -34,7 +34,7 @@ class ReleaseMethod(str, Enum):
 
 def tokenize_normalize(text: str) -> list[str]:
     """Whitespace split, punctuation strip, case fold, stop-word removal."""
-    return tokenize(text, STOP_WORDS)
+    return [tok for tok in tokenize(text) if tok not in STOP_WORDS]
 
 
 @dataclass(frozen=True)

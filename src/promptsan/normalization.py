@@ -1,33 +1,27 @@
 """Shared text normalization.
 
-One tokenizer, two configurations: keyword extraction removes stop words,
-similarity metrics keep them. Both rely on the same whitespace split,
-punctuation strip and case fold so that keyword suppression and leakage
-measurement see the same tokens.
+One tokenizer for keyword extraction, perplexity and similarity metrics: the
+same whitespace split, punctuation strip and case fold, so that keyword
+suppression and leakage measurement see the same tokens. Keyword extraction
+drops stop words from its output afterwards.
 """
 
 from __future__ import annotations
 
 import string
-from collections.abc import Iterable
 
 _STRIP_CHARS = string.punctuation + "‘’“”–—…"
 
 
-def tokenize(text: str, stop_words: Iterable[str] | None = None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split ``text`` on whitespace into normalized tokens, order preserved.
 
     Each token is stripped of leading/trailing punctuation and lower-cased.
-    Tokens that become empty are dropped; when ``stop_words`` is given,
-    tokens matching it are dropped as well.
+    Tokens that become empty are dropped.
     """
-    stops = frozenset(stop_words) if stop_words is not None else None
     out: list[str] = []
     for raw in text.split():
         tok = raw.strip(_STRIP_CHARS).lower()
-        if not tok:
-            continue
-        if stops is not None and tok in stops:
-            continue
-        out.append(tok)
+        if tok:
+            out.append(tok)
     return out

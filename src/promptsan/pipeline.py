@@ -28,7 +28,7 @@ from .keywords import (
     topk_ndp,
 )
 from .mechanisms import ClipBounds, PrivacyLedger, Stage
-from .prompting import FinalPromptRequest, generate_sanitized
+from .prompting import FinalPromptRequest, check_retry_on_leakage, generate_sanitized
 from .rewriting import (
     DEFAULT_PARAPHRASE_TEMPLATE,
     ParaphraseGroup,
@@ -53,7 +53,6 @@ class PipelineConfig:
     seed: int = 0
     max_tokens: int = 64
     prompt_template: str = DEFAULT_PARAPHRASE_TEMPLATE
-    model: str = "mock"
     template_id: str = "default-v1"
     retry_on_leakage: int = 0
     fallback_to_exemplar: bool = False
@@ -64,7 +63,7 @@ class PipelineConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.release_method is ReleaseMethod.DP and (
-            self.epsilon2 is None or self.epsilon2 <= 0
+            self.epsilon2 is None or not self.epsilon2 > 0  # rejects NaN too
         ):
             raise ValueError("DP keyword release requires a positive epsilon2")
         if isinstance(self.schedule, RewriteSchedule):
@@ -72,6 +71,7 @@ class PipelineConfig:
                 raise ValueError("schedule must cover exactly m rewrites")
         elif not self.schedule > 0:
             raise ValueError(f"rewrite temperature must be positive, got {self.schedule!r}")
+        check_retry_on_leakage(self.retry_on_leakage)
         self.rewrite_params()  # RewriteParams checks the settings it shares
 
     def rewrite_schedule(self) -> RewriteSchedule:
@@ -91,7 +91,6 @@ class PipelineConfig:
             max_tokens=self.max_tokens,
             prompt_template=self.prompt_template,
             bounds=self.bounds,
-            model=self.model,
         )
 
 
@@ -202,7 +201,6 @@ def run_pipeline(
             request,
             client,
             ledger,
-            model=config.model,
             max_tokens=config.max_tokens,
             retry_on_leakage=config.retry_on_leakage,
             fallback_to_exemplar=config.fallback_to_exemplar,

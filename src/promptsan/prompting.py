@@ -58,33 +58,36 @@ class GenerationOutcome:
     regenerations: int = 0
 
 
+def check_retry_on_leakage(retry_on_leakage: int) -> None:
+    if not 0 <= retry_on_leakage <= 2:
+        raise ValueError(f"retry_on_leakage must be 0 to 2, got {retry_on_leakage!r}")
+
+
 def generate_sanitized(
     req: FinalPromptRequest,
     client: ChatClient,
     ledger: PrivacyLedger,
     *,
-    model: str = "mock",
     max_tokens: int = 256,
     retry_on_leakage: int = 0,
     fallback_to_exemplar: bool = False,
 ) -> GenerationOutcome:
     """Ask the service for the final question and flag forbidden-word leakage.
 
-    ``retry_on_leakage`` permits up to two bounded re-generations when the
+    ``retry_on_leakage`` (0 to 2) bounds the re-generations asked for while the
     output still contains a forbidden word; suppression stays prompt-level,
     never a hard filter. With ``fallback_to_exemplar`` the exemplar itself is
     returned if the service fails outright.
     """
+    check_retry_on_leakage(retry_on_leakage)
     final_prompt = render_template(req)
-    attempts = min(max(retry_on_leakage, 0), 2) + 1
 
     text: str | None = None
     leaked = False
     regenerations = 0
-    for attempt in range(attempts):
+    for attempt in range(retry_on_leakage + 1):
         chat_req = ChatRequest.single(
             final_prompt,
-            model=model,
             temperature=0.0,
             max_tokens=max_tokens,
             seed=attempt,

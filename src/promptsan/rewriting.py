@@ -53,7 +53,6 @@ class RewriteParams:
     max_tokens: int
     prompt_template: str = DEFAULT_PARAPHRASE_TEMPLATE
     bounds: ClipBounds | None = None
-    model: str = "mock"
 
     def __post_init__(self) -> None:
         if self.mode not in ("whitebox", "blackbox"):
@@ -281,7 +280,6 @@ def paraphrase_blackbox(
 
     req = ChatRequest.single(
         params.render_prompt(prompt),
-        model=params.model,
         temperature=params.temperature,
         max_tokens=params.max_tokens,
         seed=seed,

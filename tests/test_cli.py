@@ -268,12 +268,26 @@ class TestConfigErrors:
             ({"temperature": "hot"}, "could not convert string to float"),
             ({"bounds": [0, 8]}, "bounds must be a JSON object"),
             ({"mock_seed": "x"}, "mock_seed"),
-            ({"m": math.inf}, "cannot convert float infinity to integer"),
-            ({"mock_seed": -math.inf}, "mock_seed: cannot convert float infinity"),
+            ({"m": math.inf}, "m: must be a JSON integer, got inf"),
+            ({"mock_seed": -math.inf}, "mock_seed: must be a JSON integer, got -inf"),
             ({"seed": -1}, "seed must be nonnegative, got -1"),
             ({"prompt_template": "no placeholder"}, "prompt_template must contain {prompt}"),
             ({"prompt_template": "{"}, "prompt_template must contain {prompt}"),
             ({"max_tokens": 0}, "max_tokens must be positive"),
+            ({"use_mock": "false"}, "use_mock: must be true or false, got 'false'"),
+            ({"fallback_to_exemplar": "false"}, "fallback_to_exemplar: must be true or false"),
+            ({"fallback_to_exemplar": 1}, "fallback_to_exemplar: must be true or false, got 1"),
+            ({"m": 2.9}, "m: must be a JSON integer, got 2.9"),
+            ({"k": True}, "k: must be a JSON integer, got True"),
+            ({"seed": "3"}, "seed: must be a JSON integer, got '3'"),
+            ({"max_tokens": 64.0}, "max_tokens: must be a JSON integer, got 64.0"),
+            ({"retry_on_leakage": False}, "retry_on_leakage: must be a JSON integer"),
+            ({"mock_seed": 1.5}, "mock_seed: must be a JSON integer, got 1.5"),
+            ({"retry_on_leakage": 9}, "retry_on_leakage must be 0 to 2, got 9"),
+            ({"retry_on_leakage": -1}, "retry_on_leakage must be 0 to 2, got -1"),
+            ({"audit_path": True}, "audit_path: must be a JSON string, got True"),
+            ({"model": "gpt-test"}, "unknown config keys: ['model']"),
+            ({"release_method": "dp", "epsilon2": math.nan}, "DP keyword release requires a positive epsilon2"),
         ],
     )
     def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
@@ -292,9 +306,13 @@ class TestConfigErrors:
         "client, message",
         [
             ({"max_inflight": 0}, "max_inflight must be at least 1"),
-            ({"max_inflight": "x"}, "invalid literal for int()"),
+            ({"max_inflight": "x"}, "max_inflight: must be a JSON integer, got 'x'"),
             ({"timeout_s": 0}, "timeout_s must be positive"),
             ({"api_key_env": 5}, "api_key_env must be a non-empty string"),
+            ({"max_inflight": True}, "max_inflight: must be a JSON integer, got True"),
+            ({"max_inflight": 2.9}, "max_inflight: must be a JSON integer, got 2.9"),
+            ({"model": ""}, "model must be a non-empty string"),
+            ({"model": None}, "model must be a non-empty string, got None"),
         ],
     )
     def test_bad_client_value_exits_two(self, tmp_path, capsys, client, message):
@@ -306,6 +324,12 @@ class TestConfigErrors:
 
 
 class TestClientSection:
+    def test_model_is_required(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9"}})
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: client config: ") and "'model'" in err
+
     def test_unset_keys_take_the_endpoint_defaults(self, tmp_path):
         doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m"}}
         _, client, _ = load_cli_config(write_config(tmp_path, doc))
@@ -337,6 +361,24 @@ class TestSanitizeOverHttp:
             "--methods", "paraphrase", "--temperatures", "1.0",
         ]) == 0
         assert len(closed) == 3
+
+    def test_every_request_carries_the_endpoint_model(self, tmp_path, capsys, mock_service, monkeypatch):
+        # Rewrites, the final generation and the answerer's calls alike.
+        models = []
+        answer = MockServiceHandler.answer
+        monkeypatch.setattr(
+            MockServiceHandler, "answer", lambda self, body: models.append(body["model"]) or answer(self, body)
+        )
+        config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": mock_service, "model": "gpt-test"}})
+        assert main([
+            "evaluate", "--dataset", csqa_fixture(tmp_path, n=1), "--format", "csqa_jsonl",
+            "--config", config, "--out", str(tmp_path / "r.csv"), "--repeats", "1",
+            "--methods", "group-ndp,paraphrase", "--temperatures", "1.0",
+        ]) == 0
+        # m rewrites and one final generation for group-ndp, one rewrite for
+        # paraphrase, and at least one answer call per row.
+        assert len(models) >= BASE_CONFIG["m"] + 4
+        assert set(models) == {"gpt-test"}
 
     def test_stage_failure_exits_one_and_reports_the_budget_charged(
         self, tmp_path, capsys, mock_service, monkeypatch

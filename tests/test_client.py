@@ -84,7 +84,7 @@ def fast_client(server) -> HttpChatClient:
     return client
 
 
-REQ = ChatRequest.single("hello there", model="test-model", temperature=0.3, max_tokens=32)
+REQ = ChatRequest.single("hello there", temperature=0.3, max_tokens=32)
 
 
 class TestHttpClient:
@@ -309,6 +309,11 @@ class TestEndpointConfig:
     def test_api_key_env_must_name_a_variable(self, api_key_env):
         with pytest.raises(ValueError, match="api_key_env"):
             EndpointConfig(base_url="http://x", model="m", api_key_env=api_key_env)
+
+    @pytest.mark.parametrize("model", ["", None, 5])
+    def test_model_must_be_a_non_empty_string(self, model):
+        with pytest.raises(ValueError, match="model must be a non-empty string"):
+            EndpointConfig(base_url="http://x", model=model)
 
     def test_client_exposes_max_inflight(self):
         endpoint = EndpointConfig(base_url="http://x", model="m", max_inflight=7)

@@ -139,6 +139,14 @@ class TestGenerateSanitized:
         assert outcome.leakage_flag is False
         assert client.calls == 2
 
+    @pytest.mark.parametrize("retry_on_leakage", [-1, 3])
+    def test_retry_on_leakage_outside_zero_to_two_is_rejected(self, retry_on_leakage):
+        req = FinalPromptRequest(exemplar="paris visit?", forbidden=("paris",))
+        client = LeakThenComplyClient()
+        with pytest.raises(ValueError, match="retry_on_leakage must be 0 to 2"):
+            generate_sanitized(req, client, PrivacyLedger(), retry_on_leakage=retry_on_leakage)
+        assert client.calls == 0
+
     def test_failure_without_fallback_raises(self):
         req = FinalPromptRequest(exemplar="Q text", forbidden=())
         with pytest.raises(SanitizationError):
