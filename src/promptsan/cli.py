@@ -74,13 +74,19 @@ def parse_schedule(spec: str) -> RewriteSchedule:
 
 
 def _json(kind: type) -> Callable[[object], object]:
-    """A cast that accepts only JSON values of ``kind``; a boolean is no integer."""
-    name = {bool: "true or false", int: "a JSON integer", str: "a JSON string"}[kind]
+    """A cast that accepts only JSON values of ``kind``; a boolean is no number.
+
+    ``float`` stands for any JSON number, integer or not, and casts it to float.
+    """
+    name = {
+        bool: "true or false", int: "a JSON integer", float: "a JSON number", str: "a JSON string",
+    }[kind]
+    accepted = (int, float) if kind is float else (kind,)
 
     def cast(value: object) -> object:
-        if type(value) is not kind:
+        if type(value) not in accepted:
             raise TypeError(f"must be {name}, got {value!r}")
-        return value
+        return kind(value)
 
     return cast
 
@@ -91,13 +97,15 @@ def _json(kind: type) -> Callable[[object], object]:
 _TOP_CASTS: dict[str, Callable[[object], object]] = {
     "m": _json(int), "k": _json(int), "seed": _json(int), "max_tokens": _json(int),
     "retry_on_leakage": _json(int), "fallback_to_exemplar": _json(bool),
-    "temperature": float, "schedule": parse_schedule, "epsilon2": float,
+    "temperature": _json(float), "schedule": parse_schedule, "epsilon2": _json(float),
     "release_method": lambda value: ReleaseMethod(str(value).upper()),
-    "prompt_template": str, "use_mock": _json(bool), "mock_seed": _json(int),
+    "prompt_template": _json(str), "use_mock": _json(bool), "mock_seed": _json(int),
     "audit_path": _json(str),
 }
 _TOP_KEYS = {*_TOP_CASTS, "bounds", "client"}
-_CLIENT_CASTS: dict[str, Callable[[object], object]] = {"timeout_s": float, "max_inflight": _json(int)}
+_CLIENT_CASTS: dict[str, Callable[[object], object]] = {
+    "timeout_s": _json(float), "max_inflight": _json(int),
+}
 _CLIENT_KEYS = {*_CLIENT_CASTS, "base_url", "model", "api_key_env"}
 
 
@@ -132,6 +140,8 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
     audit_path = fields.pop("audit_path", None)
     temperature = fields.pop("temperature", None)
     if "schedule" in fields:
+        if temperature is not None:
+            raise ConfigError("give either temperature or schedule, not both")
         fields.setdefault("m", fields["schedule"].total)
     elif temperature is not None:
         fields["schedule"] = temperature

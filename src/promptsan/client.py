@@ -12,11 +12,10 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import struct
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
-
-import numpy as np
 
 from .normalization import _STRIP_CHARS, tokenize
 from .stopwords import STOP_WORDS
@@ -265,10 +264,10 @@ _B36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 # Edit rates per unit of temperature bucket, and their caps: the share of
 # content words substituted, filler words appended (per word), and adjacent
-# swaps (per word).
+# swaps (per word, at most SHUFFLE_CAP).
 SUB_SLOPE, SUB_CAP = 0.55, 0.75
 FILL_SLOPE, FILL_CAP = 0.5, 0.75
-SHUFFLE_SLOPE = 0.25
+SHUFFLE_SLOPE, SHUFFLE_CAP = 0.25, 64
 
 
 def _tag(value: int) -> str:
@@ -344,10 +343,27 @@ class MockChatModel:
 
     # -- paraphrasing --
 
-    def _rng(self, content: str, seed: int | None) -> np.random.Generator:
+    def _draws(
+        self, content: str, seed: int | None, n_content: int, n_words: int, n_shuffle: int
+    ) -> tuple[int, list[int], list[int], list[float]]:
+        """The offset, variant tags, fill tags and first n_shuffle swap uniforms of a reply.
+
+        All are read from one shake_256 stream over (content, request seed,
+        mock seed) as little-endian words: 1 + max(n_content, 1) + n_words + 1
+        uint32 words, reduced mod their bound for the offset and the tags,
+        then up to SHUFFLE_CAP uint64 words x, each read as (x >> 11) * 2**-53.
+        The stream's prefix does not depend on its length, so every draw sits
+        at a place fixed by the word counts alone, whatever n_shuffle is.
+        """
         material = f"{content}\x1f{seed if seed is not None else ''}\x1f{self.seed}"
-        digest = hashlib.blake2b(material.encode("utf-8"), digest_size=8).digest()
-        return np.random.default_rng(int.from_bytes(digest, "big"))
+        n_variants = max(n_content, 1)
+        n_tags = n_variants + n_words + 1
+        size = 4 * (1 + n_tags) + 8 * n_shuffle
+        digest = hashlib.shake_256(material.encode("utf-8")).digest(size)
+        words = struct.unpack(f"<{1 + n_tags}I{n_shuffle}Q", digest)
+        tags = [w % 1296 for w in words[1 : 1 + n_tags]]
+        shuffle_draws = [(w >> 11) * 2.0**-53 for w in words[1 + n_tags :]]
+        return words[0] % n_variants, tags[:n_variants], tags[n_variants:], shuffle_draws
 
     @staticmethod
     def _bucket(temperature: float) -> float:
@@ -365,20 +381,18 @@ class MockChatModel:
         ]
         n_content = len(content_positions)
 
-        rng = self._rng(content, req.seed)
-        # All draws happen up front and independently of temperature, so a
-        # hotter request reuses the same edits and only adds more of them.
-        offset = int(rng.integers(0, max(n_content, 1)))
-        variant_tags = rng.integers(0, 1296, size=max(n_content, 1)).tolist()
-        fill_tags = rng.integers(0, 1296, size=len(words) + 1).tolist()
-        shuffle_draws = rng.random(64).tolist()
-
         bucket = self._bucket(req.temperature)
         sub_rate = min(SUB_CAP, SUB_SLOPE * bucket)
         fill_rate = min(FILL_CAP, FILL_SLOPE * bucket)
         n_sub = int(sub_rate * n_content)
         n_fill = int(fill_rate * len(words))
-        n_shuffle = min(int(SHUFFLE_SLOPE * bucket * len(words)), len(shuffle_draws))
+        n_shuffle = min(int(SHUFFLE_SLOPE * bucket * len(words)), SHUFFLE_CAP)
+
+        # The draws do not depend on temperature, so a hotter request reuses
+        # the same edits and only adds more of them.
+        offset, variant_tags, fill_tags, shuffle_draws = self._draws(
+            content, req.seed, n_content, len(words), n_shuffle
+        )
 
         out = list(words)
         for i, pos in enumerate(content_positions):

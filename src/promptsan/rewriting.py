@@ -314,7 +314,10 @@ def rewrite_group(
 ) -> ParaphraseGroup:
     """Produce the group, one independent rewrite per schedule slot.
 
-    Each slot draws from its own child random stream, so rewrites never see
+    A white-box slot decodes from its own child random stream, spawned from
+    ``rng``; a black-box slot sends a request seed, and the m seeds come from
+    one draw on ``rng``. Either way slot i's randomness depends on its
+    position only, never on its temperature or on m, so rewrites never see
     one another's output and slot order does not perturb the samples. Failed
     slots are dropped with a warning; only an all-failed group is an error.
 
@@ -334,9 +337,13 @@ def rewrite_group(
 
     temperatures = schedule.expand()
     m = len(temperatures)
-    # One child stream per slot, derived by index from the root stream, so a
-    # slot's draws depend on its position but never on its temperature.
-    child_rngs = rng.spawn(m)
+    # A white-box slot needs a stream of up to max_tokens uniforms, so each
+    # gets a child stream; a black-box slot needs one integer, its request
+    # seed. Element i of either depends on i alone.
+    if params.mode == "whitebox":
+        child_rngs = rng.spawn(m)
+    else:
+        slot_seeds = rng.integers(0, 2**63, size=m).tolist()
     slot_ledgers = [PrivacyLedger() for _ in range(m)]
 
     def run_slot(slot: int) -> Rewrite | RewriteError:
@@ -348,8 +355,9 @@ def rewrite_group(
                     prompt, slot_params, oracle, child_rngs[slot], slot_ledgers[slot]
                 )
             assert client is not None
-            slot_seed = int(child_rngs[slot].integers(0, 2**63))
-            return paraphrase_blackbox(prompt, slot_params, client, slot_ledgers[slot], seed=slot_seed)
+            return paraphrase_blackbox(
+                prompt, slot_params, client, slot_ledgers[slot], seed=slot_seeds[slot]
+            )
         except RewriteError as exc:
             return exc
 

@@ -265,7 +265,7 @@ class TestConfigErrors:
             ({"bounds": {"unit_epsilon": -1}}, "bounds: epsilon at unit temperature must be positive"),
             ({"schedule": 5}, "invalid schedule 5"),
             ({"temperature": 0}, "rewrite temperature must be positive"),
-            ({"temperature": "hot"}, "could not convert string to float"),
+            ({"temperature": "hot"}, "temperature: must be a JSON number, got 'hot'"),
             ({"bounds": [0, 8]}, "bounds must be a JSON object"),
             ({"mock_seed": "x"}, "mock_seed"),
             ({"m": math.inf}, "m: must be a JSON integer, got inf"),
@@ -288,6 +288,11 @@ class TestConfigErrors:
             ({"audit_path": True}, "audit_path: must be a JSON string, got True"),
             ({"model": "gpt-test"}, "unknown config keys: ['model']"),
             ({"release_method": "dp", "epsilon2": math.nan}, "DP keyword release requires a positive epsilon2"),
+            ({"temperature": 1.0, "schedule": "0.5:0.8:0.1"}, "give either temperature or schedule"),
+            ({"release_method": "dp", "epsilon2": True}, "epsilon2: must be a JSON number, got True"),
+            ({"release_method": "dp", "epsilon2": "1.0"}, "epsilon2: must be a JSON number, got '1.0'"),
+            ({"temperature": False}, "temperature: must be a JSON number, got False"),
+            ({"prompt_template": 5}, "prompt_template: must be a JSON string, got 5"),
         ],
     )
     def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
@@ -295,6 +300,12 @@ class TestConfigErrors:
         assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_a_json_integer_is_a_number(self, tmp_path):
+        doc = {**BASE_CONFIG, "use_mock": True, "temperature": 1, "release_method": "dp", "epsilon2": 2}
+        config, _, _ = load_cli_config(write_config(tmp_path, doc))
+        assert config.rewrite_schedule().expand() == [1.0] * 10
+        assert type(config.epsilon2) is float and config.epsilon2 == 2.0
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--schedule", "0:1:0.5"]])
     def test_bad_flag_exits_two(self, tmp_path, capsys, flags):
@@ -313,6 +324,8 @@ class TestConfigErrors:
             ({"max_inflight": 2.9}, "max_inflight: must be a JSON integer, got 2.9"),
             ({"model": ""}, "model must be a non-empty string"),
             ({"model": None}, "model must be a non-empty string, got None"),
+            ({"timeout_s": "2.5"}, "timeout_s: must be a JSON number, got '2.5'"),
+            ({"timeout_s": True}, "timeout_s: must be a JSON number, got True"),
         ],
     )
     def test_bad_client_value_exits_two(self, tmp_path, capsys, client, message):
@@ -337,7 +350,7 @@ class TestClientSection:
         assert client.endpoint == EndpointConfig(base_url="http://127.0.0.1:9", model="m")
 
     def test_set_keys_reach_the_endpoint(self, tmp_path):
-        section = {"timeout_s": "2.5", "max_inflight": 3, "api_key_env": "OTHER_KEY"}
+        section = {"timeout_s": 2.5, "max_inflight": 3, "api_key_env": "OTHER_KEY"}
         doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m", **section}}
         _, client, _ = load_cli_config(write_config(tmp_path, doc))
         client.close()

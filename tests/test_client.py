@@ -12,6 +12,7 @@ import requests
 
 import promptsan
 from promptsan.client import (
+    SHUFFLE_CAP,
     ChatRequest,
     ClientError,
     EndpointConfig,
@@ -374,6 +375,26 @@ class TestMockModel:
             cold = mock.complete(paraphrase_request(question, 0.1, seed=i)).text
             hot = mock.complete(paraphrase_request(question, 1.5, seed=i)).text
             assert rouge1(question, hot).value < rouge1(question, cold).value
+
+    def test_replies_without_a_numpy_generator(self, monkeypatch):
+        # The draws come from a hash digest, so numpy's Generator streams,
+        # which NumPy does not promise to keep across releases, never enter.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mock built a numpy Generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        question = "where does the silver heron usually nest in spring"
+        for temperature in (0.1, 1.0, 2.0):
+            resp = MockChatModel(seed=3).complete(paraphrase_request(question, temperature, seed=5))
+            assert resp.tokens_generated == len(resp.text.split()) > 0
+
+    def test_draws_do_not_depend_on_how_many_swaps_are_read(self):
+        mock = MockChatModel(seed=2)
+        few = mock._draws("harbor lantern", 9, 5, 12, 3)
+        every = mock._draws("harbor lantern", 9, 5, 12, SHUFFLE_CAP)
+        assert few[:3] == every[:3] and few[3] == every[3][:3]
+        assert len(every[1]) == 5 and len(every[2]) == 13
+        assert all(0.0 <= u < 1.0 for u in every[3])
 
     def test_max_tokens_truncates(self):
         req = ChatRequest.single(

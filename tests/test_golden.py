@@ -25,7 +25,7 @@ from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import ConstantStepOracle, RewriteSchedule
 
-GOLDEN_SHA256 = "aa2ac32f72a115b199ae802ced25ba41162aca687f1bbc7dd4bff4fd1abcfaed"
+GOLDEN_SHA256 = "2b0f17d5569389d2d232351ca9663e04848e49b072cc97d3a4903cc441668ec2"
 WHITEBOX_SHA256 = "c14930ca9cdaadb01cb010cadc479fcf3b9252cb836d69e92006f2ddd5e320b0"
 
 PROMPTS = (

@@ -3,8 +3,9 @@
 ``ReferenceMock._paraphrase`` is ``MockChatModel._paraphrase`` as it was
 before it stripped each word once: it strips every word up to three times,
 finds affixes with ``str.index``, builds the substitution window as a set and
-reads the numpy draws one element at a time. Both must return the same text
-and token count for every request.
+reads its draws one element at a time. It takes the draws from the same
+``MockChatModel._draws``, so the comparison checks the text handling only.
+Both must return the same text and token count for every request.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from promptsan.client import (
     FILL_CAP,
     FILL_SLOPE,
     FORCED_SYNONYMS,
+    SHUFFLE_CAP,
     SHUFFLE_SLOPE,
     SUB_CAP,
     SUB_SLOPE,
@@ -47,18 +49,16 @@ class ReferenceMock(MockChatModel):
             and w.strip(_STRIP_CHARS)
         ]
 
-        rng = self._rng(content, req.seed)
-        offset = int(rng.integers(0, max(len(content_positions), 1)))
-        variant_tags = rng.integers(0, 1296, size=max(len(content_positions), 1))
-        fill_tags = rng.integers(0, 1296, size=len(words) + 1)
-        shuffle_draws = rng.random(64)
-
         bucket = self._bucket(req.temperature)
         sub_rate = min(SUB_CAP, SUB_SLOPE * bucket)
         fill_rate = min(FILL_CAP, FILL_SLOPE * bucket)
         n_sub = int(sub_rate * len(content_positions))
         n_fill = int(fill_rate * len(words))
-        n_shuffle = min(int(SHUFFLE_SLOPE * bucket * len(words)), len(shuffle_draws))
+        n_shuffle = min(int(SHUFFLE_SLOPE * bucket * len(words)), SHUFFLE_CAP)
+
+        offset, variant_tags, fill_tags, shuffle_draws = self._draws(
+            content, req.seed, len(content_positions), len(words), n_shuffle
+        )
 
         window = {(offset + j) % len(content_positions) for j in range(n_sub)} if content_positions else set()
         out = list(words)

@@ -237,6 +237,29 @@ class TestRewriteGroup:
             f"blackbox T={t:g} (nominal bounds)" for t in (0.5, 0.6)
         ]
 
+    def test_a_slot_sends_the_same_seed_at_any_m_and_temperature(self):
+        class RecordingClient:
+            def __init__(self) -> None:
+                self.seeds: list[int | None] = []
+
+            def complete(self, req: ChatRequest) -> ChatResponse:
+                self.seeds.append(req.seed)
+                return ChatResponse(text="p q", tokens_generated=2)
+
+        def slot_seeds(m: int, temperature: float) -> list[int]:
+            client = RecordingClient()
+            rewrite_group(
+                "p q", RewriteSchedule.uniform(temperature, m), self.params(),
+                np.random.default_rng(42), PrivacyLedger(), client=client,
+            )
+            return client.seeds
+
+        seeds = slot_seeds(10, 0.5)
+        assert len(set(seeds)) == 10
+        assert slot_seeds(4, 0.5) == seeds[:4]
+        assert slot_seeds(10, 1.5) == seeds
+        assert slot_seeds(4, 1.5) == seeds[:4]
+
     def test_group_invariants(self):
         params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=2)
         with pytest.raises(ValueError):
