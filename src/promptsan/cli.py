@@ -29,20 +29,18 @@ from .evaluation import (
 from .keywords import (
     ReleaseMethod,
     build_histogram,
+    tokenize_group,
     topk_dp,
     topk_ndp,
 )
 from .mechanisms import ClipBounds
 from .metrics import all_metrics
 from .pipeline import PipelineConfig, PipelineStageError, budget_report, run_pipeline
-from .rewriting import RewriteSchedule, calibrate_bounds, paraphrase_group_from_json
+from .rewriting import RewriteSchedule, calibrate_bounds
 
 
 class ConfigError(ValueError):
     pass
-
-
-_BOUNDS_KEYS = {"b_min", "b_max", "unit_epsilon"}
 
 
 def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
@@ -54,14 +52,15 @@ def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
 def _parse_bounds(doc: dict) -> ClipBounds:
     if not isinstance(doc, dict):
         raise ConfigError("bounds must be a JSON object")
-    _reject_unknown(doc, _BOUNDS_KEYS, "bounds")
+    _reject_unknown(doc, set(_BOUNDS_CASTS), "bounds")
     if "unit_epsilon" in doc and ("b_min" in doc or "b_max" in doc):
         raise ConfigError("bounds: give either unit_epsilon or b_min/b_max, not both")
+    values = _cast_present(doc, _BOUNDS_CASTS, "bounds: ")
     try:
-        if "unit_epsilon" in doc:
-            return ClipBounds.from_unit_epsilon(float(doc["unit_epsilon"]))
-        return ClipBounds(float(doc["b_min"]), float(doc["b_max"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        if "unit_epsilon" in values:
+            return ClipBounds.from_unit_epsilon(values["unit_epsilon"])
+        return ClipBounds(values["b_min"], values["b_max"])
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bounds: {exc}") from exc
 
 
@@ -100,13 +99,13 @@ _TOP_CASTS: dict[str, Callable[[object], object]] = {
     "temperature": _json(float), "schedule": parse_schedule, "epsilon2": _json(float),
     "release_method": lambda value: ReleaseMethod(str(value).upper()),
     "prompt_template": _json(str), "use_mock": _json(bool), "mock_seed": _json(int),
-    "audit_path": _json(str),
 }
 _TOP_KEYS = {*_TOP_CASTS, "bounds", "client"}
 _CLIENT_CASTS: dict[str, Callable[[object], object]] = {
     "timeout_s": _json(float), "max_inflight": _json(int),
 }
 _CLIENT_KEYS = {*_CLIENT_CASTS, "base_url", "model", "api_key_env"}
+_BOUNDS_CASTS = dict.fromkeys(("b_min", "b_max", "unit_epsilon"), _json(float))
 
 
 def _cast_present(doc: dict, casts: dict[str, Callable[[object], object]], prefix: str) -> dict:
@@ -120,7 +119,7 @@ def _cast_present(doc: dict, casts: dict[str, Callable[[object], object]], prefi
     return present
 
 
-def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
+def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
     """Read the JSON config file into a pipeline config plus chat client."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -137,7 +136,6 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
     fields = _cast_present(doc, _TOP_CASTS, "")
     use_mock = fields.pop("use_mock", False)
     mock = {"seed": fields.pop("mock_seed")} if "mock_seed" in fields else {}
-    audit_path = fields.pop("audit_path", None)
     temperature = fields.pop("temperature", None)
     if "schedule" in fields:
         if temperature is not None:
@@ -151,7 +149,7 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
         raise ConfigError(str(exc)) from exc
 
     if use_mock:
-        return config, MockChatModel(**mock), audit_path
+        return config, MockChatModel(**mock)
     client_doc = doc.get("client")
     if not isinstance(client_doc, dict):
         raise ConfigError("config requires a client section unless use_mock is true")
@@ -161,7 +159,7 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object, str | None]:
         endpoint = EndpointConfig(**settings)
     except (TypeError, ValueError) as exc:  # TypeError: base_url or model missing
         raise ConfigError(f"client config: {exc}") from exc
-    return config, HttpChatClient(endpoint), audit_path
+    return config, HttpChatClient(endpoint)
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -200,17 +198,15 @@ def _closing(client: object) -> contextlib.AbstractContextManager:
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
     try:
-        config, client, audit_path = load_cli_config(args.config)
+        config, client = load_cli_config(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with _closing(client):
-        return _sanitize(args, config, client, audit_path)
+        return _sanitize(args, config, client)
 
 
-def _sanitize(
-    args: argparse.Namespace, config: PipelineConfig, client: object, audit_path: str | None
-) -> int:
+def _sanitize(args: argparse.Namespace, config: PipelineConfig, client: object) -> int:
     try:
         if args.seed is not None:
             config = replace(config, seed=args.seed)
@@ -225,9 +221,7 @@ def _sanitize(
         return 2
 
     try:
-        result = run_pipeline(
-            prompt, config, client, audit_path=args.audit or audit_path
-        )
+        result = run_pipeline(prompt, config, client, audit_path=args.audit)
     except PipelineStageError as exc:
         # Every artefact repeats the prompt, so only their names are printed.
         completed = [k for k in exc.partial if k not in ("original", "ledger")]
@@ -249,11 +243,14 @@ def _sanitize(
 def cmd_keywords(args: argparse.Namespace) -> int:
     try:
         with open(args.group, encoding="utf-8") as fh:
-            group = paraphrase_group_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            texts = [rewrite["text"] for rewrite in json.load(fh)["rewrites"]]
+        if not texts or not all(isinstance(text, str) for text in texts):
+            raise ValueError("rewrites must be a nonempty list of objects with a text string")
+    except (OSError, LookupError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
         print(f"error: cannot read group: {exc}", file=sys.stderr)
         return 2
-    hist = build_histogram(group)
+    _, counts = tokenize_group(texts)
+    hist = build_histogram(counts)
     if args.method == "dp":
         if args.epsilon2 is None:
             print("error: --epsilon2 is required for the dp method", file=sys.stderr)
@@ -282,7 +279,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
-        config, client, _ = load_cli_config(args.config)
+        config, client = load_cli_config(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -364,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser("keywords", help="extract and release keywords from a group JSON")
-    p.add_argument("--group", required=True, help="ParaphraseGroup JSON file")
+    p.add_argument("--group", required=True, help="group JSON file; only rewrites[i].text is read")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--method", choices=("ndp", "dp"), default="ndp")
     p.add_argument("--epsilon2", type=float, default=None)

@@ -15,16 +15,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
 from .normalization import tokenize
 from .stopwords import STOP_WORDS
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .rewriting import ParaphraseGroup
 
 
 class ReleaseMethod(str, Enum):
@@ -80,20 +77,29 @@ class ReleasedKeywords:
         }
 
 
-def build_histogram(group: "ParaphraseGroup") -> KeywordHistogram:
-    """Count word occurrences over every rewrite in the group.
+def tokenize_group(texts: Iterable[str]) -> tuple[list[list[str]], Counter[str]]:
+    """Tokenise each text once; return the token lists and their pooled count.
+
+    Stage 2 reads both: the keyword histogram is the count without the stop
+    words, and the exemplar scorer fits on the whole count and scores the
+    token lists.
+    """
+    token_lists = [tokenize(text) for text in texts]
+    counts: Counter[str] = Counter()
+    for tokens in token_lists:
+        counts.update(tokens)
+    return token_lists, counts
+
+
+def build_histogram(counts: Mapping[str, int]) -> KeywordHistogram:
+    """The keyword histogram of a group's pooled token count.
 
     Counts accumulate globally across rewrites (every occurrence, not
-    per-document presence); the original prompt is never counted. Words are
-    the group's shared rewrite tokens without the stop words.
+    per-document presence); the original prompt is never counted. Stop words
+    are dropped and the remaining words keep their first-occurrence order.
     """
-    counts: Counter[str] = Counter()
-    for tokens in group.token_lists:
-        counts.update(tokens)
-    # Deleting keys keeps the remaining words in first-occurrence order.
-    for word in STOP_WORDS.intersection(counts):
-        del counts[word]
-    return KeywordHistogram(counts=counts, total_words=counts.total())
+    kept = {word: count for word, count in counts.items() if word not in STOP_WORDS}
+    return KeywordHistogram(counts=kept, total_words=sum(kept.values()))
 
 
 def _ranked(counts: Mapping[str, int]) -> list[str]:

@@ -18,12 +18,13 @@ from typing import Callable
 import numpy as np
 
 from .client import ChatClient
-from .exemplar import PerplexityScorer, ScoredParaphrase, select_exemplar
+from .exemplar import PerplexityScorer, ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from .keywords import (
     KeywordHistogram,
     ReleasedKeywords,
     ReleaseMethod,
     build_histogram,
+    tokenize_group,
     topk_dp,
     topk_ndp,
 )
@@ -150,7 +151,8 @@ def run_pipeline(
     Deterministic given the config seed and deterministic services. The
     default Stage-1 engine is the built-in group rewriter; pass
     ``stage1_rewriter`` to plug in any other paraphrasing method behind the
-    same contract.
+    same contract. Without a ``scorer``, the exemplar is chosen by the unigram
+    model fit on the rewrites' pooled token count.
     """
     if ledger is None:
         ledger = PrivacyLedger()
@@ -176,7 +178,9 @@ def run_pipeline(
         raise PipelineStageError("stage-1 rewriting", exc, partial) from exc
 
     try:
-        histogram = build_histogram(group)
+        texts = group.texts()
+        token_lists, counts = tokenize_group(texts)
+        histogram = build_histogram(counts)
         partial["histogram"] = histogram
         if config.release_method is ReleaseMethod.NDP:
             released = topk_ndp(histogram, config.k, ledger)
@@ -184,12 +188,12 @@ def run_pipeline(
             assert config.epsilon2 is not None
             released = topk_dp(histogram, config.k, config.epsilon2, release_rng, ledger=ledger)
         partial["released"] = released
-        exemplar = select_exemplar(group, scorer, ledger)
+        if scorer is None:
+            scorer = UnigramPerplexityScorer(counts)
+        exemplar = select_exemplar(texts, token_lists, scorer, ledger)
         partial["exemplar"] = exemplar
     except Exception as exc:
         raise PipelineStageError("stage-2 control", exc, partial) from exc
-    finally:
-        group.forget_token_lists()
 
     try:
         request = FinalPromptRequest(

@@ -10,14 +10,13 @@ charges tokens_generated * epsilon_per_token to the ledger.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from . import keywords
 from .client import ChatClient, ChatRequest, ClientError, TransportError
 from .mechanisms import (
     ClipBounds,
@@ -51,8 +50,8 @@ class RewriteParams:
     mode: str  # "whitebox" | "blackbox"
     temperature: float
     max_tokens: int
+    bounds: ClipBounds
     prompt_template: str = DEFAULT_PARAPHRASE_TEMPLATE
-    bounds: ClipBounds | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("whitebox", "blackbox"):
@@ -61,8 +60,6 @@ class RewriteParams:
             raise ValueError("rewrite temperature must be positive")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
-        if self.mode == "whitebox" and self.bounds is None:
-            raise ValueError("whitebox rewriting requires clip bounds")
         if "{prompt}" not in self.prompt_template:
             raise ValueError("prompt_template must contain {prompt}")
 
@@ -98,20 +95,6 @@ class ParaphraseGroup:
     def texts(self) -> list[str]:
         return [r.text for r in self.rewrites]
 
-    @cached_property
-    def token_lists(self) -> list[list[str]]:
-        """Each rewrite's tokens, stop words kept, tokenised once per group.
-
-        Stage 2 reads them twice: the keyword histogram drops the stop words,
-        and the exemplar scorer fits and scores on them as they are.
-        """
-        # keywords' binding, which perfbench/layers.py wraps to count calls.
-        return [keywords.tokenize(r.text) for r in self.rewrites]
-
-    def forget_token_lists(self) -> None:
-        """Drop the cached token lists, so a result that keeps the group does not keep them."""
-        self.__dict__.pop("token_lists", None)
-
     def to_json_dict(self) -> dict:
         doc = {
             "source": self.source,
@@ -119,11 +102,7 @@ class ParaphraseGroup:
                 {
                     "text": r.text,
                     "temperature": r.params.temperature,
-                    "epsilon_per_token": (
-                        epsilon_per_token(r.params.temperature, r.params.bounds)
-                        if r.params.bounds is not None
-                        else None
-                    ),
+                    "epsilon_per_token": epsilon_per_token(r.params.temperature, r.params.bounds),
                     "tokens": r.tokens_generated,
                 }
                 for r in self.rewrites
@@ -132,23 +111,6 @@ class ParaphraseGroup:
         if self.warnings:
             doc["warnings"] = list(self.warnings)
         return doc
-
-
-def paraphrase_group_from_json(doc: dict, max_tokens: int = 512) -> ParaphraseGroup:
-    """Rebuild a group from its audit JSON (enough structure for re-analysis)."""
-    rewrites = tuple(
-        Rewrite(
-            text=r["text"],
-            params=RewriteParams(
-                mode="blackbox",
-                temperature=r.get("temperature", 1.0),
-                max_tokens=max(max_tokens, int(r.get("tokens", 0))),
-            ),
-            tokens_generated=int(r.get("tokens", len(r["text"].split()))),
-        )
-        for r in doc["rewrites"]
-    )
-    return ParaphraseGroup(source=doc.get("source", ""), rewrites=rewrites)
 
 
 @dataclass(frozen=True)
@@ -179,6 +141,8 @@ class RewriteSchedule:
 
     @classmethod
     def from_range(cls, low: float, high: float, step: float, count_each: int = 1) -> "RewriteSchedule":
+        if not all(map(math.isfinite, (low, high, step))):
+            raise ValueError("schedule range must be finite")
         if step <= 0 or high < low:
             raise ValueError("invalid schedule range")
         temps = []
@@ -225,7 +189,6 @@ def paraphrase_whitebox(
     """
     if params.mode != "whitebox":
         raise ValueError("paraphrase_whitebox requires whitebox params")
-    assert params.bounds is not None
     eps = epsilon_per_token(params.temperature, params.bounds)
 
     context = params.render_prompt(prompt).split()
@@ -274,8 +237,6 @@ def paraphrase_blackbox(
     """
     if params.mode != "blackbox":
         raise ValueError("paraphrase_blackbox requires blackbox params")
-    if params.bounds is None:
-        raise ValueError("blackbox accounting requires nominal clip bounds")
     eps = epsilon_per_token(params.temperature, params.bounds)
 
     req = ChatRequest.single(

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
-from promptsan.mechanisms import ClipBounds
+from promptsan.exemplar import (
+    PerplexityScorer,
+    ScoredParaphrase,
+    UnigramPerplexityScorer,
+    select_exemplar,
+)
+from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
+from promptsan.mechanisms import ClipBounds, PrivacyLedger
 from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams
 
 
@@ -57,11 +64,30 @@ class FailingClient:
 
 
 def make_group(texts: list[str], temperature: float = 1.0, source: str = "src") -> ParaphraseGroup:
-    params = RewriteParams(mode="blackbox", temperature=temperature, max_tokens=512)
+    params = RewriteParams(
+        mode="blackbox", temperature=temperature, max_tokens=512, bounds=ClipBounds(0.0, 8.0)
+    )
     rewrites = tuple(
         Rewrite(text=t, params=params, tokens_generated=len(t.split())) for t in texts
     )
     return ParaphraseGroup(source=source, rewrites=rewrites)
+
+
+def histogram_of(texts: list[str]) -> KeywordHistogram:
+    """The keyword histogram of a group with these rewrite texts."""
+    return build_histogram(tokenize_group(texts)[1])
+
+
+def unigram_of(texts: list[str]) -> UnigramPerplexityScorer:
+    """The unigram scorer fit on a group with these rewrite texts."""
+    return UnigramPerplexityScorer(tokenize_group(texts)[1])
+
+
+def select_from(
+    texts: list[str], scorer: PerplexityScorer, ledger: PrivacyLedger | None = None
+) -> ScoredParaphrase:
+    """select_exemplar over these texts, tokenised as run_pipeline does."""
+    return select_exemplar(texts, tokenize_group(texts)[0], scorer, ledger)
 
 
 @pytest.fixture

@@ -21,10 +21,8 @@ from promptsan.evaluation import (
     run_experiment,
     synthetic_qa_records,
 )
-from promptsan.exemplar import UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import (
     ReleaseMethod,
-    build_histogram,
     peel_sequence_distribution,
     topk_ndp,
 )
@@ -42,7 +40,7 @@ from promptsan.prompting import FinalPromptRequest, render_template
 from promptsan.rewriting import ConstantStepOracle, RewriteSchedule, rewrite_group, RewriteParams
 from promptsan.mechanisms import PrivacyLedger
 
-from conftest import make_group
+from conftest import histogram_of, select_from, unigram_of
 
 
 @contextmanager
@@ -229,7 +227,7 @@ def test_criterion_6_keyword_extraction_determinism():
             RewriteSchedule.uniform(0.75, 10), params, np.random.default_rng(99), PrivacyLedger(),
             client=MockChatModel(seed=1),
         )
-        hist = build_histogram(group)
+        hist = histogram_of(group.texts())
         oracle = tuple(
             w for w, _ in sorted(hist.counts.items(), key=lambda kv: (-kv[1], kv[0]))
         )[:10]
@@ -250,11 +248,10 @@ def test_criterion_7_exemplar_argmin_invariance():
                 " ".join(rng.choice(pool, size=int(rng.integers(4, 10))))
                 for _ in range(size)
             ]
-            group = make_group(texts)
-            base = UnigramPerplexityScorer(texts)
-            baseline = select_exemplar(group, base).index
+            base = unigram_of(texts)
+            baseline = select_from(texts, base).index
             for transform in (lambda x: x * x, lambda x: 10.0 * x, lambda x: x + 3.0):
-                assert select_exemplar(group, lambda t: transform(base(t))).index == baseline
+                assert select_from(texts, lambda t: transform(base(t))).index == baseline
 
 
 def _independent_render(exemplar: str, forbidden: tuple[str, ...]) -> str:

@@ -285,7 +285,7 @@ class TestConfigErrors:
             ({"mock_seed": 1.5}, "mock_seed: must be a JSON integer, got 1.5"),
             ({"retry_on_leakage": 9}, "retry_on_leakage must be 0 to 2, got 9"),
             ({"retry_on_leakage": -1}, "retry_on_leakage must be 0 to 2, got -1"),
-            ({"audit_path": True}, "audit_path: must be a JSON string, got True"),
+            ({"audit_path": "cfg_audit.jsonl"}, "unknown config keys: ['audit_path']"),
             ({"model": "gpt-test"}, "unknown config keys: ['model']"),
             ({"release_method": "dp", "epsilon2": math.nan}, "DP keyword release requires a positive epsilon2"),
             ({"temperature": 1.0, "schedule": "0.5:0.8:0.1"}, "give either temperature or schedule"),
@@ -293,6 +293,11 @@ class TestConfigErrors:
             ({"release_method": "dp", "epsilon2": "1.0"}, "epsilon2: must be a JSON number, got '1.0'"),
             ({"temperature": False}, "temperature: must be a JSON number, got False"),
             ({"prompt_template": 5}, "prompt_template: must be a JSON string, got 5"),
+            ({"bounds": {"b_min": False, "b_max": "8"}}, "bounds: b_min: must be a JSON number, got False"),
+            ({"bounds": {"b_min": 0, "b_max": "8"}}, "bounds: b_max: must be a JSON number, got '8'"),
+            ({"bounds": {"unit_epsilon": True}}, "bounds: unit_epsilon: must be a JSON number, got True"),
+            ({"schedule": "0.5:1.5:nan"}, "invalid schedule '0.5:1.5:nan'"),
+            ({"schedule": "0.5:inf:0.1"}, "invalid schedule '0.5:inf:0.1'"),
         ],
     )
     def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
@@ -303,11 +308,13 @@ class TestConfigErrors:
 
     def test_a_json_integer_is_a_number(self, tmp_path):
         doc = {**BASE_CONFIG, "use_mock": True, "temperature": 1, "release_method": "dp", "epsilon2": 2}
-        config, _, _ = load_cli_config(write_config(tmp_path, doc))
+        config, _ = load_cli_config(write_config(tmp_path, doc))
         assert config.rewrite_schedule().expand() == [1.0] * 10
         assert type(config.epsilon2) is float and config.epsilon2 == 2.0
 
-    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--schedule", "0:1:0.5"]])
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--schedule", "0:1:0.5"], ["--schedule", "0.5:inf:0.1"]]
+    )
     def test_bad_flag_exits_two(self, tmp_path, capsys, flags):
         config = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True})
         assert main(["sanitize", "--config", config, "--prompt", PROMPT, *flags]) == 2
@@ -345,14 +352,14 @@ class TestClientSection:
 
     def test_unset_keys_take_the_endpoint_defaults(self, tmp_path):
         doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m"}}
-        _, client, _ = load_cli_config(write_config(tmp_path, doc))
+        _, client = load_cli_config(write_config(tmp_path, doc))
         client.close()
         assert client.endpoint == EndpointConfig(base_url="http://127.0.0.1:9", model="m")
 
     def test_set_keys_reach_the_endpoint(self, tmp_path):
         section = {"timeout_s": 2.5, "max_inflight": 3, "api_key_env": "OTHER_KEY"}
         doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m", **section}}
-        _, client, _ = load_cli_config(write_config(tmp_path, doc))
+        _, client = load_cli_config(write_config(tmp_path, doc))
         client.close()
         assert client.endpoint == EndpointConfig(
             base_url="http://127.0.0.1:9", model="m", timeout_s=2.5, max_inflight=3,
@@ -435,6 +442,7 @@ class TestKeywords:
         assert len(doc["release"]["words"]) == 5
         assert doc["release"]["method"] == "NDP"
         assert all(isinstance(v, int) for v in doc["histogram"].values())
+        assert doc["histogram"] == result["histogram"]
 
     def test_dp_requires_epsilon2(self, tmp_path, mock_config, capsys):
         main(["sanitize", "--config", mock_config, "--prompt", PROMPT])
@@ -449,8 +457,17 @@ class TestKeywords:
             == 0
         )
 
-    def test_missing_group_file_exits_two(self, tmp_path):
-        assert main(["keywords", "--group", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize(
+        "content",
+        [None, "[]", '{"rewrites": [{"text": 5}]}', '{"rewrites": []}', "{}", "not json"],
+        ids=["missing", "list-root", "text-not-string", "no-rewrites", "no-rewrites-key", "not-json"],
+    )
+    def test_missing_group_file_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "group.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["keywords", "--group", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read group: ")
 
 
 SECRET_PROMPT = "Alice Moreau lives at 12 Rue Cler"

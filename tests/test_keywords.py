@@ -11,13 +11,14 @@ from promptsan.keywords import (
     ReleaseMethod,
     build_histogram,
     peel_sequence_distribution,
+    tokenize_group,
     tokenize_normalize,
     topk_dp,
     topk_ndp,
 )
 from promptsan.mechanisms import PrivacyLedger, Stage
 
-from conftest import make_group
+from conftest import histogram_of, make_group
 
 
 def hist(counts: dict[str, int]) -> KeywordHistogram:
@@ -40,19 +41,17 @@ class TestTokenizeNormalize:
 
 class TestBuildHistogram:
     def test_accumulates_across_rewrites(self):
-        group = make_group(["paris is lovely", "visit paris", "paris again"])
-        h = build_histogram(group)
+        h = histogram_of(["paris is lovely", "visit paris", "paris again"])
         assert h.counts["paris"] == 3
 
     def test_disjoint_vocabularies_union(self):
-        group = make_group(["alpha beta", "gamma delta"])
-        h = build_histogram(group)
+        h = histogram_of(["alpha beta", "gamma delta"])
         assert dict(h.counts) == {"alpha": 1, "beta": 1, "gamma": 1, "delta": 1}
 
     def test_ten_copies_scale_single_histogram(self):
         sentence = "quiet harbor lantern near quiet water"
-        single = build_histogram(make_group([sentence]))
-        tenfold = build_histogram(make_group([sentence] * 10))
+        single = histogram_of([sentence])
+        tenfold = histogram_of([sentence] * 10)
         assert dict(tenfold.counts) == {w: 10 * c for w, c in single.counts.items()}
         assert tenfold.total_words == 10 * single.total_words
 
@@ -69,14 +68,22 @@ class TestBuildHistogram:
         for text in texts:
             for word in tokenize_normalize(text):
                 expected[word] = expected.get(word, 0) + 1
-        h = build_histogram(make_group(texts))
+        h = histogram_of(texts)
         assert list(h.counts.items()) == list(expected.items())
         assert h.total_words == sum(expected.values())
 
     def test_source_prompt_not_counted(self):
         group = make_group(["rewrite words only"], source="secret original")
-        h = build_histogram(group)
+        h = histogram_of(group.texts())
         assert "secret" not in h.counts
+
+    def test_one_pass_keeps_stop_words_and_the_histogram_drops_them(self):
+        token_lists, counts = tokenize_group(["The cat, the CAT!", "a cat"])
+        assert token_lists == [["the", "cat", "the", "cat"], ["a", "cat"]]
+        assert list(counts.items()) == [("the", 2), ("cat", 3), ("a", 1)]
+        h = build_histogram(counts)
+        assert dict(h.counts) == {"cat": 3} and h.total_words == 3
+        assert counts["the"] == 2  # the scorer fits on the same count
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

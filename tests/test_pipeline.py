@@ -8,7 +8,7 @@ import pytest
 from promptsan import normalization
 from promptsan.client import MockChatModel
 from promptsan.exemplar import ScoredParaphrase
-from promptsan.keywords import ReleaseMethod, tokenize_normalize, topk_ndp, build_histogram
+from promptsan.keywords import ReleaseMethod, tokenize_normalize, topk_ndp
 from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage
 from promptsan.pipeline import (
     PipelineConfig,
@@ -25,7 +25,7 @@ from promptsan.rewriting import (
     RewriteSchedule,
 )
 
-from conftest import FailingClient, make_group
+from conftest import FailingClient, histogram_of, make_group
 
 PROMPT = "Where would the silver archive usually store a hidden journal during the harbor festival?"
 
@@ -77,7 +77,9 @@ class TestRunPipeline:
 
     def test_identity_rewriter_plug_in(self, mock_client):
         def identity_rewriter(prompt: str, rng, ledger) -> ParaphraseGroup:
-            params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=64)
+            params = RewriteParams(
+                mode="blackbox", temperature=1.0, max_tokens=64, bounds=ClipBounds(0.0, 8.0)
+            )
             rewrites = tuple(
                 Rewrite(text=prompt, params=params, tokens_generated=len(prompt.split()))
                 for _ in range(10)
@@ -85,7 +87,7 @@ class TestRunPipeline:
             return ParaphraseGroup(source=prompt, rewrites=rewrites)
 
         result = run_pipeline(PROMPT, config(), mock_client, stage1_rewriter=identity_rewriter)
-        oracle = topk_ndp(build_histogram(make_group([PROMPT] * 10)), 10)
+        oracle = topk_ndp(histogram_of([PROMPT] * 10), 10)
         assert result.released.words == oracle.words
         assert set(result.released.words) <= set(tokenize_normalize(PROMPT))
 
@@ -188,8 +190,8 @@ class TestBudgetReport:
         result = SanitizedResult(
             original="x",
             group=group,
-            histogram=build_histogram(group),
-            released=topk_ndp(build_histogram(group), 1),
+            histogram=histogram_of(group.texts()),
+            released=topk_ndp(histogram_of(group.texts()), 1),
             exemplar=ScoredParaphrase(0, "only text", 1.0),
             final_prompt="p",
             sanitized="s",

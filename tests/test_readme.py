@@ -22,5 +22,5 @@ def test_cli_config_examples_load(tmp_path):
     for i, example in enumerate(examples):
         path = tmp_path / f"config{i}.json"
         path.write_text(example, encoding="utf-8")
-        _, client, _ = load_cli_config(str(path))
+        _, client = load_cli_config(str(path))
         getattr(client, "close", lambda: None)()

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 
@@ -38,17 +39,29 @@ def whitebox_params(bounds: ClipBounds, temperature: float = 1.0, max_tokens: in
 
 class TestParams:
     def test_whitebox_requires_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="bounds"):
             RewriteParams(mode="whitebox", temperature=1.0, max_tokens=10)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            RewriteParams(mode="graybox", temperature=1.0, max_tokens=10)
+            RewriteParams(mode="graybox", temperature=1.0, max_tokens=10, bounds=ClipBounds(0.0, 8.0))
 
     @pytest.mark.parametrize("template", ["no placeholder", "{", "{prompt"])
     def test_template_without_the_prompt_placeholder_rejected(self, template):
         with pytest.raises(ValueError, match="prompt_template must contain {prompt}"):
-            RewriteParams(mode="blackbox", temperature=1.0, max_tokens=10, prompt_template=template)
+            RewriteParams(
+                mode="blackbox", temperature=1.0, max_tokens=10, bounds=ClipBounds(0.0, 8.0),
+                prompt_template=template,
+            )
+
+    @pytest.mark.parametrize(
+        "low, high, step",
+        [(0.5, math.inf, 0.1), (0.5, 1.5, math.nan), (math.nan, 1.5, 0.1), (-math.inf, 1.5, 0.1),
+         (0.5, 1.5, math.inf), (0.5, math.nan, 0.1)],
+    )
+    def test_non_finite_schedule_range_rejected(self, low, high, step):
+        with pytest.raises(ValueError, match="schedule range must be finite"):
+            RewriteSchedule.from_range(low, high, step)
 
 
 class TestParaphraseWhitebox:
@@ -142,9 +155,8 @@ class TestParaphraseBlackbox:
         assert rewrite.retries == 2
 
     def test_missing_bounds_rejected(self):
-        params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=8)
-        with pytest.raises(ValueError):
-            paraphrase_blackbox("p", params, EchoClient(), PrivacyLedger())
+        with pytest.raises(TypeError, match="bounds"):
+            RewriteParams(mode="blackbox", temperature=1.0, max_tokens=8)
 
     def test_client_failure_becomes_rewrite_error(self):
         with pytest.raises(RewriteError):
@@ -261,7 +273,7 @@ class TestRewriteGroup:
         assert slot_seeds(4, 1.5) == seeds[:4]
 
     def test_group_invariants(self):
-        params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=2)
+        params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=2, bounds=ClipBounds(0.0, 8.0))
         with pytest.raises(ValueError):
             ParaphraseGroup(source="s", rewrites=())
         with pytest.raises(ValueError):
