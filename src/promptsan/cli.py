@@ -29,6 +29,7 @@ from .evaluation import (
 from .keywords import (
     ReleaseMethod,
     build_histogram,
+    presence_counts,
     tokenize_group,
     topk_dp,
     topk_ndp,
@@ -97,7 +98,7 @@ _TOP_CASTS: dict[str, Callable[[object], object]] = {
     "m": _json(int), "k": _json(int), "seed": _json(int), "max_tokens": _json(int),
     "retry_on_leakage": _json(int), "fallback_to_exemplar": _json(bool),
     "temperature": _json(float), "schedule": parse_schedule, "epsilon2": _json(float),
-    "release_method": lambda value: ReleaseMethod(str(value).upper()),
+    "delta2": _json(float), "release_method": lambda value: ReleaseMethod(str(value).upper()),
     "prompt_template": _json(str), "use_mock": _json(bool), "mock_seed": _json(int),
 }
 _TOP_KEYS = {*_TOP_CASTS, "bounds", "client"}
@@ -249,18 +250,21 @@ def cmd_keywords(args: argparse.Namespace) -> int:
     except (OSError, LookupError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
         print(f"error: cannot read group: {exc}", file=sys.stderr)
         return 2
-    _, counts = tokenize_group(texts)
-    hist = build_histogram(counts)
+    token_lists, counts = tokenize_group(texts)
     if args.method == "dp":
         if args.epsilon2 is None:
             print("error: --epsilon2 is required for the dp method", file=sys.stderr)
             return 2
+        hist = build_histogram(presence_counts(token_lists))
         try:
-            release = topk_dp(hist, args.k, args.epsilon2, np.random.default_rng(args.seed))
+            release = topk_dp(
+                hist, args.k, args.epsilon2, args.delta2, np.random.default_rng(args.seed)
+            )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
+        hist = build_histogram(counts)
         release = topk_ndp(hist, args.k)
     print(
         json.dumps(
@@ -365,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--method", choices=("ndp", "dp"), default="ndp")
     p.add_argument("--epsilon2", type=float, default=None)
+    p.add_argument("--delta2", type=float, default=PipelineConfig.delta2, help="dp method only")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_keywords)
 

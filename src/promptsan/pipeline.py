@@ -24,6 +24,7 @@ from .keywords import (
     ReleasedKeywords,
     ReleaseMethod,
     build_histogram,
+    presence_counts,
     tokenize_group,
     topk_dp,
     topk_ndp,
@@ -50,6 +51,7 @@ class PipelineConfig:
     schedule: RewriteSchedule | float = 1.0
     release_method: ReleaseMethod = ReleaseMethod.NDP
     epsilon2: float | None = None
+    delta2: float = 1e-5
     mode: str = "blackbox"
     seed: int = 0
     max_tokens: int = 64
@@ -64,9 +66,11 @@ class PipelineConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.release_method is ReleaseMethod.DP and (
-            self.epsilon2 is None or not self.epsilon2 > 0  # rejects NaN too
+            self.epsilon2 is None or not 0 < self.epsilon2 < math.inf  # rejects NaN too
         ):
             raise ValueError("DP keyword release requires a positive epsilon2")
+        if not 0 < self.delta2 < 1:
+            raise ValueError(f"delta2 must lie in (0, 1), got {self.delta2!r}")
         if isinstance(self.schedule, RewriteSchedule):
             if self.schedule.total != self.m:
                 raise ValueError("schedule must cover exactly m rewrites")
@@ -99,7 +103,7 @@ class PipelineConfig:
 class SanitizedResult:
     original: str
     group: ParaphraseGroup
-    histogram: KeywordHistogram
+    histogram: KeywordHistogram  # the counts the release ranked
     released: ReleasedKeywords
     exemplar: ScoredParaphrase
     final_prompt: str
@@ -153,11 +157,14 @@ def run_pipeline(
     ``stage1_rewriter`` to plug in any other paraphrasing method behind the
     same contract. Without a ``scorer``, the exemplar is chosen by the unigram
     model fit on the rewrites' pooled token count.
+
+    NDP releases from occurrence counts, DP from presence counts. The rewrite
+    and release streams are the two children ``default_rng(seed).spawn(2)``
+    would give; the release stream is built only for a DP release.
     """
     if ledger is None:
         ledger = PrivacyLedger()
-    root = np.random.default_rng(config.seed)
-    rewrite_rng, release_rng = root.spawn(2)
+    rewrite_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
 
     partial: dict = {"original": prompt, "ledger": ledger}
     try:
@@ -180,13 +187,16 @@ def run_pipeline(
     try:
         texts = group.texts()
         token_lists, counts = tokenize_group(texts)
-        histogram = build_histogram(counts)
-        partial["histogram"] = histogram
         if config.release_method is ReleaseMethod.NDP:
+            histogram = partial["histogram"] = build_histogram(counts)
             released = topk_ndp(histogram, config.k, ledger)
         else:
             assert config.epsilon2 is not None
-            released = topk_dp(histogram, config.k, config.epsilon2, release_rng, ledger=ledger)
+            histogram = partial["histogram"] = build_histogram(presence_counts(token_lists))
+            release_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+            released = topk_dp(
+                histogram, config.k, config.epsilon2, config.delta2, release_rng, ledger=ledger
+            )
         partial["released"] = released
         if scorer is None:
             scorer = UnigramPerplexityScorer(counts)
@@ -257,7 +267,7 @@ def budget_report(result: SanitizedResult) -> str:
             n_part = f"{units[0]}" if len(set(units)) == 1 else f"(n_i: {sum(units)} total)"
             closed = f"m·n·ε₁ = {m}·{n_part}·{_format_eps(eps1)} = {result.ledger.rewrite_total():.6f}"
             if release_eps > 0:
-                closed += f" ; + ε₂ = {release_eps:.6f}"
+                closed += f" ; + ε₂ = {release_eps:.6f} at δ₂ = {result.released.delta:g}"
             lines.append(closed)
         else:
             lines.append("rewrite subtotals by temperature:")

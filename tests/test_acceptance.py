@@ -21,11 +21,7 @@ from promptsan.evaluation import (
     run_experiment,
     synthetic_qa_records,
 )
-from promptsan.keywords import (
-    ReleaseMethod,
-    peel_sequence_distribution,
-    topk_ndp,
-)
+from promptsan.keywords import ReleaseMethod, topk_ndp
 from promptsan.mechanisms import (
     ClipBounds,
     LogitVector,
@@ -41,6 +37,7 @@ from promptsan.rewriting import ConstantStepOracle, RewriteSchedule, rewrite_gro
 from promptsan.mechanisms import PrivacyLedger
 
 from conftest import histogram_of, select_from, unigram_of
+from topk_reference import release_distribution, worst_neighbour_divergence
 
 
 @contextmanager
@@ -161,59 +158,53 @@ def test_criterion_4_composition_closed_forms():
         assert non_uniform.ledger.total() == pytest.approx(expected, rel=1e-9)
 
 
-def _oracle_peel_dist(counts: dict[str, int], k: int, epsilon: float) -> dict:
-    """Literal one/two-draw closed form, independent of the implementation."""
-    eps_draw = epsilon / k
-    weight = {w: math.exp(eps_draw * c / 2.0) for w, c in counts.items()}
-    words = sorted(counts)
-    z = sum(weight.values())
-    if k == 1:
-        return {(w,): weight[w] / z for w in words}
-    dist = {}
-    for first in words:
-        z2 = z - weight[first]
-        for second in words:
+def _oracle_release_dist(counts: dict[str, int], k: int, epsilon: float, delta: float) -> dict:
+    """Literal one/two-word closed form of the limited-domain release.
+
+    Domain: the top K words by (-count, word); stop score c_+ + 2 +
+    b ln(K/delta) with b = 2K/epsilon; one exponential mechanism per draw.
+    """
+    ranked = sorted(counts, key=lambda w: (-counts[w], w))
+    c_plus = counts[ranked[k]] if len(ranked) > k else 0
+    b = 2 * k / epsilon
+    weight = {w: math.exp(counts[w] / b) for w in ranked[:k]}
+    stop = math.exp((c_plus + 2) / b + math.log(k / delta))
+    z = sum(weight.values()) + stop
+    dist = {(): stop / z}
+    for first, w1 in weight.items():
+        if k == 1:
+            dist[(first,)] = w1 / z
+            continue
+        z2 = z - w1
+        dist[(first,)] = w1 / z * stop / z2
+        for second, w2 in weight.items():
             if second != first:
-                dist[(first, second)] = (weight[first] / z) * (weight[second] / z2)
+                dist[(first, second)] = w1 / z * w2 / z2
     return dist
 
 
 def test_criterion_5_peel_release_dp_bound():
-    with criterion(5, "peel top-K: e^eps neighbor bound and two-draw oracle agreement"):
-        words = ("ant", "bat", "cow", "dog")
-        cache: dict = {}
-
-        def dist(counts: tuple[int, ...], k: int, epsilon: float):
-            key = (counts, k, epsilon)
-            if key not in cache:
-                cache[key] = peel_sequence_distribution(
-                    dict(zip(words, counts)), k, epsilon
-                )
-            return cache[key]
-
-        for size in range(1, 5):
-            for counts in itertools.product(range(1, 6), repeat=size):
-                mapping = dict(zip(words, counts))
-                for k in (1, 2):
-                    if k > size:
-                        continue
-                    for epsilon in (0.5, 1.0, 2.0):
-                        base = dist(counts, k, epsilon)
-                        oracle = _oracle_peel_dist(mapping, k, epsilon)
-                        assert set(base) == set(oracle)
-                        for seq, p in oracle.items():
-                            assert base[seq] == pytest.approx(p, abs=1e-12)
-                        for i in range(size):
-                            for delta in (-1, 1):
-                                neighbor = list(counts)
-                                neighbor[i] += delta
-                                if neighbor[i] < 0:
-                                    continue
-                                other = dist(tuple(neighbor), k, epsilon)
-                                bound = math.exp(epsilon) + 1e-9
-                                for seq, p in base.items():
-                                    assert p / other[seq] <= bound
-                                    assert other[seq] / p <= bound
+    with criterion(5, "DP top-K: hockey-stick <= delta2 at e^eps2 over replace-one neighbours"):
+        # Presence counts over 3-4 words, absent words included, so words
+        # enter and leave the support and the domain changes.
+        for words, m, ks in (
+            (("ant", "bat", "cow"), 3, (1, 2, 3)),
+            (("ant", "bat", "cow", "dog"), 2, (1, 2)),
+            (("ant", "bat", "cow", "dog"), 3, (3,)),
+        ):
+            for k, epsilon, delta in itertools.product(ks, (0.5, 2.0, 8.0), (1e-3, 0.1)):
+                worst, h, neighbour = worst_neighbour_divergence(words, m, k, epsilon, delta)
+                assert worst <= delta, (k, epsilon, delta, h, neighbour)
+        # The exact distribution against a literal closed form.
+        for counts in ({"ant": 5, "bat": 3, "cow": 3}, {"ant": 2, "bat": 2}, {"ant": 9, "bat": 1, "cow": 8}):
+            for k, epsilon, delta in itertools.product((1, 2), (0.5, 4.0), (1e-3, 0.2)):
+                if k > len(counts):
+                    continue
+                dist = release_distribution(counts, k, epsilon, delta)
+                oracle = _oracle_release_dist(counts, k, epsilon, delta)
+                assert set(dist) == set(oracle)
+                for seq, p in oracle.items():
+                    assert dist[seq] == pytest.approx(p, abs=1e-12)
 
 
 def test_criterion_6_keyword_extraction_determinism():

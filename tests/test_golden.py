@@ -1,12 +1,14 @@
 """Byte-identity guard over seeded end-to-end outputs.
 
-One sha256 digest covers the ``run_pipeline`` result JSON (ledger rows
-included) across release methods, schedules, leakage retries and mock seeds,
-the CLI ``sanitize`` JSON, and the CLI ``evaluate`` CSV of a small grid. A
-second digest covers white-box ``run_pipeline`` JSON, so the exponential-
-mechanism sampler must return the same draw for every seed. A refactor that
-claims "same behaviour" must leave both digests unchanged; a change that is
-announced as behavioural re-pins one and says why.
+Three sha256 digests cover seeded outputs: ``GOLDEN_SHA256`` the NDP ones
+(``run_pipeline`` result JSON with its ledger rows across schedules, leakage
+retries and mock seeds, the CLI ``sanitize`` JSON, the CLI ``evaluate`` CSV
+and a group-ndp/paraphrase grid CSV), ``GOLDEN_DP_SHA256`` the same outputs
+with the DP keyword release, and ``WHITEBOX_SHA256`` white-box
+``run_pipeline`` JSON, so the exponential-mechanism sampler must return the
+same draw for every seed. A refactor that claims "same behaviour" must leave
+every digest unchanged; a change that is announced as behavioural re-pins one
+and says why.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import ConstantStepOracle, RewriteSchedule
 
-GOLDEN_SHA256 = "2b0f17d5569389d2d232351ca9663e04848e49b072cc97d3a4903cc441668ec2"
+GOLDEN_SHA256 = "aa86b05b75ebeb694b1b2e5a4c0c27766d266985247dc9789be2df6f60a81cae"
+# Re-pinned when the DP release became a limited-domain Gumbel top-K over
+# presence counts with a delta2 (new draws, histogram, JSON key and ledger note).
+GOLDEN_DP_SHA256 = "906ee9058add88b125e16ef2c1ca4d7feec675fcb00b10476d80b4183cdab3a7"
 WHITEBOX_SHA256 = "c14930ca9cdaadb01cb010cadc479fcf3b9252cb836d69e92006f2ddd5e320b0"
 
 PROMPTS = (
@@ -48,14 +53,11 @@ class LeakyFinalClient:
         return self.mock.complete(req)
 
 
-def _pipeline_outputs() -> list[str]:
+def _pipeline_outputs(method: ReleaseMethod, eps2: float | None) -> list[str]:
     bounds = ClipBounds(0.0, 8.0)
     schedules = (1.0, RewriteSchedule.from_range(0.5, 1.5, 0.25, count_each=2))
-    releases = ((ReleaseMethod.NDP, None), (ReleaseMethod.DP, 1.0))
     out = []
-    for prompt, schedule, (method, eps2), retry, mock_seed in itertools.product(
-        PROMPTS, schedules, releases, (0, 2), (0, 3)
-    ):
+    for prompt, schedule, retry, mock_seed in itertools.product(PROMPTS, schedules, (0, 2), (0, 3)):
         config = PipelineConfig(
             bounds=bounds, m=10, k=10, schedule=schedule, release_method=method,
             epsilon2=eps2, seed=11, retry_on_leakage=retry,
@@ -66,19 +68,20 @@ def _pipeline_outputs() -> list[str]:
     return out
 
 
-def _cli_outputs(tmp_path, capsys) -> list[str]:
+def _cli_sanitize(tmp_path, capsys, configs) -> list[str]:
     out = []
-    for name, extra in (
-        ("ndp", {}),
-        ("dp", {"release_method": "dp", "epsilon2": 2.0, "k": 5}),
-        ("scheduled", {"schedule": "0.5:1.5:0.25", "retry_on_leakage": 2}),
-    ):
+    for name, extra in configs:
         config = {"bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": 7, "use_mock": True, **extra}
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         assert main(["sanitize", "--config", str(path), "--prompt", PROMPTS[1]]) == 0
         out.append(capsys.readouterr().out)
+    return out
 
+
+def _cli_evaluate(tmp_path, capsys) -> str:
+    config = tmp_path / "evaluate.json"
+    config.write_text(json.dumps({"bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": 7, "use_mock": True}))
     dataset = tmp_path / "dev.jsonl"
     dataset.write_text(
         "".join(
@@ -99,29 +102,49 @@ def _cli_outputs(tmp_path, capsys) -> list[str]:
     csv_path = tmp_path / "cli.csv"
     assert main([
         "evaluate", "--dataset", str(dataset), "--format", "csqa_jsonl",
-        "--config", str(tmp_path / "ndp.json"), "--out", str(csv_path),
+        "--config", str(config), "--out", str(csv_path),
         "--repeats", "2", "--methods", "group-ndp,paraphrase", "--temperatures", "0.25,1.0",
     ]) == 0
     capsys.readouterr()
-    out.append(csv_path.read_text(encoding="utf-8"))
-    return out
+    return csv_path.read_text(encoding="utf-8")
 
 
-def _grid_csv(tmp_path) -> str:
+def _grid_csv(tmp_path, methods: tuple[str, ...]) -> str:
     config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=6, k=8, seed=3, epsilon2=1.0)
     rows = run_experiment(
         synthetic_qa_records(2, seed=9), config, MockChatModel(seed=1),
-        methods=("group-ndp", "group-dp", "paraphrase"), temperatures=(0.5, 1.5), repeats=2, seed=4,
+        methods=methods, temperatures=(0.5, 1.5), repeats=2, seed=4,
     )
     path = tmp_path / "grid.csv"
     emit_report(aggregate(rows), str(path))
     return path.read_text(encoding="utf-8")
 
 
+def _digest(parts: list[str]) -> str:
+    return hashlib.sha256("\x1e".join(parts).encode("utf-8")).hexdigest()
+
+
 def test_seeded_outputs_are_byte_identical(tmp_path, capsys):
-    parts = _pipeline_outputs() + _cli_outputs(tmp_path, capsys) + [_grid_csv(tmp_path)]
-    digest = hashlib.sha256("\x1e".join(parts).encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_SHA256
+    parts = (
+        _pipeline_outputs(ReleaseMethod.NDP, None)
+        + _cli_sanitize(tmp_path, capsys, (
+            ("ndp", {}),
+            ("scheduled", {"schedule": "0.5:1.5:0.25", "retry_on_leakage": 2}),
+        ))
+        + [_cli_evaluate(tmp_path, capsys), _grid_csv(tmp_path, ("group-ndp", "paraphrase"))]
+    )
+    assert _digest(parts) == GOLDEN_SHA256
+
+
+def test_seeded_dp_outputs_are_byte_identical(tmp_path, capsys):
+    parts = (
+        _pipeline_outputs(ReleaseMethod.DP, 1.0)
+        + _cli_sanitize(tmp_path, capsys, (
+            ("dp", {"release_method": "dp", "epsilon2": 2.0, "k": 5}),
+        ))
+        + [_grid_csv(tmp_path, ("group-dp",))]
+    )
+    assert _digest(parts) == GOLDEN_DP_SHA256
 
 
 class TableOracle:
