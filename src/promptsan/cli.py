@@ -27,6 +27,7 @@ from .evaluation import (
     run_experiment,
 )
 from .keywords import (
+    DELTA2,
     ReleaseMethod,
     build_histogram,
     presence_counts,
@@ -98,7 +99,7 @@ _TOP_CASTS: dict[str, Callable[[object], object]] = {
     "m": _json(int), "k": _json(int), "seed": _json(int), "max_tokens": _json(int),
     "retry_on_leakage": _json(int), "fallback_to_exemplar": _json(bool),
     "temperature": _json(float), "schedule": parse_schedule, "epsilon2": _json(float),
-    "delta2": _json(float), "release_method": lambda value: ReleaseMethod(str(value).upper()),
+    "release_method": lambda value: ReleaseMethod(str(value).upper()),
     "prompt_template": _json(str), "use_mock": _json(bool), "mock_seed": _json(int),
 }
 _TOP_KEYS = {*_TOP_CASTS, "bounds", "client"}
@@ -258,7 +259,7 @@ def cmd_keywords(args: argparse.Namespace) -> int:
         hist = build_histogram(presence_counts(token_lists))
         try:
             release = topk_dp(
-                hist, args.k, args.epsilon2, args.delta2, np.random.default_rng(args.seed)
+                hist, args.k, args.epsilon2, DELTA2, np.random.default_rng(args.seed)
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -369,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--method", choices=("ndp", "dp"), default="ndp")
     p.add_argument("--epsilon2", type=float, default=None)
-    p.add_argument("--delta2", type=float, default=PipelineConfig.delta2, help="dp method only")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_keywords)
 

@@ -149,6 +149,8 @@ def topk_ndp(
 # Count units between the stop candidate and the (K+1)-th count, before the
 # delta term; the proof in _candidate_scores needs 2.
 STOP_OFFSET = 2
+# The delta of every DP release the pipeline and the CLI make.
+DELTA2 = 1e-5
 
 
 def _candidate_scores(

@@ -20,6 +20,7 @@ import numpy as np
 from .client import ChatClient
 from .exemplar import PerplexityScorer, ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from .keywords import (
+    DELTA2,
     KeywordHistogram,
     ReleasedKeywords,
     ReleaseMethod,
@@ -51,7 +52,6 @@ class PipelineConfig:
     schedule: RewriteSchedule | float = 1.0
     release_method: ReleaseMethod = ReleaseMethod.NDP
     epsilon2: float | None = None
-    delta2: float = 1e-5
     mode: str = "blackbox"
     seed: int = 0
     max_tokens: int = 64
@@ -68,9 +68,7 @@ class PipelineConfig:
         if self.release_method is ReleaseMethod.DP and (
             self.epsilon2 is None or not 0 < self.epsilon2 < math.inf  # rejects NaN too
         ):
-            raise ValueError("DP keyword release requires a positive epsilon2")
-        if not 0 < self.delta2 < 1:
-            raise ValueError(f"delta2 must lie in (0, 1), got {self.delta2!r}")
+            raise ValueError("DP keyword release requires a positive finite epsilon2")
         if isinstance(self.schedule, RewriteSchedule):
             if self.schedule.total != self.m:
                 raise ValueError("schedule must cover exactly m rewrites")
@@ -195,7 +193,7 @@ def run_pipeline(
             histogram = partial["histogram"] = build_histogram(presence_counts(token_lists))
             release_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
             released = topk_dp(
-                histogram, config.k, config.epsilon2, config.delta2, release_rng, ledger=ledger
+                histogram, config.k, config.epsilon2, DELTA2, release_rng, ledger=ledger
             )
         partial["released"] = released
         if scorer is None:

@@ -22,7 +22,7 @@ from promptsan.client import (
     MockChatModel,
 )
 from promptsan.evaluation import synthetic_qa_records
-from promptsan.pipeline import PipelineConfig
+from promptsan.keywords import DELTA2
 
 
 @pytest.fixture
@@ -126,14 +126,14 @@ class TestSanitize:
 
     def test_delta2_shows_only_on_dp_output(self, tmp_path, capsys):
         dp = write_config(tmp_path, {
-            **BASE_CONFIG, "use_mock": True, "release_method": "dp", "epsilon2": 2.0, "delta2": 0.01,
+            **BASE_CONFIG, "use_mock": True, "release_method": "dp", "epsilon2": 2.0,
         }, "dp.json")
         assert main(["sanitize", "--config", dp, "--prompt", PROMPT, "--report"]) == 0
         out, err = capsys.readouterr()
         result = json.loads(out)
-        assert result["released"]["delta"] == 0.01
-        assert result["ledger"]["entries"][-3]["note"] == "keyword release (K=8, δ=0.01)"
-        assert "+ ε₂ = 2.000000 at δ₂ = 0.01" in err
+        assert result["released"]["delta"] == DELTA2
+        assert result["ledger"]["entries"][-3]["note"] == f"keyword release (K=8, δ={DELTA2:g})"
+        assert f"+ ε₂ = 2.000000 at δ₂ = {DELTA2:g}" in err
         ndp = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True}, "ndp.json")
         assert main(["sanitize", "--config", ndp, "--prompt", PROMPT, "--report"]) == 0
         out, err = capsys.readouterr()
@@ -304,7 +304,7 @@ class TestConfigErrors:
             ({"retry_on_leakage": -1}, "retry_on_leakage must be 0 to 2, got -1"),
             ({"audit_path": "cfg_audit.jsonl"}, "unknown config keys: ['audit_path']"),
             ({"model": "gpt-test"}, "unknown config keys: ['model']"),
-            ({"release_method": "dp", "epsilon2": math.nan}, "DP keyword release requires a positive epsilon2"),
+            ({"release_method": "dp", "epsilon2": math.nan}, "DP keyword release requires a positive finite epsilon2"),
             ({"temperature": 1.0, "schedule": "0.5:0.8:0.1"}, "give either temperature or schedule"),
             ({"release_method": "dp", "epsilon2": True}, "epsilon2: must be a JSON number, got True"),
             ({"release_method": "dp", "epsilon2": "1.0"}, "epsilon2: must be a JSON number, got '1.0'"),
@@ -315,11 +315,7 @@ class TestConfigErrors:
             ({"bounds": {"unit_epsilon": True}}, "bounds: unit_epsilon: must be a JSON number, got True"),
             ({"schedule": "0.5:1.5:nan"}, "invalid schedule '0.5:1.5:nan'"),
             ({"schedule": "0.5:inf:0.1"}, "invalid schedule '0.5:inf:0.1'"),
-            ({"release_method": "dp", "epsilon2": 1.0, "delta2": 0}, "delta2 must lie in (0, 1), got 0.0"),
-            ({"delta2": 1}, "delta2 must lie in (0, 1), got 1.0"),
-            ({"delta2": math.nan}, "delta2 must lie in (0, 1), got nan"),
-            ({"delta2": True}, "delta2: must be a JSON number, got True"),
-            ({"delta2": "1e-5"}, "delta2: must be a JSON number, got '1e-5'"),
+            ({"release_method": "dp", "epsilon2": math.inf}, "DP keyword release requires a positive finite epsilon2"),
         ],
     )
     def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
@@ -479,27 +475,17 @@ class TestKeywords:
             == 0
         )
 
-    def test_dp_ranks_presence_counts_at_the_given_delta2(self, tmp_path, capsys):
+    def test_dp_ranks_presence_counts(self, tmp_path, capsys):
         group_path = tmp_path / "group.json"
         group_path.write_text(json.dumps({"rewrites": [{"text": "zebra zebra zebra"}, {"text": "zebra lion"}]}))
         dp = ["keywords", "--group", str(group_path), "--k", "1", "--method", "dp", "--epsilon2", "1.0"]
         assert main(dp) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["histogram"] == {"zebra": 2, "lion": 1}
-        assert doc["release"]["delta"] == PipelineConfig.delta2
-        assert main([*dp, "--delta2", "0.25"]) == 0
-        assert json.loads(capsys.readouterr().out)["release"]["delta"] == 0.25
+        assert doc["release"]["delta"] == DELTA2
         assert main(["keywords", "--group", str(group_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["histogram"] == {"zebra": 4, "lion": 1} and "delta" not in doc["release"]
-
-    @pytest.mark.parametrize("delta2", ["0", "1", "nan", "-0.1"])
-    def test_bad_delta2_exits_two(self, tmp_path, capsys, delta2):
-        group_path = tmp_path / "group.json"
-        group_path.write_text(json.dumps({"rewrites": [{"text": "zebra lion"}]}))
-        argv = ["keywords", "--group", str(group_path), "--k", "1", "--method", "dp", "--epsilon2", "1"]
-        assert main([*argv, "--delta2", delta2]) == 2
-        assert "delta must lie in (0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content",
@@ -643,7 +629,6 @@ VALID_CONFIG = st.fixed_dictionaries(
         "temperature": st.floats(0.1, 3.0),
         "release_method": st.sampled_from(["ndp", "dp"]),
         "epsilon2": st.floats(0.1, 5.0),
-        "delta2": st.floats(1e-9, 0.5),
         "seed": st.integers(0, 2**31),
         "mock_seed": st.integers(0, 2**31),
         "retry_on_leakage": st.integers(0, 2),
@@ -660,7 +645,6 @@ MUTATIONS = {
     "schedule": st.one_of(SCHEDULES, ODD_VALUES),
     "release_method": st.one_of(st.sampled_from(["DP", "topk"]), ODD_VALUES),
     "epsilon2": st.one_of(SMALL_FLOAT, ODD_VALUES),
-    "delta2": st.one_of(SMALL_FLOAT, ODD_VALUES),
     "bounds": st.one_of(
         st.fixed_dictionaries(
             {}, optional={key: st.one_of(SMALL_FLOAT, ODD_VALUES) for key in ("b_min", "b_max", "unit_epsilon")},

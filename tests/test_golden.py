@@ -29,8 +29,9 @@ from promptsan.rewriting import ConstantStepOracle, RewriteSchedule
 
 GOLDEN_SHA256 = "aa86b05b75ebeb694b1b2e5a4c0c27766d266985247dc9789be2df6f60a81cae"
 # Re-pinned when the DP release became a limited-domain Gumbel top-K over
-# presence counts with a delta2 (new draws, histogram, JSON key and ledger note).
-GOLDEN_DP_SHA256 = "906ee9058add88b125e16ef2c1ca4d7feec675fcb00b10476d80b4183cdab3a7"
+# presence counts with a delta2 (new draws, histogram, JSON key and ledger
+# note); the dp-certain case pins a release that is not empty.
+GOLDEN_DP_SHA256 = "3dc1cdce34bafcb35ee3dfc2846c0f340463cfb6f33633c27b799ddf9729a4d1"
 WHITEBOX_SHA256 = "c14930ca9cdaadb01cb010cadc479fcf3b9252cb836d69e92006f2ddd5e320b0"
 
 PROMPTS = (
@@ -141,6 +142,8 @@ def test_seeded_dp_outputs_are_byte_identical(tmp_path, capsys):
         _pipeline_outputs(ReleaseMethod.DP, 1.0)
         + _cli_sanitize(tmp_path, capsys, (
             ("dp", {"release_method": "dp", "epsilon2": 2.0, "k": 5}),
+            # Every other DP case releases no word; this one releases five.
+            ("dp-certain", {"release_method": "dp", "epsilon2": 1e9}),
         ))
         + [_grid_csv(tmp_path, ("group-dp",))]
     )

@@ -8,7 +8,15 @@ import pytest
 from promptsan import normalization
 from promptsan.client import MockChatModel
 from promptsan.exemplar import ScoredParaphrase
-from promptsan.keywords import ReleaseMethod, tokenize_normalize, topk_ndp
+from promptsan.keywords import (
+    STOP_OFFSET,
+    ReleaseMethod,
+    build_histogram,
+    presence_counts,
+    tokenize_group,
+    tokenize_normalize,
+    topk_ndp,
+)
 from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage
 from promptsan.pipeline import (
     PipelineConfig,
@@ -17,6 +25,7 @@ from promptsan.pipeline import (
     budget_report,
     run_pipeline,
 )
+from promptsan.prompting import contains_forbidden
 from promptsan.rewriting import (
     ConstantStepOracle,
     ParaphraseGroup,
@@ -68,6 +77,23 @@ class TestRunPipeline:
             result.ledger.rewrite_total() + 1.0, rel=1e-12
         )
         assert result.released.method is ReleaseMethod.DP
+
+    def test_certain_dp_release_reaches_stage3(self, mock_client):
+        # At a huge epsilon2 the release is the domain words whose presence
+        # count clears the stop candidate's c_+ + STOP_OFFSET, by count.
+        cfg = config(release_method=ReleaseMethod.DP, epsilon2=1e9)
+        result = run_pipeline(PROMPT, cfg, mock_client)
+        counts = result.histogram.counts
+        token_lists, _ = tokenize_group(result.group.texts())
+        assert result.histogram == build_histogram(presence_counts(token_lists))
+        ranked = sorted(counts, key=lambda word: (-counts[word], word))
+        c_plus = counts[ranked[cfg.k]]
+        words = result.released.words
+        assert words
+        assert set(words) == {w for w in ranked[: cfg.k] if counts[w] > c_plus + STOP_OFFSET}
+        assert [counts[w] for w in words] == sorted((counts[w] for w in words), reverse=True)
+        assert result.final_prompt.splitlines()[-1] == ", ".join(words)
+        assert result.leakage_flag == contains_forbidden(result.sanitized, words)
 
     def test_uniform_closed_form(self, mock_client):
         result = run_pipeline(PROMPT, config(), mock_client)
