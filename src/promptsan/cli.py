@@ -12,7 +12,7 @@ import contextlib
 import hashlib
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -26,23 +26,32 @@ from .evaluation import (
     load_dataset,
     run_experiment,
 )
-from .keywords import (
-    DELTA2,
-    ReleaseMethod,
-    build_histogram,
-    presence_counts,
-    tokenize_group,
-    topk_dp,
-    topk_ndp,
-)
+from .keywords import DELTA2, ReleaseMethod, tokenize_group, topk_dp, topk_ndp
 from .mechanisms import ClipBounds
 from .metrics import all_metrics
-from .pipeline import PipelineConfig, PipelineStageError, budget_report, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    PipelineStageError,
+    budget_report,
+    keyword_histogram,
+    run_pipeline,
+)
 from .rewriting import RewriteSchedule, calibrate_bounds
 
 
 class ConfigError(ValueError):
-    pass
+    """A usage or configuration error; ``main`` prints it and exits 2."""
+
+
+@contextlib.contextmanager
+def _config_errors(
+    prefix: str = "", kinds: tuple[type[Exception], ...] = (ValueError,)
+) -> Iterator[None]:
+    """Re-raise the given exceptions from the block as a ConfigError."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
@@ -58,12 +67,10 @@ def _parse_bounds(doc: dict) -> ClipBounds:
     if "unit_epsilon" in doc and ("b_min" in doc or "b_max" in doc):
         raise ConfigError("bounds: give either unit_epsilon or b_min/b_max, not both")
     values = _cast_present(doc, _BOUNDS_CASTS, "bounds: ")
-    try:
+    with _config_errors("bounds: ", (KeyError, ValueError)):
         if "unit_epsilon" in values:
             return ClipBounds.from_unit_epsilon(values["unit_epsilon"])
         return ClipBounds(values["b_min"], values["b_max"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bounds: {exc}") from exc
 
 
 def parse_schedule(spec: str) -> RewriteSchedule:
@@ -104,9 +111,9 @@ _TOP_CASTS: dict[str, Callable[[object], object]] = {
 }
 _TOP_KEYS = {*_TOP_CASTS, "bounds", "client"}
 _CLIENT_CASTS: dict[str, Callable[[object], object]] = {
-    "timeout_s": _json(float), "max_inflight": _json(int),
+    "base_url": _json(str), "timeout_s": _json(float), "max_inflight": _json(int),
 }
-_CLIENT_KEYS = {*_CLIENT_CASTS, "base_url", "model", "api_key_env"}
+_CLIENT_KEYS = {*_CLIENT_CASTS, "model", "api_key_env"}
 _BOUNDS_CASTS = dict.fromkeys(("b_min", "b_max", "unit_epsilon"), _json(float))
 
 
@@ -114,20 +121,16 @@ def _cast_present(doc: dict, casts: dict[str, Callable[[object], object]], prefi
     present = {}
     for key, cast in casts.items():
         if key in doc:
-            try:
+            with _config_errors(f"{prefix}{key}: ", (TypeError, ValueError, OverflowError)):
                 present[key] = cast(doc[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{prefix}{key}: {exc}") from exc
     return present
 
 
 def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
     """Read the JSON config file into a pipeline config plus chat client."""
-    try:
+    with _config_errors(f"cannot read config {path}: ", (OSError, ValueError)):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
@@ -145,37 +148,40 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
         fields.setdefault("m", fields["schedule"].total)
     elif temperature is not None:
         fields["schedule"] = temperature
-    try:
+    with _config_errors():
         config = PipelineConfig(bounds=bounds, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     if use_mock:
+        if "client" in doc:
+            raise ConfigError("give either use_mock or a client section, not both")
         return config, MockChatModel(**mock)
+    if mock:
+        raise ConfigError("mock_seed needs use_mock: true")
     client_doc = doc.get("client")
     if not isinstance(client_doc, dict):
         raise ConfigError("config requires a client section unless use_mock is true")
     _reject_unknown(client_doc, _CLIENT_KEYS, "client")
     settings = {**client_doc, **_cast_present(client_doc, _CLIENT_CASTS, "client config: ")}
-    try:
+    # TypeError: base_url or model missing
+    with _config_errors("client config: ", (TypeError, ValueError)):
         endpoint = EndpointConfig(**settings)
-    except (TypeError, ValueError) as exc:  # TypeError: base_url or model missing
-        raise ConfigError(f"client config: {exc}") from exc
     return config, HttpChatClient(endpoint)
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail with a ConfigError unless ``path`` can be written; truncates nothing."""
+    if path is not None:
+        with _config_errors("cannot write output: ", (OSError,)):
+            open(path, "a", encoding="utf-8").close()
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    try:
+    with _config_errors("cannot read samples: ", (OSError, ValueError)):
         with open(args.samples, encoding="utf-8") as fh:
             samples = [float(line) for line in fh if line.strip()]
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read samples: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _config_errors():
         bounds = calibrate_bounds(samples)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_writable(args.out)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"b_min": bounds.b_min, "b_max": bounds.b_max}, fh, indent=2)
         fh.write("\n")
@@ -185,11 +191,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _read_prompt(spec: str) -> str:
     if spec.startswith("@"):
-        try:
+        with _config_errors("cannot read prompt file: ", (OSError, ValueError)):
             with open(spec[1:], encoding="utf-8") as fh:
                 return fh.read().strip()
-        except OSError as exc:
-            raise ConfigError(f"cannot read prompt file: {exc}") from exc
     return spec
 
 
@@ -199,74 +203,59 @@ def _closing(client: object) -> contextlib.AbstractContextManager:
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
-    try:
-        config, client = load_cli_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config, client = load_cli_config(args.config)
     with _closing(client):
-        return _sanitize(args, config, client)
-
-
-def _sanitize(args: argparse.Namespace, config: PipelineConfig, client: object) -> int:
-    try:
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.schedule is not None:
-            schedule = parse_schedule(args.schedule)
-            config = replace(config, schedule=schedule, m=schedule.total)
+        with _config_errors():  # PipelineConfig rejecting a flag
+            if args.seed is not None:
+                config = replace(config, seed=args.seed)
+            if args.schedule is not None:
+                schedule = parse_schedule(args.schedule)
+                config = replace(config, schedule=schedule, m=schedule.total)
         prompt = _read_prompt(args.prompt)
         if not prompt:
             raise ConfigError("prompt is empty")
-    except ValueError as exc:  # ConfigError, or PipelineConfig rejecting a flag
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        result = run_pipeline(prompt, config, client, audit_path=args.audit)
-    except PipelineStageError as exc:
-        # Every artefact repeats the prompt, so only their names are printed.
-        completed = [k for k in exc.partial if k not in ("original", "ledger")]
-        digest = hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).hexdigest()
-        print(
-            f"error: {exc}\n"
-            f"completed before the failure: {', '.join(completed) or 'nothing'}\n"
-            f"budget charged before the failure: {exc.partial['ledger'].total():g}\n"
-            f"prompt blake2b: {digest}",
-            file=sys.stderr,
-        )
-        return 1
-    print(json.dumps(result.to_json_dict(), indent=2, ensure_ascii=False))
+        _check_writable(args.audit)
+        try:
+            result = run_pipeline(prompt, config, client)
+        except PipelineStageError as exc:
+            # Every artefact repeats the prompt, so only their names are printed.
+            completed = [k for k in exc.partial if k not in ("original", "ledger")]
+            digest = hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).hexdigest()
+            print(
+                f"error: {exc}\n"
+                f"completed before the failure: {', '.join(completed) or 'nothing'}\n"
+                f"budget charged before the failure: {exc.partial['ledger'].total():g}\n"
+                f"prompt blake2b: {digest}",
+                file=sys.stderr,
+            )
+            return 1
+    doc = result.to_json_dict()
+    if args.audit is not None:
+        with open(args.audit, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+    print(json.dumps(doc, indent=2, ensure_ascii=False))
     if args.report:
         print(budget_report(result), file=sys.stderr)
     return 0
 
 
 def cmd_keywords(args: argparse.Namespace) -> int:
-    try:
+    # ValueError: bad JSON too
+    with _config_errors("cannot read group: ", (OSError, LookupError, TypeError, ValueError)):
         with open(args.group, encoding="utf-8") as fh:
             texts = [rewrite["text"] for rewrite in json.load(fh)["rewrites"]]
         if not texts or not all(isinstance(text, str) for text in texts):
             raise ValueError("rewrites must be a nonempty list of objects with a text string")
-    except (OSError, LookupError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
-        print(f"error: cannot read group: {exc}", file=sys.stderr)
-        return 2
-    token_lists, counts = tokenize_group(texts)
-    if args.method == "dp":
-        if args.epsilon2 is None:
-            print("error: --epsilon2 is required for the dp method", file=sys.stderr)
-            return 2
-        hist = build_histogram(presence_counts(token_lists))
-        try:
-            release = topk_dp(
-                hist, args.k, args.epsilon2, DELTA2, np.random.default_rng(args.seed)
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        hist = build_histogram(counts)
-        release = topk_ndp(hist, args.k)
+    method = ReleaseMethod(args.method.upper())
+    if method is ReleaseMethod.DP and args.epsilon2 is None:
+        raise ConfigError("--epsilon2 is required for the dp method")
+    hist = keyword_histogram(method, *tokenize_group(texts))
+    with _config_errors():
+        if method is ReleaseMethod.DP:
+            rng = np.random.default_rng(args.seed)
+            release = topk_dp(hist, args.k, args.epsilon2, DELTA2, rng)
+        else:
+            release = topk_ndp(hist, args.k)
     print(
         json.dumps(
             {"histogram": hist.to_json_dict(), "release": release.to_json_dict()},
@@ -283,59 +272,41 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        config, client = load_cli_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config, client = load_cli_config(args.config)
     with _closing(client):
-        return _evaluate(args, config, client)
-
-
-def _evaluate(args: argparse.Namespace, config: PipelineConfig, client: object) -> int:
-    try:
-        methods = args.methods.split(",") if args.methods else ["group-ndp"]
-        temperatures = (
-            tuple(float(t) for t in args.temperatures.split(","))
-            if args.temperatures
-            else TEMPERATURE_GRID
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    sample = (args.sample_n, args.sample_seed) if args.sample_n is not None else None
-    try:
-        load = load_dataset(args.dataset, args.format, sample=sample)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load dataset: {exc}", file=sys.stderr)
-        return 2
-    for err in load.errors:
-        print(f"dataset warning: {err}", file=sys.stderr)
-    if load.error_fraction() > 0.01:
-        print(
-            f"error: {len(load.errors)} malformed records exceed the 1% threshold",
-            file=sys.stderr,
-        )
-        return 1
-    if not load.records:
-        print("error: dataset is empty", file=sys.stderr)
-        return 2
-
-    try:
-        rows = run_experiment(
-            load.records,
-            config,
-            client,
-            methods=methods,
-            temperatures=temperatures,
-            repeats=args.repeats,
-            seed=config.seed,
-            audit_path=args.audit,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with _config_errors():
+            methods = args.methods.split(",") if args.methods else ["group-ndp"]
+            temperatures = (
+                tuple(float(t) for t in args.temperatures.split(","))
+                if args.temperatures
+                else TEMPERATURE_GRID
+            )
+        sample = (args.sample_n, args.sample_seed) if args.sample_n is not None else None
+        with _config_errors("cannot load dataset: ", (OSError, ValueError)):
+            load = load_dataset(args.dataset, args.format, sample=sample)
+        for err in load.errors:
+            print(f"dataset warning: {err}", file=sys.stderr)
+        if load.error_fraction() > 0.01:
+            print(
+                f"error: {len(load.errors)} malformed records exceed the 1% threshold",
+                file=sys.stderr,
+            )
+            return 1
+        if not load.records:
+            raise ConfigError("dataset is empty")
+        _check_writable(args.out)
+        _check_writable(args.audit)
+        with _config_errors():  # every grid cell is built before the first call
+            rows = run_experiment(
+                load.records,
+                config,
+                client,
+                methods=methods,
+                temperatures=temperatures,
+                repeats=args.repeats,
+                seed=config.seed,
+                audit_path=args.audit,
+            )
     failed = sum(1 for r in rows if r.failed)
     if failed:
         print(f"warning: {failed} rows failed and were excluded", file=sys.stderr)
@@ -395,7 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

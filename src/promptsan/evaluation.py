@@ -30,7 +30,7 @@ from .keywords import ReleaseMethod
 from .mechanisms import PrivacyLedger
 from .metrics import all_metrics, rouge1
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
-from .rewriting import RewriteError, paraphrase_blackbox
+from .rewriting import RewriteError, RewriteParams, paraphrase_blackbox
 
 CSQA_LABELS = ("A", "B", "C", "D", "E")
 
@@ -127,7 +127,10 @@ def load_dataset(
     elif format == "docvqa_json":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        for idx, entry in enumerate(doc.get("data", [])):
+        data = doc.get("data", []) if isinstance(doc, dict) else None
+        if not isinstance(data, list):
+            raise ValueError("a docvqa_json file must be an object with a data list")
+        for idx, entry in enumerate(data):
             try:
                 records.append(_parse_docvqa_entry(entry))
             except (ValueError, KeyError, TypeError) as exc:
@@ -175,7 +178,11 @@ def stable_seed(*parts: object) -> int:
 
 @dataclass(frozen=True)
 class PipelineSanitizer:
-    """Full three-stage sanitization behind the sanitizer contract."""
+    """Full three-stage sanitization behind the sanitizer contract.
+
+    ``config`` already holds the cell's release method and temperature; a
+    call only sets the question's seed.
+    """
 
     name: str
     temperature: float
@@ -184,11 +191,7 @@ class PipelineSanitizer:
     repeat_seed: int
 
     def __call__(self, question: str) -> SanitizedText:
-        config = replace(
-            self.config,
-            schedule=self.temperature,
-            seed=stable_seed(self.repeat_seed, question),
-        )
+        config = replace(self.config, seed=stable_seed(self.repeat_seed, question))
         result = run_pipeline(question, config, self.client)
         return SanitizedText(text=result.sanitized, ledger_total=result.ledger.total())
 
@@ -199,16 +202,16 @@ class ParaphraseSanitizer:
 
     name: str
     temperature: float
-    config: PipelineConfig
+    params: RewriteParams
     client: ChatClient
     repeat_seed: int
 
     def __call__(self, question: str) -> SanitizedText:
         ledger = PrivacyLedger()
-        params = replace(self.config.rewrite_params(), mode="blackbox", temperature=self.temperature)
         try:
             rewrite = paraphrase_blackbox(
-                question, params, self.client, ledger, seed=stable_seed(self.repeat_seed, question)
+                question, self.params, self.client, ledger,
+                seed=stable_seed(self.repeat_seed, question),
             )
         except RewriteError as exc:
             raise PipelineStageError(
@@ -217,14 +220,23 @@ class ParaphraseSanitizer:
         return SanitizedText(text=rewrite.text, ledger_total=ledger.total())
 
 
+def _pipeline_builder(method: ReleaseMethod) -> Callable[..., Sanitizer]:
+    def build(name, temperature, config, client, repeat_seed) -> Sanitizer:
+        cell = replace(config, release_method=method, schedule=temperature)
+        return PipelineSanitizer(name, temperature, cell, client, repeat_seed)
+
+    return build
+
+
+# Each builder takes (name, temperature, config, client, repeat_seed) and
+# resolves the cell's settings, raising ValueError for one that is invalid.
 SANITIZER_BUILDERS: dict[str, Callable[..., Sanitizer]] = {
-    "group-ndp": lambda name, temperature, config, client, repeat_seed: PipelineSanitizer(
-        name, temperature, replace(config, release_method=ReleaseMethod.NDP), client, repeat_seed
+    "group-ndp": _pipeline_builder(ReleaseMethod.NDP),
+    "group-dp": _pipeline_builder(ReleaseMethod.DP),
+    "paraphrase": lambda name, temperature, config, client, repeat_seed: ParaphraseSanitizer(
+        name, temperature, replace(config.rewrite_params(), mode="blackbox", temperature=temperature),
+        client, repeat_seed,
     ),
-    "group-dp": lambda name, temperature, config, client, repeat_seed: PipelineSanitizer(
-        name, temperature, replace(config, release_method=ReleaseMethod.DP), client, repeat_seed
-    ),
-    "paraphrase": ParaphraseSanitizer,
 }
 
 
@@ -375,26 +387,34 @@ def run_experiment(
     seed: int = 0,
     audit_path: str | None = None,
 ) -> list[EvalRow]:
-    """Full grid: every (method, temperature, repeat, item) combination."""
+    """Full grid: every (method, temperature, repeat, item) combination.
+
+    Every cell's sanitizer is built before the first item runs, so a bad
+    method, temperature or repeat count raises ValueError before any call.
+    """
     unknown = [m for m in methods if m not in SANITIZER_BUILDERS]
     if unknown:
         raise ValueError(f"unknown sanitizer methods: {unknown}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    cells = [
+        (repeat, SANITIZER_BUILDERS[method](
+            method, temperature, config, client, stable_seed(seed, method, repeat)
+        ))
+        for method in methods
+        for temperature in temperatures
+        for repeat in range(repeats)
+    ]
     answerer = answerer or client
     rows: list[EvalRow] = []
     audit = open(audit_path, "a", encoding="utf-8") if audit_path else None
     try:
-        for method in methods:
-            builder = SANITIZER_BUILDERS[method]
-            for temperature in temperatures:
-                for repeat in range(repeats):
-                    sanitizer = builder(
-                        method, temperature, config, client, stable_seed(seed, method, repeat)
-                    )
-                    for record in records:
-                        row = evaluate_item(record, sanitizer, answerer, repeat_index=repeat)
-                        rows.append(row)
-                        if audit is not None:
-                            audit.write(json.dumps(row.to_json_dict()) + "\n")
+        for repeat, sanitizer in cells:
+            for record in records:
+                row = evaluate_item(record, sanitizer, answerer, repeat_index=repeat)
+                rows.append(row)
+                if audit is not None:
+                    audit.write(json.dumps(row.to_json_dict()) + "\n")
     finally:
         if audit is not None:
             audit.close()

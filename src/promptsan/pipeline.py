@@ -10,10 +10,9 @@ callable with the group-rewrite signature can replace the built-in engine.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -137,6 +136,13 @@ class PipelineStageError(RuntimeError):
         self.partial = partial
 
 
+def keyword_histogram(
+    method: ReleaseMethod, token_lists: Iterable[list[str]], counts: Mapping[str, int]
+) -> KeywordHistogram:
+    """The counts a release ranks: occurrences for NDP, presence for DP."""
+    return build_histogram(presence_counts(token_lists) if method is ReleaseMethod.DP else counts)
+
+
 def run_pipeline(
     prompt: str,
     config: PipelineConfig,
@@ -145,8 +151,6 @@ def run_pipeline(
     oracle: StepOracle | None = None,
     stage1_rewriter: GroupRewriter | None = None,
     scorer: PerplexityScorer | None = None,
-    ledger: PrivacyLedger | None = None,
-    audit_path: str | None = None,
 ) -> SanitizedResult:
     """Run the full rewrite -> control -> regenerate flow for one prompt.
 
@@ -156,12 +160,11 @@ def run_pipeline(
     same contract. Without a ``scorer``, the exemplar is chosen by the unigram
     model fit on the rewrites' pooled token count.
 
-    NDP releases from occurrence counts, DP from presence counts. The rewrite
-    and release streams are the two children ``default_rng(seed).spawn(2)``
-    would give; the release stream is built only for a DP release.
+    The release ranks ``keyword_histogram``'s counts. The rewrite and release
+    streams are the two children ``default_rng(seed).spawn(2)`` would give;
+    the release stream is built only for a DP release.
     """
-    if ledger is None:
-        ledger = PrivacyLedger()
+    ledger = PrivacyLedger()
     rewrite_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
 
     partial: dict = {"original": prompt, "ledger": ledger}
@@ -185,12 +188,13 @@ def run_pipeline(
     try:
         texts = group.texts()
         token_lists, counts = tokenize_group(texts)
+        histogram = partial["histogram"] = keyword_histogram(
+            config.release_method, token_lists, counts
+        )
         if config.release_method is ReleaseMethod.NDP:
-            histogram = partial["histogram"] = build_histogram(counts)
             released = topk_ndp(histogram, config.k, ledger)
         else:
             assert config.epsilon2 is not None
-            histogram = partial["histogram"] = build_histogram(presence_counts(token_lists))
             release_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
             released = topk_dp(
                 histogram, config.k, config.epsilon2, DELTA2, release_rng, ledger=ledger
@@ -220,7 +224,7 @@ def run_pipeline(
     except Exception as exc:
         raise PipelineStageError("stage-3 generation", exc, partial) from exc
 
-    result = SanitizedResult(
+    return SanitizedResult(
         original=prompt,
         group=group,
         histogram=histogram,
@@ -231,10 +235,6 @@ def run_pipeline(
         ledger=ledger,
         leakage_flag=outcome.leakage_flag,
     )
-    if audit_path is not None:
-        with open(audit_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(result.to_json_dict(), ensure_ascii=False) + "\n")
-    return result
 
 
 def _format_eps(value: float) -> str:

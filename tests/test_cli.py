@@ -100,6 +100,7 @@ RESULT_KEYS = {
     "original", "group", "histogram", "released", "exemplar",
     "final_prompt", "sanitized", "leakage_flag", "ledger_total", "ledger",
 }
+AUDIT_SHA256 = "3b940e9e752ca2c9e32f6257579f45fde13d49864850b24a36d5a822ba446a28"
 
 
 class TestSanitize:
@@ -194,6 +195,20 @@ class TestSanitize:
         main(["sanitize", "--config", mock_config, "--prompt", PROMPT, "--audit", str(audit)])
         capsys.readouterr()
         assert len(audit.read_text().splitlines()) == 2
+
+    def test_audit_jsonl_appends(self, mock_config, tmp_path, capsys):
+        # Each run appends the compact form of the JSON it prints; the digest
+        # pins the bytes of both lines, so the audit format cannot drift.
+        audit = tmp_path / "runs.jsonl"
+        printed = []
+        for flags in ([], ["--seed", "8"]):
+            args = ["sanitize", "--config", mock_config, "--prompt", PROMPT, "--audit", str(audit)]
+            assert main(args + flags) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        lines = audit.read_text(encoding="utf-8").splitlines()
+        assert lines == [json.dumps(doc, ensure_ascii=False) for doc in printed]
+        assert all(set(doc) == RESULT_KEYS for doc in printed)
+        assert hashlib.sha256(audit.read_bytes()).hexdigest() == AUDIT_SHA256
 
     def test_schedule_flag(self, mock_config, capsys):
         assert (
@@ -316,6 +331,9 @@ class TestConfigErrors:
             ({"schedule": "0.5:1.5:nan"}, "invalid schedule '0.5:1.5:nan'"),
             ({"schedule": "0.5:inf:0.1"}, "invalid schedule '0.5:inf:0.1'"),
             ({"release_method": "dp", "epsilon2": math.inf}, "DP keyword release requires a positive finite epsilon2"),
+            ({"client": {"bogus": 1}}, "give either use_mock or a client section, not both"),
+            ({"client": {"base_url": "http://127.0.0.1:9", "model": "m"}}, "give either use_mock or a client"),
+            ({"use_mock": False, "mock_seed": 3}, "mock_seed needs use_mock: true"),
         ],
     )
     def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
@@ -351,6 +369,7 @@ class TestConfigErrors:
             ({"model": None}, "model must be a non-empty string, got None"),
             ({"timeout_s": "2.5"}, "timeout_s: must be a JSON number, got '2.5'"),
             ({"timeout_s": True}, "timeout_s: must be a JSON number, got True"),
+            ({"base_url": 5}, "base_url: must be a JSON string, got 5"),
         ],
     )
     def test_bad_client_value_exits_two(self, tmp_path, capsys, client, message):
@@ -498,6 +517,90 @@ class TestKeywords:
             path.write_text(content)
         assert main(["keywords", "--group", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read group: ")
+
+
+@pytest.fixture
+def service_calls(monkeypatch):
+    """Every request the mock or an HTTP client is asked to complete."""
+    calls = []
+    complete = MockChatModel.complete
+    monkeypatch.setattr(MockChatModel, "complete", lambda self, req: calls.append(req) or complete(self, req))
+    monkeypatch.setattr(HttpChatClient, "complete", lambda self, req: calls.append(req) or pytest.fail("called"))
+    return calls
+
+
+EVALUATE = [
+    "evaluate", "--dataset", "{dataset}", "--format", "csqa_jsonl", "--config", "{config}",
+    "--out", "{out}", "--repeats", "1", "--temperatures", "1.0",
+]
+
+
+@pytest.fixture
+def cli_paths(tmp_path):
+    """The files the ``{name}`` fields of the commands below stand for."""
+    (tmp_path / "logits.txt").write_text("0.0\n2.0\n")
+    (tmp_path / "group.json").write_text(json.dumps({"rewrites": [{"text": "zebra lion"}]}))
+    (tmp_path / "latin1.txt").write_bytes("Où est le café ?".encode("latin-1"))
+    (tmp_path / "list.json").write_text("[]")
+    return {
+        "config": write_config(tmp_path, {**BASE_CONFIG, "use_mock": True}),
+        "dataset": csqa_fixture(tmp_path, n=2),
+        "out": str(tmp_path / "report.csv"),
+        "missing": str(tmp_path / "absent" / "out.jsonl"),
+        "samples": str(tmp_path / "logits.txt"),
+        "group": str(tmp_path / "group.json"),
+        "latin1": str(tmp_path / "latin1.txt"),
+        "list": str(tmp_path / "list.json"),
+    }
+
+
+SANITIZE = ["sanitize", "--config", "{config}", "--prompt", PROMPT]
+
+
+class TestExitTwoBeforeAnyCall:
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (EVALUATE + ["--methods", "group-ndp,group-dp"], {}, "requires a positive finite epsilon2"),
+            (EVALUATE + ["--methods", "bogus"], {}, "unknown sanitizer methods: ['bogus']"),
+            (EVALUATE + ["--temperatures", "0"], {}, "rewrite temperature must be positive"),
+            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "0"], {}, "temperature must be positive"),
+            (EVALUATE + ["--repeats", "0"], {}, "repeats must be at least 1, got 0"),
+            (EVALUATE + ["--out", "{missing}"], {}, "cannot write output: "),
+            (EVALUATE + ["--audit", "{missing}"], {}, "cannot write output: "),
+            (EVALUATE + ["--format", "docvqa_json", "--dataset", "{list}"], {}, "must be an object with a data list"),
+            (SANITIZE + ["--audit", "{missing}"], {}, "cannot write output: "),
+            (["sanitize", "--config", "{config}", "--prompt", "@{latin1}"], {}, "cannot read prompt file: "),
+            (SANITIZE, {"client": {"bogus": 1}}, "give either use_mock or a client section, not both"),
+            (SANITIZE, {"use_mock": False, "mock_seed": 1}, "mock_seed needs use_mock: true"),
+            (SANITIZE, {"use_mock": False, "client": {"base_url": 5, "model": "m"}},
+             "client config: base_url: must be a JSON string, got 5"),
+            (["calibrate", "--samples", "{samples}", "--out", "{missing}"], {}, "cannot write output: "),
+            (["keywords", "--group", "{group}", "--k", "0"], {}, "k must be positive"),
+            (["keywords", "--group", "{group}", "--k", "0", "--method", "dp", "--epsilon2", "1"], {},
+             "k must be positive"),
+        ],
+    )
+    def test_exits_two_with_no_service_call(
+        self, tmp_path, capsys, cli_paths, service_calls, argv, config, message
+    ):
+        cli_paths["config"] = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True, **config}, "case.json")
+        assert main([arg.format(**cli_paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert service_calls == []
+
+    def test_the_counter_sees_a_valid_run(self, capsys, cli_paths, service_calls):
+        assert main([arg.format(**cli_paths) for arg in EVALUATE]) == 0
+        assert len(service_calls) > BASE_CONFIG["m"]
+
+    def test_the_output_check_truncates_nothing(self, tmp_path, capsys, cli_paths, service_calls):
+        audit = tmp_path / "runs.jsonl"
+        audit.write_text("kept\n")
+        argv = [arg.format(**cli_paths) for arg in EVALUATE]
+        assert main(argv + ["--audit", str(audit), "--repeats", "0"]) == 2
+        assert audit.read_text() == "kept\n"
 
 
 SECRET_PROMPT = "Alice Moreau lives at 12 Rue Cler"

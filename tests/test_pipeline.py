@@ -137,19 +137,6 @@ class TestRunPipeline:
         sanitized_tokens = set(tokenize_normalize(result.sanitized))
         assert result.leakage_flag == bool(sanitized_tokens & set(result.released.words))
 
-    def test_audit_jsonl_appends(self, mock_client, tmp_path):
-        audit = tmp_path / "runs.jsonl"
-        run_pipeline(PROMPT, config(), mock_client, audit_path=str(audit))
-        run_pipeline(PROMPT, config(seed=8), mock_client, audit_path=str(audit))
-        lines = audit.read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            doc = json.loads(line)
-            assert set(doc) == {
-                "original", "group", "histogram", "released", "exemplar",
-                "final_prompt", "sanitized", "leakage_flag", "ledger_total", "ledger",
-            }
-
     def test_stage1_failure_carries_partial_trail(self):
         with pytest.raises(PipelineStageError) as exc_info:
             run_pipeline(PROMPT, config(), FailingClient(failures=99))
