@@ -10,6 +10,7 @@ the whole pipeline and the evaluation harness run deterministically offline.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import struct
@@ -106,8 +107,8 @@ class EndpointConfig:
             raise ValueError(f"model must be a non-empty string, got {self.model!r}")
         if not self.max_inflight >= 1:
             raise ValueError(f"max_inflight must be at least 1, got {self.max_inflight!r}")
-        if not self.timeout_s > 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
+        if not 0 < self.timeout_s < math.inf:  # rejects NaN too
+            raise ValueError(f"timeout_s must be positive and finite, got {self.timeout_s!r}")
         if not (isinstance(self.api_key_env, str) and self.api_key_env):
             raise ValueError(f"api_key_env must be a non-empty string, got {self.api_key_env!r}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
@@ -29,6 +30,7 @@ from .client import (
 from .keywords import ReleaseMethod
 from .mechanisms import PrivacyLedger
 from .metrics import all_metrics, rouge1
+from .normalization import tokenize
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
 from .rewriting import RewriteError, RewriteParams, paraphrase_blackbox
 
@@ -322,7 +324,7 @@ def _answer_utility(
     resp = answerer.complete(
         ChatRequest.single(prompt, temperature=0.0, max_tokens=32, seed=seed)
     )
-    return rouge1(record.gold, resp.text).value, ""
+    return rouge1(tokenize(record.gold), tokenize(resp.text)), ""
 
 
 def evaluate_item(
@@ -336,18 +338,17 @@ def evaluate_item(
     A sanitizer failure becomes a failed row carrying the budget the failed
     run had already charged.
     """
+    cell = {
+        "method": sanitizer.name,
+        "temperature": sanitizer.temperature,
+        "repeat_index": repeat_index,
+        "item_id": record.id,
+    }
     try:
         sanitized = sanitizer(record.question)
     except PipelineStageError as exc:
         return EvalRow(
-            method=sanitizer.name,
-            temperature=sanitizer.temperature,
-            repeat_index=repeat_index,
-            item_id=record.id,
-            rouge1=0.0,
-            rougeL=0.0,
-            bleu=0.0,
-            utility=0.0,
+            **cell, rouge1=0.0, rougeL=0.0, bleu=0.0, utility=0.0,
             ledger_total=exc.partial["ledger"].total(),
             failed=True,
             note=f"sanitizer failed in {exc.stage}: {exc.__cause__}",
@@ -361,17 +362,8 @@ def evaluate_item(
     except (ClientError, TransportError) as exc:
         utility, note, failed = 0.0, f"answerer failed: {exc}", True
     return EvalRow(
-        method=sanitizer.name,
-        temperature=sanitizer.temperature,
-        repeat_index=repeat_index,
-        item_id=record.id,
-        rouge1=privacy["rouge1"],
-        rougeL=privacy["rougeL"],
-        bleu=privacy["bleu"],
-        utility=utility,
-        ledger_total=sanitized.ledger_total,
-        failed=failed,
-        note=note,
+        **cell, **privacy, utility=utility, ledger_total=sanitized.ledger_total,
+        failed=failed, note=note,
     )
 
 
@@ -423,7 +415,14 @@ def run_experiment(
 
 # --- aggregation and reporting -----------------------------------------------
 
-_AGG_FIELDS = ("rouge1", "rougeL", "bleu", "utility", "ledger_total")
+# Each aggregated EvalRow field and the column prefix of its mean and std.
+_AGG_COLUMNS = {
+    "rouge1": "q_rouge1",
+    "rougeL": "q_rougeL",
+    "bleu": "q_bleu",
+    "utility": "utility",
+    "ledger_total": "ledger_total",
+}
 
 REPORT_COLUMNS = (
     "method",
@@ -439,14 +438,6 @@ REPORT_COLUMNS = (
     "ledger_total_mean",
 )
 
-_FIELD_TO_COLUMN = {
-    "rouge1": "q_rouge1",
-    "rougeL": "q_rougeL",
-    "bleu": "q_bleu",
-    "utility": "utility",
-    "ledger_total": "ledger_total",
-}
-
 
 def aggregate(rows: Sequence[EvalRow]) -> list[dict]:
     """Mean and population standard deviation per (method, temperature) group.
@@ -457,35 +448,30 @@ def aggregate(rows: Sequence[EvalRow]) -> list[dict]:
     and counted.
     """
     groups: dict[tuple[str, float], dict[int, list[EvalRow]]] = {}
-    failed: dict[tuple[str, float], int] = {}
+    failed: Counter[tuple[str, float]] = Counter()
     for row in rows:
         key = (row.method, row.temperature)
+        repeats = groups.setdefault(key, {})
         if row.failed:
-            failed[key] = failed.get(key, 0) + 1
-            groups.setdefault(key, {})
-            continue
-        groups.setdefault(key, {}).setdefault(row.repeat_index, []).append(row)
+            failed[key] += 1
+        else:
+            repeats.setdefault(row.repeat_index, []).append(row)
 
     out: list[dict] = []
-    for (method, temperature) in sorted(groups):
-        repeats = groups[(method, temperature)]
+    for (method, temperature), repeats in sorted(groups.items()):
         entry: dict = {
             "method": method,
             "temperature": temperature,
-            "failed_count": failed.get((method, temperature), 0),
+            "failed_count": failed[(method, temperature)],
         }
-        for fld in _AGG_FIELDS:
-            column = _FIELD_TO_COLUMN[fld]
+        for fld, column in _AGG_COLUMNS.items():
             repeat_means = np.array(
-                [
-                    np.mean([getattr(r, fld) for r in repeat_rows])
-                    for _, repeat_rows in sorted(repeats.items())
-                    if repeat_rows
-                ],
+                [np.mean([getattr(r, fld) for r in rs]) for _, rs in sorted(repeats.items())],
                 dtype=np.float64,
             )
-            entry[f"{column}_mean"] = float(repeat_means.mean()) if repeat_means.size else float("nan")
-            entry[f"{column}_std"] = float(repeat_means.std()) if repeat_means.size else float("nan")
+            empty = repeat_means.size == 0
+            entry[f"{column}_mean"] = float("nan") if empty else float(repeat_means.mean())
+            entry[f"{column}_std"] = float("nan") if empty else float(repeat_means.std())
         out.append(entry)
     return out
 

@@ -42,12 +42,9 @@ class KeywordHistogram:
     """Word -> count over a whole paraphrase group (occurrences or presences)."""
 
     counts: Mapping[str, int]
-    total_words: int
 
     def __post_init__(self) -> None:
         counts = self.counts
-        if sum(counts.values()) != self.total_words:
-            raise ValueError("total_words must equal the sum of counts")
         if "" in counts:
             raise ValueError("histogram keys must be nonempty")
         if not counts.keys().isdisjoint(STOP_WORDS):
@@ -115,7 +112,7 @@ def build_histogram(counts: Mapping[str, int]) -> KeywordHistogram:
     remaining words keep their first-occurrence order.
     """
     kept = {word: count for word, count in counts.items() if word not in STOP_WORDS}
-    return KeywordHistogram(counts=kept, total_words=sum(kept.values()))
+    return KeywordHistogram(counts=kept)
 
 
 def _ranked(counts: Mapping[str, int], n: int) -> list[str]:

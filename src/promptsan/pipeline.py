@@ -37,6 +37,7 @@ from .rewriting import (
     RewriteParams,
     RewriteSchedule,
     StepOracle,
+    check_temperature,
     rewrite_group,
 )
 
@@ -71,8 +72,8 @@ class PipelineConfig:
         if isinstance(self.schedule, RewriteSchedule):
             if self.schedule.total != self.m:
                 raise ValueError("schedule must cover exactly m rewrites")
-        elif not self.schedule > 0:
-            raise ValueError(f"rewrite temperature must be positive, got {self.schedule!r}")
+        else:
+            check_temperature(self.schedule)
         check_retry_on_leakage(self.retry_on_leakage)
         self.rewrite_params()  # RewriteParams checks the settings it shares
 

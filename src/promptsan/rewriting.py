@@ -32,6 +32,16 @@ DEFAULT_PARAPHRASE_TEMPLATE = (
     "Paraphrase the following question. Output only the paraphrase:\n{prompt}"
 )
 
+# The most rewrite slots a schedule may hold: 100 times the paper's m = 10,
+# and each slot is one service call or one white-box decode.
+MAX_SLOTS = 1000
+
+
+def check_temperature(temperature: float) -> None:
+    """Raise ValueError unless a rewrite temperature is positive and finite."""
+    if not 0 < temperature < math.inf:  # rejects NaN too
+        raise ValueError(f"rewrite temperature must be positive and finite, got {temperature!r}")
+
 
 class RewriteError(RuntimeError):
     """A single rewrite failed; budget already spent stays recorded."""
@@ -56,8 +66,7 @@ class RewriteParams:
     def __post_init__(self) -> None:
         if self.mode not in ("whitebox", "blackbox"):
             raise ValueError(f"unknown rewrite mode: {self.mode!r}")
-        if self.temperature <= 0:
-            raise ValueError("rewrite temperature must be positive")
+        check_temperature(self.temperature)
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
         if "{prompt}" not in self.prompt_template:
@@ -123,10 +132,11 @@ class RewriteSchedule:
         if not self.entries:
             raise ValueError("schedule must be nonempty")
         for temperature, count in self.entries:
-            if temperature <= 0:
-                raise ValueError("schedule temperatures must be positive")
+            check_temperature(temperature)
             if count < 1:
                 raise ValueError("schedule counts must be positive")
+        if self.total > MAX_SLOTS:
+            raise ValueError(f"a schedule may hold at most {MAX_SLOTS} rewrite slots, got {self.total}")
 
     @property
     def total(self) -> int:
@@ -148,6 +158,9 @@ class RewriteSchedule:
         temps = []
         t = low
         while t <= high + 1e-9:
+            # Also ends a loop whose step is too small to move t.
+            if len(temps) == MAX_SLOTS:
+                raise ValueError(f"schedule range gives more than {MAX_SLOTS} rewrite slots")
             temps.append(round(t, 10))
             t += step
         return cls(entries=tuple((t, count_each) for t in temps))

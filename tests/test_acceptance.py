@@ -320,23 +320,14 @@ def test_criterion_9_metrics_vs_oracles():
         for _ in range(1000):
             ref = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 21)))]
             hyp = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 21)))]
-            ref_text, hyp_text = " ".join(ref), " ".join(hyp)
-            assert rouge1(ref_text, hyp_text).value == pytest.approx(
-                _oracle_rouge1(ref, hyp), abs=1e-9
-            )
-            assert rougeL(ref_text, hyp_text).value == pytest.approx(
-                _oracle_rougeL(ref, hyp), abs=1e-9
-            )
-            assert bleu(ref_text, hyp_text).value == pytest.approx(
-                _oracle_bleu(ref, hyp), abs=1e-9
-            )
+            assert rouge1(ref, hyp) == pytest.approx(_oracle_rouge1(ref, hyp), abs=1e-9)
+            assert rougeL(ref, hyp) == pytest.approx(_oracle_rougeL(ref, hyp), abs=1e-9)
+            assert bleu(ref, hyp) == pytest.approx(_oracle_bleu(ref, hyp), abs=1e-9)
         for _ in range(100):
-            text = " ".join(
-                pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 15)))
-            )
-            assert rouge1(text, text).value == 1.0
-            assert rougeL(text, text).value == 1.0
-            assert bleu(text, text).value == 1.0
+            tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 15)))]
+            assert rouge1(tokens, tokens) == 1.0
+            assert rougeL(tokens, tokens) == 1.0
+            assert bleu(tokens, tokens) == 1.0
 
 
 def test_criterion_10_end_to_end_mock_experiment(tmp_path):

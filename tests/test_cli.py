@@ -579,6 +579,15 @@ class TestExitTwoBeforeAnyCall:
             (["keywords", "--group", "{group}", "--k", "0"], {}, "k must be positive"),
             (["keywords", "--group", "{group}", "--k", "0", "--method", "dp", "--epsilon2", "1"], {},
              "k must be positive"),
+            (EVALUATE + ["--temperatures", "inf,1.0"], {}, "rewrite temperature must be positive"),
+            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "inf,1.0"], {},
+             "rewrite temperature must be positive"),
+            (SANITIZE, {"temperature": float("inf")}, "rewrite temperature must be positive"),
+            (SANITIZE + ["--schedule", "0.5:1.5:1e-300"], {}, "invalid schedule '0.5:1.5:1e-300'"),
+            (SANITIZE, {"m": 10**12}, "at most 1000 rewrite slots"),
+            (SANITIZE,
+             {"use_mock": False, "client": {"base_url": "http://x", "model": "m", "timeout_s": float("inf")}},
+             "client config: timeout_s must be positive and finite, got inf"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -1,12 +1,14 @@
 """Byte-identity guard over seeded end-to-end outputs.
 
-Three sha256 digests cover seeded outputs: ``GOLDEN_SHA256`` the NDP ones
+Four sha256 digests cover seeded outputs: ``GOLDEN_SHA256`` the NDP ones
 (``run_pipeline`` result JSON with its ledger rows across schedules, leakage
 retries and mock seeds, the CLI ``sanitize`` JSON, the CLI ``evaluate`` CSV
 and a group-ndp/paraphrase grid CSV), ``GOLDEN_DP_SHA256`` the same outputs
-with the DP keyword release, and ``WHITEBOX_SHA256`` white-box
-``run_pipeline`` JSON, so the exponential-mechanism sampler must return the
-same draw for every seed. A refactor that claims "same behaviour" must leave
+with the DP keyword release, ``WHITEBOX_SHA256`` white-box ``run_pipeline``
+JSON, so the exponential-mechanism sampler must return the same draw for
+every seed, and ``REPORT_SHA256`` the report paths the others miss (a DocVQA
+``evaluate`` CSV with its ``--audit`` rows, a grid with an all-failed cell,
+and the ``score`` JSON). A refactor that claims "same behaviour" must leave
 every digest unchanged; a change that is announced as behavioural re-pins one
 and says why.
 """
@@ -20,7 +22,7 @@ import json
 import numpy as np
 
 from promptsan.cli import main
-from promptsan.client import ChatRequest, ChatResponse, MockChatModel
+from promptsan.client import ChatRequest, ChatResponse, ClientError, MockChatModel
 from promptsan.evaluation import aggregate, emit_report, run_experiment, synthetic_qa_records
 from promptsan.keywords import ReleaseMethod
 from promptsan.mechanisms import ClipBounds, LogitVector
@@ -33,6 +35,7 @@ GOLDEN_SHA256 = "aa86b05b75ebeb694b1b2e5a4c0c27766d266985247dc9789be2df6f60a81ca
 # note); the dp-certain case pins a release that is not empty.
 GOLDEN_DP_SHA256 = "3dc1cdce34bafcb35ee3dfc2846c0f340463cfb6f33633c27b799ddf9729a4d1"
 WHITEBOX_SHA256 = "c14930ca9cdaadb01cb010cadc479fcf3b9252cb836d69e92006f2ddd5e320b0"
+REPORT_SHA256 = "a500afcb86595c4d944011ad9b080d0233025874db80832f59cef764b1a81829"
 
 PROMPTS = (
     "Where would the silver archive usually store a hidden journal during the harbor festival?",
@@ -184,3 +187,70 @@ def _whitebox_outputs() -> list[str]:
 def test_seeded_whitebox_outputs_are_byte_identical():
     digest = hashlib.sha256("\x1e".join(_whitebox_outputs()).encode("utf-8")).hexdigest()
     assert digest == WHITEBOX_SHA256
+
+
+class RefusingClient:
+    """The mock, except that it refuses every request at one temperature."""
+
+    def __init__(self, seed: int, refused: float) -> None:
+        self.mock = MockChatModel(seed=seed)
+        self.refused = refused
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        if req.temperature == self.refused:
+            raise ClientError(f"refused temperature {req.temperature}", status=400)
+        return self.mock.complete(req)
+
+
+def _cli_docvqa_evaluate(tmp_path, capsys) -> list[str]:
+    config = tmp_path / "docvqa.json"
+    config.write_text(json.dumps({"bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": 7, "use_mock": True}))
+    dataset = tmp_path / "docvqa_dev.json"
+    dataset.write_text(json.dumps({
+        "data": [
+            {"questionId": r.id, "question": r.question, "answers": [r.gold], "ocr_tokens": list(r.context)}
+            for r in synthetic_qa_records(3, seed=6, dataset="docvqa")
+        ]
+    }))
+    csv_path, audit = tmp_path / "docvqa.csv", tmp_path / "docvqa_audit.jsonl"
+    assert main([
+        "evaluate", "--dataset", str(dataset), "--format", "docvqa_json",
+        "--config", str(config), "--out", str(csv_path), "--audit", str(audit),
+        "--repeats", "2", "--methods", "group-ndp,paraphrase", "--temperatures", "0.5,1.25",
+    ]) == 0
+    capsys.readouterr()
+    return [csv_path.read_text(encoding="utf-8"), audit.read_text(encoding="utf-8")]
+
+
+def _failed_cell_report(tmp_path) -> list[str]:
+    config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, k=8, seed=3)
+    rows = run_experiment(
+        synthetic_qa_records(2, seed=9), config, RefusingClient(seed=1, refused=0.5),
+        methods=("group-ndp", "paraphrase"), temperatures=(0.5, 1.0), repeats=2, seed=4,
+    )
+    aggregates = aggregate(rows)
+    path = tmp_path / "failed.csv"
+    emit_report(aggregates, str(path))
+    return [path.read_text(encoding="utf-8"), json.dumps(aggregates)]
+
+
+def _cli_score(capsys) -> list[str]:
+    pairs = (
+        ("The silver archive stores a journal.", "The silver archive stores a journal."),
+        ("the cat sat on the mat", "the mat sat on the cat"),
+        ("Where is the harbor festival?", "When does the festival open at the harbor?"),
+        ("alpha beta", "gamma delta"),
+        ("a b c d e", "a b c d"),
+        ("", "something"),
+    )
+    out = []
+    for reference, hypothesis in pairs:
+        assert main(["score", "--reference", reference, "--hypothesis", hypothesis]) == 0
+        out.append(capsys.readouterr().out)
+    return out
+
+
+def test_report_outputs_are_byte_identical(tmp_path, capsys):
+    parts = _cli_docvqa_evaluate(tmp_path, capsys) + _failed_cell_report(tmp_path) + _cli_score(capsys)
+    assert "nan" in parts[2] and '"failed_count": 4' in parts[3]
+    assert _digest(parts) == REPORT_SHA256

@@ -31,7 +31,7 @@ from topk_reference import (
 
 
 def hist(counts: dict[str, int]) -> KeywordHistogram:
-    return KeywordHistogram(counts=counts, total_words=sum(counts.values()))
+    return KeywordHistogram(counts=counts)
 
 
 class TestTokenizeNormalize:
@@ -62,7 +62,7 @@ class TestBuildHistogram:
         single = histogram_of([sentence])
         tenfold = histogram_of([sentence] * 10)
         assert dict(tenfold.counts) == {w: 10 * c for w, c in single.counts.items()}
-        assert tenfold.total_words == 10 * single.total_words
+        assert sum(tenfold.counts.values()) == 10 * sum(single.counts.values())
 
     @given(
         st.lists(
@@ -79,7 +79,7 @@ class TestBuildHistogram:
                 expected[word] = expected.get(word, 0) + 1
         h = histogram_of(texts)
         assert list(h.counts.items()) == list(expected.items())
-        assert h.total_words == sum(expected.values())
+        assert sum(h.counts.values()) == sum(expected.values())
 
     def test_source_prompt_not_counted(self):
         group = make_group(["rewrite words only"], source="secret original")
@@ -91,16 +91,14 @@ class TestBuildHistogram:
         assert token_lists == [["the", "cat", "the", "cat"], ["a", "cat"]]
         assert list(counts.items()) == [("the", 2), ("cat", 3), ("a", 1)]
         h = build_histogram(counts)
-        assert dict(h.counts) == {"cat": 3} and h.total_words == 3
+        assert dict(h.counts) == {"cat": 3}
         assert counts["the"] == 2  # the scorer fits on the same count
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            KeywordHistogram(counts={"cat": 2}, total_words=3)
+            KeywordHistogram(counts={"the": 1})
         with pytest.raises(ValueError):
-            KeywordHistogram(counts={"the": 1}, total_words=1)
-        with pytest.raises(ValueError):
-            KeywordHistogram(counts={"": 1}, total_words=1)
+            KeywordHistogram(counts={"": 1})
 
 
 class TestTopkNdp:

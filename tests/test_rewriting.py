@@ -14,6 +14,7 @@ from promptsan.keywords import ReleaseMethod
 from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage, schedule_total
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import (
+    MAX_SLOTS,
     ConstantStepOracle,
     DegenerateBoundsError,
     GroupRewriteError,
@@ -62,6 +63,34 @@ class TestParams:
     def test_non_finite_schedule_range_rejected(self, low, high, step):
         with pytest.raises(ValueError, match="schedule range must be finite"):
             RewriteSchedule.from_range(low, high, step)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+    def test_temperature_must_be_positive_and_finite(self, temperature):
+        bounds = ClipBounds(0.0, 8.0)
+        with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
+            RewriteParams(mode="blackbox", temperature=temperature, max_tokens=10, bounds=bounds)
+        with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
+            RewriteSchedule(entries=((1.0, 2), (temperature, 1)))
+        with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
+            PipelineConfig(bounds=bounds, schedule=temperature)
+
+    # Each of the first three steps is too small to move t, so only the slot limit ends the loop.
+    @pytest.mark.parametrize(
+        "low, high, step", [(0.5, 1.5, 1e-300), (0.5, 0.5, 1e-300), (1e6, 1e6, 1e-11), (0.5, 1.5, 0.0005)]
+    )
+    def test_schedule_range_over_max_slots_rejected(self, low, high, step):
+        with pytest.raises(ValueError, match=f"more than {MAX_SLOTS} rewrite slots"):
+            RewriteSchedule.from_range(low, high, step)
+
+    def test_schedule_holds_at_most_max_slots(self):
+        assert RewriteSchedule.uniform(1.0, MAX_SLOTS).total == MAX_SLOTS
+        assert len(RewriteSchedule.from_range(0.001, 1.0, 0.001).expand()) == MAX_SLOTS
+        with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
+            RewriteSchedule.uniform(1.0, MAX_SLOTS + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
+            RewriteSchedule.from_range(0.5, 1.0, 0.01, count_each=20)
+        with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
+            PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=10**12)
 
 
 class TestParaphraseWhitebox:
