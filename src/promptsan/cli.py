@@ -76,9 +76,10 @@ def _parse_bounds(doc: dict) -> ClipBounds:
 def parse_schedule(spec: str) -> RewriteSchedule:
     try:
         low, high, step = (float(x) for x in str(spec).split(":"))
-        return RewriteSchedule.from_range(low, high, step)
     except ValueError as exc:
         raise ConfigError(f"invalid schedule {spec!r} (expected low:high:step)") from exc
+    with _config_errors(f"invalid schedule {spec!r}: "):
+        return RewriteSchedule.from_range(low, high, step)
 
 
 def _json(kind: type) -> Callable[[object], object]:
@@ -218,13 +219,11 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         try:
             result = run_pipeline(prompt, config, client)
         except PipelineStageError as exc:
-            # Every artefact repeats the prompt, so only their names are printed.
-            completed = [k for k in exc.partial if k not in ("original", "ledger")]
             digest = hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).hexdigest()
             print(
                 f"error: {exc}\n"
-                f"completed before the failure: {', '.join(completed) or 'nothing'}\n"
-                f"budget charged before the failure: {exc.partial['ledger'].total():g}\n"
+                f"completed before the failure: {', '.join(exc.completed) or 'nothing'}\n"
+                f"budget charged before the failure: {exc.ledger.total():g}\n"
                 f"prompt blake2b: {digest}",
                 file=sys.stderr,
             )

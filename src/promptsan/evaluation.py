@@ -162,8 +162,8 @@ class SanitizedText:
 class Sanitizer(Protocol):
     """Sanitizes one question.
 
-    A typed failure is a ``PipelineStageError`` whose ``partial["ledger"]``
-    holds the budget charged before it; the grid records it as a failed row.
+    A typed failure is a ``PipelineStageError`` whose ``ledger`` holds the
+    budget charged before it; the grid records it as a failed row.
     """
 
     name: str
@@ -216,9 +216,7 @@ class ParaphraseSanitizer:
                 seed=stable_seed(self.repeat_seed, question),
             )
         except RewriteError as exc:
-            raise PipelineStageError(
-                "stage-1 rewriting", exc, {"original": question, "ledger": ledger}
-            ) from exc
+            raise PipelineStageError("stage-1 rewriting", exc, ledger) from exc
         return SanitizedText(text=rewrite.text, ledger_total=ledger.total())
 
 
@@ -349,7 +347,7 @@ def evaluate_item(
     except PipelineStageError as exc:
         return EvalRow(
             **cell, rouge1=0.0, rougeL=0.0, bleu=0.0, utility=0.0,
-            ledger_total=exc.partial["ledger"].total(),
+            ledger_total=exc.ledger.total(),
             failed=True,
             note=f"sanitizer failed in {exc.stage}: {exc.__cause__}",
         )

@@ -1,8 +1,7 @@
 """Lowest-perplexity exemplar selection from a paraphrase group.
 
 Selecting among already-released rewrites is post-processing, so the choice
-costs nothing; the module only needs a total order over texts. The scorer is
-injectable: any callable text -> positive float works. The bundled default
+costs nothing; the module only needs a total order over texts. The scorer
 fits an add-one-smoothed unigram model on the group's pooled token count,
 which keeps the toolkit runnable and exactly testable without language-model
 weights.
@@ -12,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
 from .normalization import tokenize
-
-PerplexityScorer = Callable[[str], float]
 
 
 class ScoringError(ValueError):
@@ -72,28 +69,23 @@ class UnigramPerplexityScorer:
 def select_exemplar(
     texts: Sequence[str],
     token_lists: Sequence[Sequence[str]],
-    scorer: PerplexityScorer,
+    scorer: UnigramPerplexityScorer,
     ledger: PrivacyLedger | None = None,
 ) -> ScoredParaphrase:
     """Return the text with minimal perplexity; ties go to the lowest index.
 
-    ``token_lists[i]`` holds the tokens of ``texts[i]``. A
-    :class:`UnigramPerplexityScorer` scores those token lists; any other
-    scorer gets the text. Texts with no tokens, and texts a custom scorer
-    rejects, are skipped; if nothing is scorable the selection fails. A
-    zero-cost post-processing entry is appended when a ledger is supplied.
+    ``token_lists[i]`` holds the tokens of ``texts[i]``, and the scorer
+    scores those token lists. Texts with no tokens are skipped; if every
+    text is empty the selection fails. A zero-cost post-processing entry is
+    appended when a ledger is supplied.
     """
     if not texts:
         raise SelectionError("cannot select from an empty group")
-    unigram = scorer if isinstance(scorer, UnigramPerplexityScorer) else None
     best: ScoredParaphrase | None = None
     for index, (text, tokens) in enumerate(zip(texts, token_lists)):
         if not tokens:
             continue
-        try:
-            ppl = float(scorer(text)) if unigram is None else unigram.perplexity(tokens)
-        except ScoringError:
-            continue
+        ppl = scorer.perplexity(tokens)
         if best is None or ppl < best.perplexity:
             best = ScoredParaphrase(index=index, text=text, perplexity=ppl)
     if best is None:

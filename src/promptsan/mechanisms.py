@@ -39,15 +39,15 @@ class ClipBounds:
         return self.b_max - self.b_min
 
     @classmethod
-    def from_unit_epsilon(cls, epsilon_at_unit_temperature: float, b_min: float = 0.0) -> "ClipBounds":
-        """Bounds whose per-token cost at temperature 1 equals the given epsilon.
+    def from_unit_epsilon(cls, epsilon_at_unit_temperature: float) -> "ClipBounds":
+        """Bounds [0, epsilon/2] whose per-token cost at temperature 1 is epsilon.
 
         Useful when only the per-token budget constant c = 2*(b_max - b_min)
         is published for a model; the implied clip width is c/2.
         """
         if epsilon_at_unit_temperature <= 0:
             raise ValueError("epsilon at unit temperature must be positive")
-        return cls(b_min, b_min + epsilon_at_unit_temperature / 2.0)
+        return cls(0.0, epsilon_at_unit_temperature / 2.0)
 
 
 @dataclass(frozen=True)
@@ -175,20 +175,15 @@ def _exp_weights(work: np.ndarray, temperature: float) -> np.ndarray:
     return work
 
 
-def _normalise(work: np.ndarray, temperature: float) -> np.ndarray:
-    """Turn ``work`` into softmax(work/T) in place and return it."""
-    work = _exp_weights(work, temperature)
-    work /= work.sum()
-    return work
-
-
 def softmax(values: Sequence[float] | np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax with max-subtraction for numerical stability.
 
     Allocates one vocabulary-sized array and works in it in place; the
     returned array is fresh, so a caller may overwrite it.
     """
-    return _normalise(np.array(values, dtype=np.float64), temperature)
+    work = _exp_weights(np.array(values, dtype=np.float64), temperature)
+    work /= work.sum()
+    return work
 
 
 def em_sample(

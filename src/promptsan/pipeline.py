@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .client import ChatClient
-from .exemplar import PerplexityScorer, ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
+from .exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from .keywords import (
     DELTA2,
     KeywordHistogram,
@@ -125,16 +125,21 @@ class SanitizedResult:
 
 
 class PipelineStageError(RuntimeError):
-    """A stage failed; carries the artifacts completed before the failure.
+    """A stage failed; carries its ledger and what was completed before it.
 
-    ``partial["ledger"]`` is the run's ledger, holding every charge made
-    before the failure.
+    ``ledger`` is the run's ledger, holding every charge made before the
+    failure. ``completed`` names the artefacts built before it, in order
+    (``group``, ``histogram``, ``released``, ``exemplar``); the artefacts
+    themselves are dropped because each repeats the prompt.
     """
 
-    def __init__(self, stage: str, cause: Exception, partial: dict) -> None:
+    def __init__(
+        self, stage: str, cause: Exception, ledger: PrivacyLedger, completed: tuple[str, ...] = ()
+    ) -> None:
         super().__init__(f"pipeline failed in {stage}: {cause}")
         self.stage = stage
-        self.partial = partial
+        self.ledger = ledger
+        self.completed = completed
 
 
 def keyword_histogram(
@@ -151,15 +156,14 @@ def run_pipeline(
     *,
     oracle: StepOracle | None = None,
     stage1_rewriter: GroupRewriter | None = None,
-    scorer: PerplexityScorer | None = None,
 ) -> SanitizedResult:
     """Run the full rewrite -> control -> regenerate flow for one prompt.
 
     Deterministic given the config seed and deterministic services. The
     default Stage-1 engine is the built-in group rewriter; pass
     ``stage1_rewriter`` to plug in any other paraphrasing method behind the
-    same contract. Without a ``scorer``, the exemplar is chosen by the unigram
-    model fit on the rewrites' pooled token count.
+    same contract. The exemplar is chosen by the unigram model fit on the
+    rewrites' pooled token count.
 
     The release ranks ``keyword_histogram``'s counts. The rewrite and release
     streams are the two children ``default_rng(seed).spawn(2)`` would give;
@@ -168,7 +172,7 @@ def run_pipeline(
     ledger = PrivacyLedger()
     rewrite_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
 
-    partial: dict = {"original": prompt, "ledger": ledger}
+    completed: list[str] = []
     try:
         if stage1_rewriter is None:
             group = rewrite_group(
@@ -182,16 +186,15 @@ def run_pipeline(
             )
         else:
             group = stage1_rewriter(prompt, rewrite_rng, ledger)
-        partial["group"] = group
     except Exception as exc:
-        raise PipelineStageError("stage-1 rewriting", exc, partial) from exc
+        raise PipelineStageError("stage-1 rewriting", exc, ledger) from exc
+    completed.append("group")
 
     try:
         texts = group.texts()
         token_lists, counts = tokenize_group(texts)
-        histogram = partial["histogram"] = keyword_histogram(
-            config.release_method, token_lists, counts
-        )
+        histogram = keyword_histogram(config.release_method, token_lists, counts)
+        completed.append("histogram")
         if config.release_method is ReleaseMethod.NDP:
             released = topk_ndp(histogram, config.k, ledger)
         else:
@@ -200,13 +203,11 @@ def run_pipeline(
             released = topk_dp(
                 histogram, config.k, config.epsilon2, DELTA2, release_rng, ledger=ledger
             )
-        partial["released"] = released
-        if scorer is None:
-            scorer = UnigramPerplexityScorer(counts)
-        exemplar = select_exemplar(texts, token_lists, scorer, ledger)
-        partial["exemplar"] = exemplar
+        completed.append("released")
+        exemplar = select_exemplar(texts, token_lists, UnigramPerplexityScorer(counts), ledger)
     except Exception as exc:
-        raise PipelineStageError("stage-2 control", exc, partial) from exc
+        raise PipelineStageError("stage-2 control", exc, ledger, tuple(completed)) from exc
+    completed.append("exemplar")
 
     try:
         request = FinalPromptRequest(
@@ -223,7 +224,7 @@ def run_pipeline(
             fallback_to_exemplar=config.fallback_to_exemplar,
         )
     except Exception as exc:
-        raise PipelineStageError("stage-3 generation", exc, partial) from exc
+        raise PipelineStageError("stage-3 generation", exc, ledger, tuple(completed)) from exc
 
     return SanitizedResult(
         original=prompt,

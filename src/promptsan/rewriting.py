@@ -46,10 +46,6 @@ def check_temperature(temperature: float) -> None:
 class RewriteError(RuntimeError):
     """A single rewrite failed; budget already spent stays recorded."""
 
-    def __init__(self, message: str, tokens_generated: int = 0) -> None:
-        super().__init__(message)
-        self.tokens_generated = tokens_generated
-
 
 class GroupRewriteError(RuntimeError):
     """Every rewrite slot in the group failed."""
@@ -223,10 +219,7 @@ def paraphrase_whitebox(
                 Stage.REWRITE, eps, tokens_generated,
                 f"whitebox T={params.temperature:g} (aborted)",
             )
-        raise RewriteError(
-            f"step oracle failed after {tokens_generated} tokens: {exc}",
-            tokens_generated=tokens_generated,
-        ) from exc
+        raise RewriteError(f"step oracle failed after {tokens_generated} tokens: {exc}") from exc
 
     if tokens_generated:
         ledger.record(Stage.REWRITE, eps, tokens_generated, f"whitebox T={params.temperature:g}")

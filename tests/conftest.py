@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
-from promptsan.exemplar import (
-    PerplexityScorer,
-    ScoredParaphrase,
-    UnigramPerplexityScorer,
-    select_exemplar,
-)
+from promptsan.exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
 from promptsan.mechanisms import ClipBounds, PrivacyLedger
 from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams
@@ -84,10 +79,16 @@ def unigram_of(texts: list[str]) -> UnigramPerplexityScorer:
 
 
 def select_from(
-    texts: list[str], scorer: PerplexityScorer, ledger: PrivacyLedger | None = None
+    texts: list[str], scorer: UnigramPerplexityScorer, ledger: PrivacyLedger | None = None
 ) -> ScoredParaphrase:
     """select_exemplar over these texts, tokenised as run_pipeline does."""
     return select_exemplar(texts, tokenize_group(texts)[0], scorer, ledger)
+
+
+def argmin_under(texts: list[str], score) -> int:
+    """The index of the lowest ``score(text)`` over texts with tokens; ties to the lowest."""
+    scorable = [i for i, tokens in enumerate(tokenize_group(texts)[0]) if tokens]
+    return min(scorable, key=lambda i: (score(texts[i]), i))
 
 
 @pytest.fixture

@@ -588,6 +588,11 @@ class TestExitTwoBeforeAnyCall:
             (SANITIZE,
              {"use_mock": False, "client": {"base_url": "http://x", "model": "m", "timeout_s": float("inf")}},
              "client config: timeout_s must be positive and finite, got inf"),
+            (SANITIZE + ["--schedule", "0.5:1.5:1e-300"], {},
+             "invalid schedule '0.5:1.5:1e-300': schedule range gives more than 1000 rewrite slots"),
+            (SANITIZE + ["--schedule", "1.5:0.5:0.1"], {}, "invalid schedule '1.5:0.5:0.1': invalid schedule range"),
+            (SANITIZE + ["--schedule", "0.5:1.5"], {}, "invalid schedule '0.5:1.5' (expected low:high:step)"),
+            (SANITIZE + ["--schedule", "0.5:x:0.1"], {}, "invalid schedule '0.5:x:0.1' (expected low:high:step)"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from promptsan.exemplar import (
+    ScoredParaphrase,
     ScoringError,
     SelectionError,
     UnigramPerplexityScorer,
@@ -14,7 +15,7 @@ from promptsan.exemplar import (
 from promptsan.keywords import tokenize_group
 from promptsan.mechanisms import PrivacyLedger, Stage
 
-from conftest import select_from, unigram_of
+from conftest import argmin_under, select_from, unigram_of
 
 WORDS = ["harbor", "lantern", "meadow", "kettle", "the", "on", "a", "zq7y"]
 
@@ -64,21 +65,20 @@ class TestUnigramScorer:
 
 
 class TestSelectExemplar:
-    def fixed_scorer(self, table):
-        def scorer(text: str) -> float:
-            return table[text]
-
-        return scorer
-
     def test_argmin(self):
-        scorer = self.fixed_scorer({"one": 3.2, "two": 1.1, "three": 7.0})
-        chosen = select_from(["one", "two", "three"], scorer)
+        # counts {one: 1, two: 3, three: 2} over 9 = 6 + 3: "two two" has
+        # p = 4/9 per token, perplexity 9/4; the others score about 3.1 and 3.
+        texts = ["one two three", "two two", "three"]
+        chosen = select_from(texts, unigram_of(texts))
         assert chosen.index == 1
-        assert chosen.text == "two"
+        assert chosen.text == "two two"
+        assert chosen.perplexity == pytest.approx(2.25, abs=1e-12)
 
     def test_tie_goes_to_lowest_index(self):
-        scorer = self.fixed_scorer({"first": 2.0, "second": 2.0})
-        assert select_from(["first", "second"], scorer).index == 0
+        texts = ["first second", "second first"]
+        scorer = unigram_of(texts)
+        assert scorer("first second") == scorer("second first")
+        assert select_from(texts, scorer).index == 0
 
     def test_matches_brute_force_oracle(self, rng):
         words = ["silver", "archive", "meadow", "kettle", "harbor", "lantern"]
@@ -97,12 +97,12 @@ class TestSelectExemplar:
             base = unigram_of(texts)
             baseline = select_from(texts, base).index
             for transform in (lambda x: x * x, lambda x: 10 * x, lambda x: x + 3):
-                assert select_from(texts, lambda t: transform(base(t))).index == baseline
+                assert argmin_under(texts, lambda t: transform(base(t))) == baseline
 
     def test_scaled_scores_keep_argmin(self):
-        texts = ["alpha beta", "gamma delta"]
+        texts = ["alpha beta", "beta beta gamma", "gamma delta"]
         base = unigram_of(texts)
-        assert select_from(texts, base).index == select_from(texts, lambda t: 10 * base(t)).index
+        assert select_from(texts, base).index == argmin_under(texts, lambda t: 10 * base(t)) == 1
 
     def test_unscorable_rewrites_skipped(self):
         texts = ["...", "valid text"]
@@ -112,12 +112,15 @@ class TestSelectExemplar:
     def test_custom_scorer_never_sees_an_empty_token_stream(self):
         seen = []
 
-        def scorer(text: str) -> float:
-            seen.append(text)
-            return float(len(text))
+        class RecordingScorer(UnigramPerplexityScorer):
+            def perplexity(self, tokens):
+                seen.append(list(tokens))
+                return super().perplexity(tokens)
 
-        assert select_from(["...", "valid text", "!!!", "more valid text"], scorer).index == 1
-        assert seen == ["valid text", "more valid text"]
+        texts = ["...", "valid text", "!!!", "more valid text"]
+        chosen = select_from(texts, RecordingScorer(tokenize_group(texts)[1]))
+        assert chosen.index == 1
+        assert seen == [["valid", "text"], ["more", "valid", "text"]]
 
     def test_default_scorer_matches_explicit_unigram_scorer(self, rng):
         words = ["silver", "archive", "meadow", "kettle", "harbor", "lantern", "canal"]
@@ -125,9 +128,10 @@ class TestSelectExemplar:
             texts = [" ".join(rng.choice(words, size=6)) for _ in range(8)] + ["..."]
             token_lists, counts = tokenize_group(texts)
             unigram = UnigramPerplexityScorer(counts)
-            # The unigram scores the token lists; a plain callable gets the text.
-            assert select_exemplar(texts, token_lists, unigram) == select_exemplar(
-                texts, token_lists, lambda text: unigram(text)
+            # Scoring the token lists picks what scoring each text picks.
+            index = argmin_under(texts, unigram)
+            assert select_exemplar(texts, token_lists, unigram) == ScoredParaphrase(
+                index, texts[index], unigram(texts[index])
             )
 
     def test_all_unscorable_is_error(self):

@@ -1,12 +1,12 @@
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 
 from promptsan import normalization
-from promptsan.client import MockChatModel
+from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.exemplar import ScoredParaphrase
 from promptsan.keywords import (
     STOP_OFFSET,
@@ -37,6 +37,22 @@ from promptsan.rewriting import (
 from conftest import FailingClient, histogram_of, make_group
 
 PROMPT = "Where would the silver archive usually store a hidden journal during the harbor festival?"
+
+
+@dataclass
+class CutOffClient:
+    """Serves the mock's replies and records them; every call after ``serve`` calls fails."""
+
+    serve: int
+    texts: list[str] = field(default_factory=list)
+    inner: MockChatModel = field(default_factory=MockChatModel)
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        if len(self.texts) >= self.serve:
+            raise TransportError("stub outage", attempts=1)
+        resp = self.inner.complete(req)
+        self.texts.append(resp.text)
+        return resp
 
 
 def config(**overrides) -> PipelineConfig:
@@ -141,15 +157,39 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError) as exc_info:
             run_pipeline(PROMPT, config(), FailingClient(failures=99))
         assert exc_info.value.stage == "stage-1 rewriting"
-        assert exc_info.value.partial["original"] == PROMPT
+        assert exc_info.value.completed == ()
+        assert exc_info.value.ledger.entries == []  # a failed call charges nothing
 
     def test_stage2_failure_carries_group(self, mock_client):
         # DP release with k far above the distinct-word count fails in stage 2.
         bad = config(release_method=ReleaseMethod.DP, epsilon2=1.0, k=5000)
         with pytest.raises(PipelineStageError) as exc_info:
             run_pipeline(PROMPT, bad, mock_client)
-        assert exc_info.value.stage == "stage-2 control"
-        assert "group" in exc_info.value.partial
+        exc = exc_info.value
+        assert exc.stage == "stage-2 control"
+        assert exc.completed == ("group", "histogram")
+        rewrite_total = run_pipeline(PROMPT, config(), mock_client).ledger.rewrite_total()
+        assert exc.ledger.total() == exc.ledger.rewrite_total() == rewrite_total > 0
+
+    @pytest.mark.parametrize(
+        "stage, serve, overrides, completed",
+        [
+            ("stage-1 rewriting", 0, {}, ()),
+            ("stage-2 control", 99, {"release_method": ReleaseMethod.DP, "epsilon2": 1.0, "k": 5000},
+             ("group", "histogram")),
+            ("stage-3 generation", 10, {}, ("group", "histogram", "released", "exemplar")),
+        ],
+    )
+    def test_stage_failure_holds_no_prompt_text(self, stage, serve, overrides, completed):
+        client = CutOffClient(serve=serve)
+        with pytest.raises(PipelineStageError) as exc_info:
+            run_pipeline(PROMPT, config(**overrides), client)
+        exc = exc_info.value
+        assert (exc.stage, exc.completed) == (stage, completed)
+        assert len(client.texts) == min(serve, 10)
+        held = repr(vars(exc))
+        assert PROMPT not in held
+        assert not [text for text in client.texts if text in held]
 
     def test_whitebox_mode_end_to_end(self, mock_client):
         oracle = ConstantStepOracle(
