@@ -311,8 +311,3 @@ def schedule_total(
     return math.fsum(
         c * epsilon_per_token(t, bounds) for c, t in zip(token_counts, temperatures)
     )
-
-
-def probability_ratio_bound(temperature: float, bounds: ClipBounds) -> float:
-    """Worst-case per-token selection probability ratio exp(2*(b_max-b_min)/T)."""
-    return math.exp(epsilon_per_token(temperature, bounds))

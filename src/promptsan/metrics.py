@@ -10,6 +10,7 @@ metric scores and keyword suppression observe the same token stream.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from math import exp, log
 
 from .normalization import tokenize
@@ -24,9 +25,25 @@ def _f1(matched: int, n_ref: int, n_hyp: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _clipped_matches(remaining: Counter, grams: Iterable) -> int:
+    """Count the items of ``grams`` that find a count left in ``remaining``, using it up.
+
+    With ``remaining`` holding the reference counts this is the clipped
+    overlap, the sum over n-grams g of min(hypothesis count of g, reference
+    count of g), without a count table for the hypothesis.
+    """
+    matched = 0
+    for gram in grams:
+        left = remaining.get(gram)
+        if left:
+            remaining[gram] = left - 1
+            matched += 1
+    return matched
+
+
 def rouge1(ref: list[str], hyp: list[str]) -> float:
     """Unigram overlap with clipped counts, reported as F1."""
-    return _f1(sum((Counter(ref) & Counter(hyp)).values()), len(ref), len(hyp))
+    return _f1(_clipped_matches(Counter(ref), hyp), len(ref), len(hyp))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -53,10 +70,6 @@ def rougeL(ref: list[str], hyp: list[str]) -> float:
     return _f1(_lcs_length(ref, hyp), len(ref), len(hyp))
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def bleu(ref: list[str], hyp: list[str]) -> float:
     """Sentence BLEU-4 with clipped modified precisions.
 
@@ -64,15 +77,24 @@ def bleu(ref: list[str], hyp: list[str]) -> float:
     renormalized over the remaining ones; a zero precision at order n is
     smoothed to 1/(2 * hypothesis n-gram count). Brevity penalty applies only
     when the hypothesis is shorter than the reference.
+
+    Each side is read once per order: the reference n-grams go into one
+    count table, unigrams as the tokens themselves and longer n-grams as
+    tuples so that orders never share a key, and the hypothesis n-grams use
+    those counts up. Order n has len(hyp) - n + 1 hypothesis n-grams.
     """
     if not hyp or not ref:
         return 0.0
+    max_n = min(4, len(hyp))
+    remaining = Counter(ref)
+    clipped = [_clipped_matches(remaining, hyp)]
+    for n in range(2, max_n + 1):
+        remaining.update(zip(*[ref[i:] for i in range(n)]))
+        clipped.append(_clipped_matches(remaining, zip(*[hyp[i:] for i in range(n)])))
     precisions: list[float] = []
-    for n in range(1, min(4, len(hyp)) + 1):
-        hyp_ngrams = _ngrams(hyp, n)
-        total = sum(hyp_ngrams.values())
-        clipped = sum((hyp_ngrams & _ngrams(ref, n)).values())
-        precisions.append(clipped / total if clipped > 0 else 1.0 / (2.0 * total))
+    for n, matched in enumerate(clipped, start=1):
+        total = len(hyp) - n + 1
+        precisions.append(matched / total if matched > 0 else 1.0 / (2.0 * total))
     geo_mean = exp(sum(log(p) for p in precisions) / len(precisions))
     brevity = exp(1.0 - len(ref) / len(hyp)) if len(hyp) < len(ref) else 1.0
     return min(1.0, brevity * geo_mean)

@@ -312,9 +312,11 @@ def rewrite_group(
     else:
         slot_seeds = rng.integers(0, 2**63, size=m).tolist()
     slot_ledgers = [PrivacyLedger() for _ in range(m)]
+    # One validated RewriteParams per distinct temperature, shared by its slots.
+    params_at = {t: replace(params, temperature=t) for t, _ in schedule.entries}
 
     def run_slot(slot: int) -> Rewrite | RewriteError:
-        slot_params = replace(params, temperature=temperatures[slot])
+        slot_params = params_at[temperatures[slot]]
         try:
             if params.mode == "whitebox":
                 assert oracle is not None

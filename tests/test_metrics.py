@@ -165,6 +165,18 @@ class TestProperties:
         all_metrics("Where is the harbor lantern?", "Where's the lantern, by the harbor?")
         assert calls == ["Where is the harbor lantern?", "Where's the lantern, by the harbor?"]
 
+    def test_all_metrics_calls_each_public_metric_once(self, monkeypatch):
+        # The benchmark times the metrics by wrapping these module names; a
+        # call that bypassed them would read as zero time.
+        calls = []
+        for name in ("rouge1", "rougeL", "bleu"):
+            metric = getattr(metrics, name)
+            monkeypatch.setattr(
+                metrics, name, lambda ref, hyp, name=name, metric=metric: calls.append(name) or metric(ref, hyp)
+            )
+        all_metrics("Where is the harbor lantern?", "Where's the lantern, by the harbor?")
+        assert sorted(calls) == ["bleu", "rouge1", "rougeL"]
+
     @given(
         st.lists(st.sampled_from(WORDS + ["Harbor,", "lantern!", "--"]), max_size=12),
         st.lists(st.sampled_from(WORDS + ["Harbor,", "lantern!", "--"]), max_size=12),
