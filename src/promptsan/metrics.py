@@ -74,9 +74,13 @@ def bleu(ref: list[str], hyp: list[str]) -> float:
     """Sentence BLEU-4 with clipped modified precisions.
 
     Orders longer than the hypothesis are dropped and the uniform weights
-    renormalized over the remaining ones; a zero precision at order n is
-    smoothed to 1/(2 * hypothesis n-gram count). Brevity penalty applies only
-    when the hypothesis is shorter than the reference.
+    renormalized over the remaining ones. A hypothesis that matches no
+    reference token scores 0, as NLTK's ``sentence_bleu`` does. A zero
+    precision at a higher order is smoothed by method 3 of Chen & Cherry
+    (2014), "A Systematic Comparison of Smoothing Techniques for
+    Sentence-Level BLEU" (WMT), NIST geometric smoothing: the k-th order
+    with no match scores 1/(2^k * hypothesis n-gram count). Brevity penalty
+    applies only when the hypothesis is shorter than the reference.
 
     Each side is read once per order: the reference n-grams go into one
     count table, unigrams as the tokens themselves and longer n-grams as
@@ -88,13 +92,20 @@ def bleu(ref: list[str], hyp: list[str]) -> float:
     max_n = min(4, len(hyp))
     remaining = Counter(ref)
     clipped = [_clipped_matches(remaining, hyp)]
+    if not clipped[0]:
+        return 0.0
     for n in range(2, max_n + 1):
         remaining.update(zip(*[ref[i:] for i in range(n)]))
         clipped.append(_clipped_matches(remaining, zip(*[hyp[i:] for i in range(n)])))
     precisions: list[float] = []
+    smoothing = 1.0
     for n, matched in enumerate(clipped, start=1):
         total = len(hyp) - n + 1
-        precisions.append(matched / total if matched > 0 else 1.0 / (2.0 * total))
+        if matched:
+            precisions.append(matched / total)
+        else:
+            smoothing *= 2.0
+            precisions.append(1.0 / (smoothing * total))
     geo_mean = exp(sum(log(p) for p in precisions) / len(precisions))
     brevity = exp(1.0 - len(ref) / len(hyp)) if len(hyp) < len(ref) else 1.0
     return min(1.0, brevity * geo_mean)

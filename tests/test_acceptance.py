@@ -301,13 +301,18 @@ def _oracle_rougeL(ref: list[str], hyp: list[str]) -> float:
 def _oracle_bleu(ref: list[str], hyp: list[str]) -> float:
     if not ref or not hyp:
         return 0.0
-    log_sum, orders = 0.0, range(1, min(4, len(hyp)) + 1)
+    # Chen & Cherry (2014) method 3: no unigram match scores 0, and the k-th
+    # higher order without a match scores 1 / (2^k * count).
+    log_sum, orders, zero_orders = 0.0, range(1, min(4, len(hyp)) + 1), 0
     for n in orders:
         hyp_grams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
         ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
         total = sum(hyp_grams.values())
         clipped = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-        log_sum += math.log(clipped / total if clipped else 1.0 / (2.0 * total))
+        if not clipped and n == 1:
+            return 0.0
+        zero_orders += not clipped
+        log_sum += math.log(clipped / total if clipped else 1.0 / (2**zero_orders * total))
     geo = math.exp(log_sum / len(list(orders)))
     brevity = math.exp(1 - len(ref) / len(hyp)) if len(hyp) < len(ref) else 1.0
     return min(1.0, brevity * geo)

@@ -29,13 +29,16 @@ from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import ConstantStepOracle, RewriteSchedule
 
-GOLDEN_SHA256 = "aa86b05b75ebeb694b1b2e5a4c0c27766d266985247dc9789be2df6f60a81cae"
+# GOLDEN, GOLDEN_DP and REPORT were re-pinned when BLEU began to score a
+# hypothesis with no unigram match 0 and to smooth higher zero orders by
+# NIST geometric smoothing; only BLEU values in their outputs moved.
+GOLDEN_SHA256 = "77ce0fe3e23db8f0e525fe49d1d634de969efa36b03b380b03f11a5e07ea1c0c"
 # Re-pinned when the DP release became a limited-domain Gumbel top-K over
 # presence counts with a delta2 (new draws, histogram, JSON key and ledger
 # note); the dp-certain case pins a release that is not empty.
-GOLDEN_DP_SHA256 = "3dc1cdce34bafcb35ee3dfc2846c0f340463cfb6f33633c27b799ddf9729a4d1"
+GOLDEN_DP_SHA256 = "e0fad7b838fa876b32facfb45ae45abf28bafa24a106205d95b606022eff9027"
 WHITEBOX_SHA256 = "c14930ca9cdaadb01cb010cadc479fcf3b9252cb836d69e92006f2ddd5e320b0"
-REPORT_SHA256 = "a500afcb86595c4d944011ad9b080d0233025874db80832f59cef764b1a81829"
+REPORT_SHA256 = "0e0f514466f2ad35bdb5bf465a373049f6d43e532352668513082b3651e7fb39"
 
 PROMPTS = (
     "Where would the silver archive usually store a hidden journal during the harbor festival?",

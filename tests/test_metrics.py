@@ -11,6 +11,7 @@ from promptsan.normalization import tokenize
 
 WORDS = ["harbor", "lantern", "meadow", "kettle", "canal", "archive", "the", "on", "cat"]
 token_lists = st.lists(st.sampled_from(WORDS), min_size=0, max_size=12)
+nonempty_token_lists = st.lists(st.sampled_from(WORDS), min_size=1, max_size=12)
 
 
 def oracle_clipped_overlap(ref: list[str], hyp: list[str]) -> int:
@@ -96,10 +97,20 @@ class TestBleu:
     def test_brevity_penalty_closed_form(self):
         assert bleu("a b c d e".split(), "a b c d".split()) == pytest.approx(math.exp(-0.25), abs=1e-12)
 
-    def test_disjoint_smoothed_near_zero(self):
+    def test_disjoint_scores_zero(self):
+        assert bleu("alpha beta".split(), "gamma delta".split()) == 0.0
         ref = [f"left{i}" for i in range(20)]
         hyp = [f"right{i}" for i in range(20)]
-        assert 0.0 < bleu(ref, hyp) < 0.05
+        assert bleu(ref, hyp) == 0.0
+
+    def test_identical_texts_score_one(self):
+        tokens = "the cat sat on the mat".split()
+        assert bleu(tokens, tokens) == 1.0
+
+    def test_swap_example_nist_geometric_smoothing(self):
+        # Unigrams 4/4; bigrams, trigrams and the 4-gram match nothing, so
+        # they are the 1st, 2nd and 3rd zero orders: 1/(2*3), 1/(4*2), 1/(8*1).
+        assert bleu("a b c d".split(), "a c b d".split()) == pytest.approx(384 ** -0.25, abs=1e-12)
 
     def test_short_hypothesis_renormalizes_orders(self):
         assert bleu(["a", "b"], ["a", "b"]) == 1.0
@@ -117,15 +128,22 @@ class TestBleu:
 
 
 def oracle_bleu(ref: list[str], hyp: list[str]) -> float:
+    """BLEU-4 with one Counter per order and side, and Chen & Cherry's method 3."""
     if not hyp or not ref:
         return 0.0
-    precisions = []
+    precisions, zero_orders = [], 0
     for n in range(1, min(4, len(hyp)) + 1):
         hyp_ngrams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
         ref_ngrams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
         total = sum(hyp_ngrams.values())
         clipped = sum(min(c, ref_ngrams[g]) for g, c in hyp_ngrams.items())
-        precisions.append(clipped / total if clipped else 1.0 / (2.0 * total))
+        if clipped:
+            precisions.append(clipped / total)
+        elif n == 1:
+            return 0.0
+        else:
+            zero_orders += 1
+            precisions.append(1.0 / (2**zero_orders * total))
     geo = math.exp(sum(math.log(p) for p in precisions) / len(precisions))
     bp = math.exp(1 - len(ref) / len(hyp)) if len(hyp) < len(ref) else 1.0
     return min(1.0, bp * geo)
@@ -153,6 +171,11 @@ class TestProperties:
         hyp = ["zq" + w for w in ref] or ["zqfill"]
         assert rouge1(ref, hyp) == 0.0
         assert rougeL(ref, hyp) == 0.0
+        assert bleu(ref, hyp) == 0.0
+
+    @given(nonempty_token_lists, nonempty_token_lists)
+    def test_bleu_positive_exactly_when_a_token_is_shared(self, ref, hyp):
+        assert (bleu(ref, hyp) > 0.0) == bool(set(ref) & set(hyp))
 
     def test_all_metrics_shape(self):
         scores = all_metrics("a b c", "a b c")
