@@ -15,8 +15,6 @@ import sys
 from collections.abc import Callable, Iterator
 from dataclasses import replace
 
-import numpy as np
-
 from .client import EndpointConfig, HttpChatClient, MockChatModel
 from .evaluation import (
     REPORT_COLUMNS,
@@ -26,7 +24,7 @@ from .evaluation import (
     load_dataset,
     run_experiment,
 )
-from .keywords import DELTA2, ReleaseMethod, tokenize_group, topk_dp, topk_ndp
+from .keywords import ReleaseMethod, tokenize_group
 from .mechanisms import ClipBounds
 from .metrics import all_metrics
 from .pipeline import (
@@ -34,6 +32,7 @@ from .pipeline import (
     PipelineStageError,
     budget_report,
     keyword_histogram,
+    release_keywords,
     run_pipeline,
 )
 from .rewriting import RewriteSchedule, calibrate_bounds
@@ -239,22 +238,20 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def cmd_keywords(args: argparse.Namespace) -> int:
+    method = ReleaseMethod(args.method.upper())
+    if method is ReleaseMethod.DP and args.epsilon2 is None:
+        raise ConfigError("--epsilon2 is required for the dp method")
+    if method is ReleaseMethod.NDP and args.epsilon2 is not None:
+        raise ConfigError("--epsilon2 is only used by the dp method")
     # ValueError: bad JSON too
     with _config_errors("cannot read group: ", (OSError, LookupError, TypeError, ValueError)):
         with open(args.group, encoding="utf-8") as fh:
             texts = [rewrite["text"] for rewrite in json.load(fh)["rewrites"]]
         if not texts or not all(isinstance(text, str) for text in texts):
             raise ValueError("rewrites must be a nonempty list of objects with a text string")
-    method = ReleaseMethod(args.method.upper())
-    if method is ReleaseMethod.DP and args.epsilon2 is None:
-        raise ConfigError("--epsilon2 is required for the dp method")
     hist = keyword_histogram(method, *tokenize_group(texts))
     with _config_errors():
-        if method is ReleaseMethod.DP:
-            rng = np.random.default_rng(args.seed)
-            release = topk_dp(hist, args.k, args.epsilon2, DELTA2, rng)
-        else:
-            release = topk_ndp(hist, args.k)
+        release = release_keywords(hist, method, args.k, args.epsilon2, args.seed)
     print(
         json.dumps(
             {"histogram": hist.to_json_dict(), "release": release.to_json_dict()},
@@ -271,6 +268,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.sample_seed is not None and args.sample_n is None:
+        raise ConfigError("--sample-seed needs --sample-n")
     config, client = load_cli_config(args.config)
     with _closing(client):
         with _config_errors():
@@ -280,7 +279,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 if args.temperatures
                 else TEMPERATURE_GRID
             )
-        sample = (args.sample_n, args.sample_seed) if args.sample_n is not None else None
+        sample = (args.sample_n, args.sample_seed or 0) if args.sample_n is not None else None
         with _config_errors("cannot load dataset: ", (OSError, ValueError)):
             load = load_dataset(args.dataset, args.format, sample=sample)
         for err in load.errors:
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=None, help="comma-separated sanitizer names")
     p.add_argument("--temperatures", default=None, help="comma-separated grid override")
     p.add_argument("--sample-n", type=int, default=None)
-    p.add_argument("--sample-seed", type=int, default=0)
+    p.add_argument("--sample-seed", type=int, default=None, help="default 0")
     p.add_argument("--audit", default=None, help="per-item JSONL audit path")
     p.set_defaults(func=cmd_evaluate)
     return parser

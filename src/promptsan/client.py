@@ -67,7 +67,6 @@ class ChatRequest:
 class ChatResponse:
     text: str
     tokens_generated: int
-    latency_ms: int = 0
     attempts: int = 1
     # False when the service reported no usage and tokens_generated is only
     # an estimate; budget accounting then charges the request's max_tokens.
@@ -193,7 +192,6 @@ class HttpChatClient:
         if req.seed is not None:
             body["seed"] = req.seed
 
-        started = time.monotonic()
         last_failure = ""
         for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
@@ -208,7 +206,7 @@ class HttpChatClient:
                         data = resp.json()
                     except ValueError as exc:
                         raise ClientError(f"malformed completion payload: {exc}") from exc
-                    return self._parse(data, started, attempt)
+                    return self._parse(data, attempt)
                 failure = _describe_error_reply(resp)
                 if resp.status_code in _RETRYABLE_STATUSES:
                     last_failure = failure
@@ -223,7 +221,7 @@ class HttpChatClient:
         )
 
     @staticmethod
-    def _parse(data: dict, started: float, attempts: int) -> ChatResponse:
+    def _parse(data: dict, attempts: int) -> ChatResponse:
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -236,10 +234,8 @@ class HttpChatClient:
         reported = isinstance(tokens, int) and not isinstance(tokens, bool) and tokens >= 0
         if not reported:
             tokens = len(text.split())
-        latency_ms = int((time.monotonic() - started) * 1000)
         return ChatResponse(
-            text=text, tokens_generated=tokens, latency_ms=latency_ms, attempts=attempts,
-            tokens_reported=reported,
+            text=text, tokens_generated=tokens, attempts=attempts, tokens_reported=reported
         )
 
 
@@ -303,7 +299,7 @@ class MockChatModel:
 
         words = text.split()[: req.max_tokens]
         text = " ".join(words)
-        return ChatResponse(text=text, tokens_generated=len(words), latency_ms=0)
+        return ChatResponse(text=text, tokens_generated=len(words))
 
     # -- frame handlers --
 

@@ -67,9 +67,6 @@ class LogitVector:
     def vocab_size(self) -> int:
         return int(self.values.size)
 
-    def within(self, bounds: ClipBounds) -> bool:
-        return bool(np.all(self.values >= bounds.b_min) and np.all(self.values <= bounds.b_max))
-
 
 class Stage(str, Enum):
     REWRITE = "rewrite"

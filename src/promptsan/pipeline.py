@@ -149,6 +149,27 @@ def keyword_histogram(
     return build_histogram(presence_counts(token_lists) if method is ReleaseMethod.DP else counts)
 
 
+def release_keywords(
+    histogram: KeywordHistogram,
+    method: ReleaseMethod,
+    k: int,
+    epsilon2: float | None,
+    seed: int,
+    ledger: PrivacyLedger | None = None,
+) -> ReleasedKeywords:
+    """Release the top ``k`` of ``histogram`` for ``run_pipeline`` and ``keywords`` alike.
+
+    NDP is post-processing. DP releases at ``epsilon2`` and ``DELTA2``, drawing
+    from the second child ``default_rng(seed).spawn(2)`` would give; that
+    stream is built only for a DP release. So a stored group and its run's
+    seed re-derive the run's release.
+    """
+    if method is ReleaseMethod.NDP:
+        return topk_ndp(histogram, k, ledger)
+    release_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    return topk_dp(histogram, k, epsilon2, DELTA2, release_rng, ledger=ledger)
+
+
 def run_pipeline(
     prompt: str,
     config: PipelineConfig,
@@ -165,14 +186,15 @@ def run_pipeline(
     same contract. The exemplar is chosen by the unigram model fit on the
     rewrites' pooled token count.
 
-    The release ranks ``keyword_histogram``'s counts. The rewrite and release
-    streams are the two children ``default_rng(seed).spawn(2)`` would give;
-    the release stream is built only for a DP release.
+    The release ranks ``keyword_histogram``'s counts. The rewrite stream is
+    the first child ``default_rng(seed).spawn(2)`` would give, and
+    ``release_keywords`` draws from the second.
     """
     ledger = PrivacyLedger()
     rewrite_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
 
     completed: list[str] = []
+    stage = "stage-1 rewriting"
     try:
         if stage1_rewriter is None:
             group = rewrite_group(
@@ -181,35 +203,26 @@ def run_pipeline(
                 config.rewrite_params(),
                 rewrite_rng,
                 ledger,
-                client=client if config.mode == "blackbox" else None,
+                client=client,
                 oracle=oracle,
             )
         else:
             group = stage1_rewriter(prompt, rewrite_rng, ledger)
-    except Exception as exc:
-        raise PipelineStageError("stage-1 rewriting", exc, ledger) from exc
-    completed.append("group")
+        completed.append("group")
 
-    try:
+        stage = "stage-2 control"
         texts = group.texts()
         token_lists, counts = tokenize_group(texts)
         histogram = keyword_histogram(config.release_method, token_lists, counts)
         completed.append("histogram")
-        if config.release_method is ReleaseMethod.NDP:
-            released = topk_ndp(histogram, config.k, ledger)
-        else:
-            assert config.epsilon2 is not None
-            release_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
-            released = topk_dp(
-                histogram, config.k, config.epsilon2, DELTA2, release_rng, ledger=ledger
-            )
+        released = release_keywords(
+            histogram, config.release_method, config.k, config.epsilon2, config.seed, ledger
+        )
         completed.append("released")
         exemplar = select_exemplar(texts, token_lists, UnigramPerplexityScorer(counts), ledger)
-    except Exception as exc:
-        raise PipelineStageError("stage-2 control", exc, ledger, tuple(completed)) from exc
-    completed.append("exemplar")
+        completed.append("exemplar")
 
-    try:
+        stage = "stage-3 generation"
         request = FinalPromptRequest(
             exemplar=exemplar.text,
             forbidden=released.words,
@@ -224,7 +237,7 @@ def run_pipeline(
             fallback_to_exemplar=config.fallback_to_exemplar,
         )
     except Exception as exc:
-        raise PipelineStageError("stage-3 generation", exc, ledger, tuple(completed)) from exc
+        raise PipelineStageError(stage, exc, ledger, tuple(completed)) from exc
 
     return SanitizedResult(
         original=prompt,

@@ -171,18 +171,6 @@ class StepOracle(Protocol):
     def step_logits(self, context: Sequence[str]) -> LogitVector: ...
 
 
-@dataclass
-class ConstantStepOracle:
-    """Toy oracle emitting the same logits at every step; handy for tests."""
-
-    vocab: tuple[str, ...]
-    logits: tuple[float, ...]
-    eos_index: int | None = None
-
-    def step_logits(self, context: Sequence[str]) -> LogitVector:
-        return LogitVector(self.logits)
-
-
 def paraphrase_whitebox(
     prompt: str,
     params: RewriteParams,

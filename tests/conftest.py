@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
-from promptsan.mechanisms import ClipBounds, PrivacyLedger
+from promptsan.mechanisms import ClipBounds, LogitVector, PrivacyLedger
 from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams
 
 
@@ -56,6 +57,18 @@ class FailingClient:
         if self.calls <= self.failures:
             raise TransportError("stub outage", attempts=3)
         return self.inner.complete(req)
+
+
+@dataclass
+class ConstantStepOracle:
+    """Toy white-box oracle emitting the same logits at every step."""
+
+    vocab: tuple[str, ...]
+    logits: tuple[float, ...]
+    eos_index: int | None = None
+
+    def step_logits(self, context: Sequence[str]) -> LogitVector:
+        return LogitVector(self.logits)
 
 
 def make_group(texts: list[str], temperature: float = 1.0, source: str = "src") -> ParaphraseGroup:

@@ -33,10 +33,10 @@ from promptsan.mechanisms import (
 from promptsan.metrics import bleu, rouge1, rougeL
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.prompting import FinalPromptRequest, render_template
-from promptsan.rewriting import ConstantStepOracle, RewriteSchedule, rewrite_group, RewriteParams
+from promptsan.rewriting import RewriteSchedule, rewrite_group, RewriteParams
 from promptsan.mechanisms import PrivacyLedger
 
-from conftest import argmin_under, histogram_of, select_from, unigram_of
+from conftest import ConstantStepOracle, argmin_under, histogram_of, select_from, unigram_of
 from topk_reference import release_distribution, worst_neighbour_divergence
 
 

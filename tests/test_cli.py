@@ -96,6 +96,10 @@ class TestCalibrate:
 
 PROMPT = "Where would the silver archive usually store a hidden journal during the harbor festival?"
 
+TWO_QUESTIONS = (
+    PROMPT + " Who will inspect the quiet lantern near the orchard pavilion before the parade?"
+)
+
 RESULT_KEYS = {
     "original", "group", "histogram", "released", "exemplar",
     "final_prompt", "sanitized", "leakage_flag", "ledger_total", "ledger",
@@ -506,6 +510,24 @@ class TestKeywords:
         doc = json.loads(capsys.readouterr().out)
         assert doc["histogram"] == {"zebra": 4, "lion": 1} and "delta" not in doc["release"]
 
+    @pytest.mark.parametrize("temperature, seed", [(0.5, 11), (0.75, 11), (0.75, 12)])
+    def test_reproduces_the_sanitize_dp_release(self, tmp_path, capsys, temperature, seed):
+        config = write_config(tmp_path, {
+            "m": 10, "k": 10, "temperature": temperature, "release_method": "dp", "epsilon2": 1000.0,
+            "bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": seed, "use_mock": True,
+        })
+        assert main(["sanitize", "--config", config, "--prompt", TWO_QUESTIONS]) == 0
+        result = json.loads(capsys.readouterr().out)
+        group_path = tmp_path / "group.json"
+        group_path.write_text(json.dumps(result["group"]))
+        argv = ["keywords", "--group", str(group_path), "--k", "10", "--method", "dp",
+                "--epsilon2", "1000", "--seed", str(seed)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(result["released"]["words"]) >= 3
+        assert doc["release"] == result["released"]
+        assert doc["histogram"] == result["histogram"]
+
     @pytest.mark.parametrize(
         "content",
         [None, "[]", '{"rewrites": [{"text": 5}]}', '{"rewrites": []}', "{}", "not json"],
@@ -593,6 +615,8 @@ class TestExitTwoBeforeAnyCall:
             (SANITIZE + ["--schedule", "1.5:0.5:0.1"], {}, "invalid schedule '1.5:0.5:0.1': invalid schedule range"),
             (SANITIZE + ["--schedule", "0.5:1.5"], {}, "invalid schedule '0.5:1.5' (expected low:high:step)"),
             (SANITIZE + ["--schedule", "0.5:x:0.1"], {}, "invalid schedule '0.5:x:0.1' (expected low:high:step)"),
+            (["keywords", "--group", "{group}", "--epsilon2", "1"], {}, "--epsilon2 is only used by the dp method"),
+            (EVALUATE + ["--sample-seed", "3"], {}, "--sample-seed needs --sample-n"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -27,7 +27,9 @@ from promptsan.evaluation import aggregate, emit_report, run_experiment, synthet
 from promptsan.keywords import ReleaseMethod
 from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.pipeline import PipelineConfig, run_pipeline
-from promptsan.rewriting import ConstantStepOracle, RewriteSchedule
+from promptsan.rewriting import RewriteSchedule
+
+from conftest import ConstantStepOracle
 
 # GOLDEN, GOLDEN_DP and REPORT were re-pinned when BLEU began to score a
 # hypothesis with no unigram match 0 and to smooth higher zero orders by

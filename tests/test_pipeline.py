@@ -27,14 +27,13 @@ from promptsan.pipeline import (
 )
 from promptsan.prompting import contains_forbidden
 from promptsan.rewriting import (
-    ConstantStepOracle,
     ParaphraseGroup,
     Rewrite,
     RewriteParams,
     RewriteSchedule,
 )
 
-from conftest import FailingClient, histogram_of, make_group
+from conftest import ConstantStepOracle, FailingClient, histogram_of, make_group
 
 PROMPT = "Where would the silver archive usually store a hidden journal during the harbor festival?"
 

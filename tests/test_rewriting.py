@@ -15,7 +15,6 @@ from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage, schedule_tota
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import (
     MAX_SLOTS,
-    ConstantStepOracle,
     DegenerateBoundsError,
     GroupRewriteError,
     ParaphraseGroup,
@@ -29,7 +28,7 @@ from promptsan.rewriting import (
     rewrite_group,
 )
 
-from conftest import EchoClient, FailingClient, FixedClient
+from conftest import ConstantStepOracle, EchoClient, FailingClient, FixedClient
 
 
 def whitebox_params(bounds: ClipBounds, temperature: float = 1.0, max_tokens: int = 15):
