@@ -243,6 +243,8 @@ def cmd_keywords(args: argparse.Namespace) -> int:
         raise ConfigError("--epsilon2 is required for the dp method")
     if method is ReleaseMethod.NDP and args.epsilon2 is not None:
         raise ConfigError("--epsilon2 is only used by the dp method")
+    if method is ReleaseMethod.NDP and args.seed is not None:
+        raise ConfigError("--seed is only used by the dp method")
     # ValueError: bad JSON too
     with _config_errors("cannot read group: ", (OSError, LookupError, TypeError, ValueError)):
         with open(args.group, encoding="utf-8") as fh:
@@ -251,7 +253,7 @@ def cmd_keywords(args: argparse.Namespace) -> int:
             raise ValueError("rewrites must be a nonempty list of objects with a text string")
     hist = keyword_histogram(method, *tokenize_group(texts))
     with _config_errors():
-        release = release_keywords(hist, method, args.k, args.epsilon2, args.seed)
+        release = release_keywords(hist, method, args.k, args.epsilon2, args.seed or 0)
     print(
         json.dumps(
             {"histogram": hist.to_json_dict(), "release": release.to_json_dict()},
@@ -273,10 +275,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config, client = load_cli_config(args.config)
     with _closing(client):
         with _config_errors():
-            methods = args.methods.split(",") if args.methods else ["group-ndp"]
+            methods = args.methods.split(",") if args.methods is not None else ["group-ndp"]
             temperatures = (
                 tuple(float(t) for t in args.temperatures.split(","))
-                if args.temperatures
+                if args.temperatures is not None
                 else TEMPERATURE_GRID
             )
         sample = (args.sample_n, args.sample_seed or 0) if args.sample_n is not None else None
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--method", choices=("ndp", "dp"), default="ndp")
     p.add_argument("--epsilon2", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="dp method only; default 0")
     p.set_defaults(func=cmd_keywords)
 
     p = sub.add_parser("score", help="similarity metrics between two texts")

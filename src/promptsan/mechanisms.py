@@ -10,6 +10,7 @@ plus the ledger that accumulates the composed budget across a pipeline run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -138,7 +139,7 @@ class PrivacyLedger:
 
 def epsilon_per_token(temperature: float, bounds: ClipBounds) -> float:
     """Pure-LDP cost of one exponential-mechanism token draw: 2*(b_max-b_min)/T."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     return 2.0 * bounds.range() / temperature
 
@@ -155,17 +156,19 @@ def clip_logits(u: LogitVector, bounds: ClipBounds) -> LogitVector:
     return LogitVector(np.clip(u.values, bounds.b_min, bounds.b_max))
 
 
-def _exp_weights(work: np.ndarray, temperature: float) -> np.ndarray:
+def _exp_weights(work: np.ndarray, temperature: float, *, clipped: bool = False) -> np.ndarray:
     """Turn ``work`` into exp(work/T - max(work/T)) in place and return it.
 
     Checks finiteness on the max and the min instead of a separate mask pass:
-    NaN propagates through max, +inf shows in max and -inf in min.
+    NaN propagates through max, +inf shows in max and -inf in min. Logits
+    ``clipped`` to finite bounds hold no infinity, so only the max is read;
+    an entry that T scales to -inf then weighs exactly 0, as in the reference.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     work /= temperature
     top = work.max()
-    if not (math.isfinite(top) and math.isfinite(work.min())):
+    if not (math.isfinite(top) and (clipped or math.isfinite(work.min()))):
         raise ValueError("softmax requires finite logits")
     work -= top
     np.exp(work, out=work)
@@ -183,6 +186,77 @@ def softmax(values: Sequence[float] | np.ndarray, temperature: float = 1.0) -> n
     return work
 
 
+def _weights(u: LogitVector, temperature: float, bounds: ClipBounds | None) -> np.ndarray:
+    """exp(clip(u)/T - max) in one fresh vocabulary-sized array."""
+    if bounds is None:
+        return _exp_weights(u.values.copy(), temperature)
+    return _exp_weights(np.clip(u.values, bounds.b_min, bounds.b_max), temperature, clipped=True)
+
+
+# Entries per block of the approximate CDF the certified search reads.
+BLOCK = 256
+# One searched draw costs about what the exact path spends on this many
+# entries (7-8 us against about 4 ns per entry, measured at V from 512 to
+# 64,000), so a call searches only when n * SEARCH_DRAW_ENTRIES < V.
+SEARCH_DRAW_ENTRIES = 2048
+
+
+@functools.lru_cache(maxsize=8)
+def _block_starts(size: int) -> np.ndarray:
+    """Block start indices for a vocabulary of ``size``, built once and read-only."""
+    starts = np.arange(0, size, BLOCK)
+    starts.setflags(write=False)
+    return starts
+
+
+def _block_cdf(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums of ``weights`` at block ends, and all but the last over their total."""
+    ends = np.add.reduceat(weights, _block_starts(weights.size))
+    np.add.accumulate(ends, out=ends)
+    return ends, ends[:-1] / ends[-1]
+
+
+def _certified_draw(weights: np.ndarray, ends: np.ndarray, edges: np.ndarray, x: float) -> int:
+    """The reference draw for the uniform ``x`` if the block search certifies it, else -1.
+
+    ``ends`` and ``edges`` are _block_cdf(weights). ``weights`` holds the
+    unnormalised exp(u/T - max) and is left unchanged.
+    """
+    size = weights.size
+    total = ends[-1]
+    b = int(edges.searchsorted(x, side="right"))  # the last block takes every x past the edges
+    start = b * BLOCK
+    # cdf[k] approximates the reference prefix of index start + k - 1.
+    cdf = np.empty(min(BLOCK, size - start) + 1)
+    cdf[0] = ends[b - 1] if b else 0.0
+    cdf[1:] = weights[start:start + BLOCK]
+    np.add.accumulate(cdf, out=cdf)
+    cdf /= total
+    if not b:
+        cdf[0] = -math.inf  # index 0 has no lower neighbour
+    if b == edges.size:
+        cdf[-1] = math.inf  # the reference forces its last prefix to 1.0
+    k = int(cdf.searchsorted(x, side="right"))
+    slack = 8 * size * 2.0**-53
+    if k < cdf.size and cdf[k - 1] < x - slack and cdf[k] > x + slack:
+        return start + k - 1
+    return -1
+
+
+def _certified_draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """_certified_draw for each uniform: the reference draw, or -1 where undecided."""
+    ends, edges = _block_cdf(weights)
+    return np.array([_certified_draw(weights, ends, edges, x) for x in uniforms.tolist()])
+
+
+def _exact_draws(work: np.ndarray, uniforms: float | np.ndarray) -> np.intp | np.ndarray:
+    """The reference draw for each uniform from the weights in ``work``, which it overwrites."""
+    work /= work.sum()
+    np.cumsum(work, out=work)
+    work[-1] = 1.0
+    return np.minimum(np.searchsorted(work, uniforms, side="right"), work.size - 1)
+
+
 def em_sample(
     u: LogitVector,
     temperature: float,
@@ -194,47 +268,17 @@ def em_sample(
 
     Equivalent to the exponential mechanism with the logits as utility. The
     privacy cost holds only for clipped logits: pass ``bounds`` or pre-clip
-    ``u`` with ``clip_logits``.
+    ``u`` with ``clip_logits``. The draw and the stream position after it
+    equal em_sample_many(u, T, 1, rng)[0]'s: ``rng.random()`` reads the one
+    double ``rng.random(1)`` reads.
     """
-    return int(em_sample_many(u, temperature, 1, rng, bounds=bounds)[0])
-
-
-# Entries per block of the approximate CDF the certified search reads.
-BLOCK = 256
-# One searched draw costs about what the exact path spends on this many
-# entries (7-8 us against about 4 ns per entry, measured at V from 512 to
-# 64,000), so a call searches only when n * SEARCH_DRAW_ENTRIES < V.
-SEARCH_DRAW_ENTRIES = 2048
-
-
-def _certified_draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The reference draw for each uniform the block search certifies, else -1.
-
-    ``weights`` holds the unnormalised exp(u/T - max) and is left unchanged.
-    """
-    size = weights.size
-    ends = np.add.reduceat(weights, np.arange(0, size, BLOCK))
-    np.add.accumulate(ends, out=ends)
-    total = ends[-1]
-    edges = ends[:-1] / total  # the last block takes every uniform past them
-    slack = 8 * size * 2.0**-53
-    draws = []
-    for x, b in zip(uniforms.tolist(), np.searchsorted(edges, uniforms, side="right").tolist()):
-        start = b * BLOCK
-        # cdf[k] approximates the reference prefix of index start + k - 1.
-        cdf = np.empty(min(BLOCK, size - start) + 1)
-        cdf[0] = ends[b - 1] if b else 0.0
-        cdf[1:] = weights[start:start + BLOCK]
-        np.add.accumulate(cdf, out=cdf)
-        cdf /= total
-        if not b:
-            cdf[0] = -math.inf  # index 0 has no lower neighbour
-        if b == edges.size:
-            cdf[-1] = math.inf  # the reference forces its last prefix to 1.0
-        k = int(cdf.searchsorted(x, side="right"))
-        decided = k < cdf.size and cdf[k - 1] < x - slack and cdf[k] > x + slack
-        draws.append(start + k - 1 if decided else -1)
-    return np.array(draws)
+    work = _weights(u, temperature, bounds)
+    x = rng.random()
+    if SEARCH_DRAW_ENTRIES < work.size:
+        draw = _certified_draw(work, *_block_cdf(work), x)
+        if draw >= 0:
+            return draw
+    return int(_exact_draws(work, x))
 
 
 def em_sample_many(
@@ -279,17 +323,13 @@ def em_sample_many(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    lo, hi = (-math.inf, math.inf) if bounds is None else (bounds.b_min, bounds.b_max)
-    work = _exp_weights(np.clip(u.values, lo, hi), temperature)
+    work = _weights(u, temperature, bounds)
     uniforms = rng.random(n)
     if n * SEARCH_DRAW_ENTRIES < work.size:
         draws = _certified_draws(work, uniforms)
         if draws.min() >= 0:
             return draws
-    work /= work.sum()
-    np.cumsum(work, out=work)
-    work[-1] = 1.0
-    return np.minimum(np.searchsorted(work, uniforms, side="right"), work.size - 1)
+    return _exact_draws(work, uniforms)
 
 
 def schedule_total(

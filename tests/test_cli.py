@@ -617,6 +617,11 @@ class TestExitTwoBeforeAnyCall:
             (SANITIZE + ["--schedule", "0.5:x:0.1"], {}, "invalid schedule '0.5:x:0.1' (expected low:high:step)"),
             (["keywords", "--group", "{group}", "--epsilon2", "1"], {}, "--epsilon2 is only used by the dp method"),
             (EVALUATE + ["--sample-seed", "3"], {}, "--sample-seed needs --sample-n"),
+            (["keywords", "--group", "{group}", "--seed", "3"], {}, "--seed is only used by the dp method"),
+            (["keywords", "--group", "{group}", "--method", "ndp", "--seed", "0"], {},
+             "--seed is only used by the dp method"),
+            (EVALUATE + ["--methods", ""], {}, "unknown sanitizer methods: ['']"),
+            (EVALUATE + ["--temperatures", ""], {}, "could not convert string to float: ''"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -46,10 +46,16 @@ class TestConversions:
             ClipBounds(2.0, 1.0)
 
     def test_nonpositive_temperature_rejected(self, bounds):
-        with pytest.raises(ValueError):
-            epsilon_per_token(0.0, bounds)
-        with pytest.raises(ValueError):
-            epsilon_per_token(-1.0, bounds)
+        u = LogitVector([1.0, 2.0])
+        for temperature in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                epsilon_per_token(temperature, bounds)
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                softmax(u.values, temperature)
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                em_sample(u, temperature, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                em_sample_many(u, temperature, 3, np.random.default_rng(0), bounds=bounds)
 
     def test_temperature_for_published_t5_epsilon(self):
         bounds = ClipBounds.from_unit_epsilon(53.42)
@@ -176,14 +182,28 @@ def logit_shapes(size: int) -> dict[str, np.ndarray]:
 
 
 class StubRng:
-    """Hands out fixed uniforms, to hit a CDF prefix exactly."""
+    """Hands out fixed uniforms, to hit a CDF prefix exactly.
+
+    ``random()`` answers a single draw, as ``Generator.random()`` does.
+    """
 
     def __init__(self, uniforms: list[float] | np.ndarray) -> None:
         self.uniforms = uniforms
 
-    def random(self, n: int) -> np.ndarray:
+    def random(self, n: int | None = None) -> float | np.ndarray:
+        if n is None:
+            (x,) = self.uniforms
+            return float(x)
         assert n == len(self.uniforms)
         return np.array(self.uniforms)
+
+
+def assert_single_draw_matches(u: LogitVector, temperature: float, seed: int, want: int, bounds=None) -> None:
+    """em_sample draws ``want`` from a seeded stream and leaves it where random(1) would."""
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert em_sample(u, temperature, ours, bounds=bounds) == want
+    ref.random(1)
+    assert ours.random() == ref.random()
 
 
 def block_search_matches(values: np.ndarray, temperature: float, uniforms) -> np.ndarray:
@@ -212,6 +232,7 @@ class TestEarlyExitCdf:
                     want = reference_em_sample_many(u, temperature, n, ref)
                     assert np.array_equal(got, want), (shape, temperature, seed)
                     assert ours.random() == ref.random()
+                    assert_single_draw_matches(u, temperature, seed, want[0])
 
     def test_cold_draws_reach_the_last_chunk(self):
         u = LogitVector(logit_shapes(32_000)["last_spike"])
@@ -227,6 +248,7 @@ class TestEarlyExitCdf:
         values[BLOCK:2 * BLOCK] = -1e4
         u = LogitVector(values)
         assert em_sample_many(u, 1.0, 1, StubRng([0.5])).tolist() == [2 * BLOCK]
+        assert em_sample(u, 1.0, StubRng([0.5])) == 2 * BLOCK
         assert em_sample_many(u, 1.0, 2, StubRng([0.25, 0.5])).tolist() == [BLOCK // 2, 2 * BLOCK]
         block_search_matches(values, 1.0, [0.25, 0.5])
 
@@ -241,6 +263,8 @@ class TestEarlyExitCdf:
         want = reference_em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms))
         assert np.array_equal(got, want)
         block_search_matches(u.values, 1.0, uniforms)
+        for x, draw in zip(uniforms[::640], want[::640]):
+            assert em_sample(u, 1.0, StubRng([x])) == draw
 
     def test_one_draw_holds_one_vocabulary_sized_array(self):
         u = LogitVector(np.random.default_rng(0).normal(4.0, 2.5, 32_000))
@@ -287,12 +311,13 @@ class TestBoundedSampling:
     def test_single_draws_equal_clip_then_sample(self):
         u = LogitVector(bounded_logit_shapes(32_000, self.BOUNDS)["raw_inf"])
         clipped = clip_logits(u, self.BOUNDS)
-        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        ours, pre, ref = (np.random.default_rng(5) for _ in range(3))
         for temperature in (0.5, 1.0, 3.0):
             for _ in range(50):
-                assert em_sample(u, temperature, ours, bounds=self.BOUNDS) == em_sample(
-                    clipped, temperature, ref
-                )
+                want = reference_em_sample_many(clipped, temperature, 1, ref)[0]
+                assert em_sample(u, temperature, ours, bounds=self.BOUNDS) == want
+                assert em_sample(clipped, temperature, pre) == want
+        assert ours.random() == pre.random() == ref.random()
 
     def test_every_prefix_equals_the_clipped_full_cumulative_sum(self):
         # Uniforms on and just below each prefix of the reference CDF tell
@@ -306,6 +331,8 @@ class TestBoundedSampling:
         want = reference_em_sample_many(LogitVector(clipped), 1.0, uniforms.size, StubRng(uniforms))
         assert np.array_equal(got, want)
         block_search_matches(clipped, 1.0, uniforms)
+        for x, draw in zip(uniforms[::640], want[::640]):
+            assert em_sample(u, 1.0, StubRng([x]), bounds=self.BOUNDS) == draw
 
     def test_raw_infinities_clip_to_the_bounds(self):
         # +inf saturates to b_max and -inf to b_min, so the two ends carry
@@ -386,8 +413,10 @@ class TestCertifiedBlockSearch:
         if isinstance(draws, int):
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             got = em_sample_many(u, temperature, draws, ours, bounds=bounds)
-            assert np.array_equal(got, reference_em_sample_many(clipped, temperature, draws, ref))
+            want = reference_em_sample_many(clipped, temperature, draws, ref)
+            assert np.array_equal(got, want)
             assert ours.random() == ref.random()
+            assert_single_draw_matches(u, temperature, seed, want[0], bounds)
             block_search_matches(clipped.values, temperature, np.random.default_rng(seed).random(draws))
             return
         # Uniforms on a reference prefix, or one ulp below it.
@@ -400,6 +429,8 @@ class TestCertifiedBlockSearch:
             want = reference_em_sample_many(clipped, temperature, uniforms.size, StubRng(uniforms))
             assert np.array_equal(got, want)
             block_search_matches(clipped.values, temperature, uniforms)
+            for x, draw in zip(uniforms, want):
+                assert em_sample(u, temperature, StubRng([x]), bounds=bounds) == draw
 
     @pytest.mark.parametrize("temperature", [0.5, 1.0, 3.0])
     def test_typical_draws_are_all_decided(self, temperature):
@@ -437,9 +468,9 @@ class TestCertifiedBlockSearch:
         cdf = reference_prefixes(values, 1.0)
         for x in cdf[np.linspace(0, cdf.size - 1, 100).astype(int)]:
             assert _certified_draws(weights, np.array([x])).tolist() == [-1]
-            assert em_sample_many(u, 1.0, 1, StubRng([x])).tolist() == (
-                reference_em_sample_many(u, 1.0, 1, StubRng([x])).tolist()
-            )
+            want = reference_em_sample_many(u, 1.0, 1, StubRng([x])).tolist()
+            assert em_sample_many(u, 1.0, 1, StubRng([x])).tolist() == want
+            assert [em_sample(u, 1.0, StubRng([x]))] == want
 
 
 class TestLedger:
