@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import replace
@@ -169,10 +170,19 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
 
 
 def _check_writable(path: str | None) -> None:
-    """Fail with a ConfigError unless ``path`` can be written; truncates nothing."""
+    """Fail with a ConfigError unless ``path`` can be written; truncates nothing.
+
+    A file the check creates is removed again, so a refused or failed run
+    leaves no empty output behind; an existing file is left as it is.
+    """
     if path is not None:
         with _config_errors("cannot write output: ", (OSError,)):
-            open(path, "a", encoding="utf-8").close()
+            try:
+                open(path, "x", encoding="utf-8").close()
+            except FileExistsError:
+                open(path, "a", encoding="utf-8").close()
+            else:
+                os.remove(path)
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:

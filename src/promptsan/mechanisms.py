@@ -91,10 +91,10 @@ class LedgerEntry:
     def contribution(self) -> float:
         """Budget this entry adds to the composition total.
 
-        Post-processing consumes nothing, and infinite-epsilon entries are by
-        construction post-processing releases, so both contribute zero.
+        Post-processing consumes nothing; any other entry adds its epsilon per
+        unit times its units, so an infinite epsilon makes the total infinite.
         """
-        if self.stage is Stage.POST_PROCESS or not math.isfinite(self.epsilon_per_unit):
+        if self.stage is Stage.POST_PROCESS:
             return 0.0
         return self.epsilon_per_unit * self.units
 
@@ -119,7 +119,7 @@ class PrivacyLedger:
         return entry
 
     def total(self) -> float:
-        """Sequential-composition total over all finite, non-post-processing entries."""
+        """Sequential-composition total over all non-post-processing entries."""
         return math.fsum(e.contribution() for e in self.entries)
 
     def rewrite_total(self) -> float:
@@ -156,48 +156,34 @@ def clip_logits(u: LogitVector, bounds: ClipBounds) -> LogitVector:
     return LogitVector(np.clip(u.values, bounds.b_min, bounds.b_max))
 
 
-def _exp_weights(work: np.ndarray, temperature: float, *, clipped: bool = False) -> np.ndarray:
-    """Turn ``work`` into exp(work/T - max(work/T)) in place and return it.
+def _weights(u: LogitVector, temperature: float, bounds: ClipBounds | None) -> np.ndarray:
+    """exp(clip(u)/T - max(clip(u)/T)) in one fresh vocabulary-sized array.
 
     Checks finiteness on the max and the min instead of a separate mask pass:
     NaN propagates through max, +inf shows in max and -inf in min. Logits
-    ``clipped`` to finite bounds hold no infinity, so only the max is read;
+    clipped to finite ``bounds`` hold no infinity, so only the max is read;
     an entry that T scales to -inf then weighs exactly 0, as in the reference.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
+    if bounds is None:
+        work = u.values.copy()
+    else:
+        work = np.clip(u.values, bounds.b_min, bounds.b_max)
     work /= temperature
     top = work.max()
-    if not (math.isfinite(top) and (clipped or math.isfinite(work.min()))):
+    if not (math.isfinite(top) and (bounds is not None or math.isfinite(work.min()))):
         raise ValueError("softmax requires finite logits")
     work -= top
     np.exp(work, out=work)
     return work
 
 
-def softmax(values: Sequence[float] | np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax with max-subtraction for numerical stability.
-
-    Allocates one vocabulary-sized array and works in it in place; the
-    returned array is fresh, so a caller may overwrite it.
-    """
-    work = _exp_weights(np.array(values, dtype=np.float64), temperature)
-    work /= work.sum()
-    return work
-
-
-def _weights(u: LogitVector, temperature: float, bounds: ClipBounds | None) -> np.ndarray:
-    """exp(clip(u)/T - max) in one fresh vocabulary-sized array."""
-    if bounds is None:
-        return _exp_weights(u.values.copy(), temperature)
-    return _exp_weights(np.clip(u.values, bounds.b_min, bounds.b_max), temperature, clipped=True)
-
-
 # Entries per block of the approximate CDF the certified search reads.
 BLOCK = 256
 # One searched draw costs about what the exact path spends on this many
 # entries (7-8 us against about 4 ns per entry, measured at V from 512 to
-# 64,000), so a call searches only when n * SEARCH_DRAW_ENTRIES < V.
+# 64,000), so a draw searches only when SEARCH_DRAW_ENTRIES < V.
 SEARCH_DRAW_ENTRIES = 2048
 
 
@@ -243,18 +229,12 @@ def _certified_draw(weights: np.ndarray, ends: np.ndarray, edges: np.ndarray, x:
     return -1
 
 
-def _certified_draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """_certified_draw for each uniform: the reference draw, or -1 where undecided."""
-    ends, edges = _block_cdf(weights)
-    return np.array([_certified_draw(weights, ends, edges, x) for x in uniforms.tolist()])
-
-
-def _exact_draws(work: np.ndarray, uniforms: float | np.ndarray) -> np.intp | np.ndarray:
-    """The reference draw for each uniform from the weights in ``work``, which it overwrites."""
+def _exact_draw(work: np.ndarray, x: float) -> int:
+    """The reference draw for the uniform ``x``; turns the weights in ``work`` into its CDF."""
     work /= work.sum()
     np.cumsum(work, out=work)
     work[-1] = 1.0
-    return np.minimum(np.searchsorted(work, uniforms, side="right"), work.size - 1)
+    return min(int(work.searchsorted(x, side="right")), work.size - 1)
 
 
 def em_sample(
@@ -268,34 +248,11 @@ def em_sample(
 
     Equivalent to the exponential mechanism with the logits as utility. The
     privacy cost holds only for clipped logits: pass ``bounds`` or pre-clip
-    ``u`` with ``clip_logits``. The draw and the stream position after it
-    equal em_sample_many(u, T, 1, rng)[0]'s: ``rng.random()`` reads the one
-    double ``rng.random(1)`` reads.
-    """
-    work = _weights(u, temperature, bounds)
-    x = rng.random()
-    if SEARCH_DRAW_ENTRIES < work.size:
-        draw = _certified_draw(work, *_block_cdf(work), x)
-        if draw >= 0:
-            return draw
-    return int(_exact_draws(work, x))
-
-
-def em_sample_many(
-    u: LogitVector,
-    temperature: float,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    bounds: ClipBounds | None = None,
-) -> np.ndarray:
-    """Vectorized em_sample: n independent draws from the same distribution.
-
-    Pass ``bounds`` or pre-clip ``u``. Every draw equals the reference's:
-    e = exp(clip(u)/T - max), p = e / sum(e), C = cumsum(p) with C[V-1] set
-    to 1.0, and the draw for a uniform x is searchsorted(C, x, side="right"),
-    the j with C[j-1] <= x < C[j]. The logits are clipped into the one
-    working array, which then holds e.
+    ``u`` with ``clip_logits``. The draw reads one double, ``rng.random()``,
+    and equals the reference's: e = exp(clip(u)/T - max), p = e / sum(e),
+    C = cumsum(p) with C[V-1] set to 1.0, and the draw for a uniform x is
+    searchsorted(C, x, side="right"), the j with C[j-1] <= x < C[j]. The
+    logits are clipped into the one working array, which then holds e.
 
     Most draws never build C. Block sums of e give an approximate CDF Ĉ at
     block ends, and the running sum of the block x falls in, started at the
@@ -318,18 +275,16 @@ def em_sample_many(
     absolute.
 
     The exact path is the reference run in place. It takes every draw the
-    search leaves undecided, and every call with n·SEARCH_DRAW_ENTRIES >= V,
-    where one O(V) pass costs less than n searched draws.
+    search leaves undecided, and every draw with V <= SEARCH_DRAW_ENTRIES,
+    where one O(V) pass costs less than a searched draw.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     work = _weights(u, temperature, bounds)
-    uniforms = rng.random(n)
-    if n * SEARCH_DRAW_ENTRIES < work.size:
-        draws = _certified_draws(work, uniforms)
-        if draws.min() >= 0:
-            return draws
-    return _exact_draws(work, uniforms)
+    x = rng.random()
+    if SEARCH_DRAW_ENTRIES < work.size:
+        draw = _certified_draw(work, *_block_cdf(work), x)
+        if draw >= 0:
+            return draw
+    return _exact_draw(work, x)
 
 
 def schedule_total(

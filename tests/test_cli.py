@@ -450,10 +450,12 @@ class TestSanitizeOverHttp:
         assert charged > 0
         monkeypatch.setattr(MockServiceHandler, "refuse_final", True)
         config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": mock_service, "model": "mock"}})
-        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 1
+        audit = tmp_path / "runs.jsonl"
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT, "--audit", str(audit)]) == 1
         err = capsys.readouterr().err
         assert "pipeline failed in stage-3 generation" in err
         assert f"budget charged before the failure: {charged:g}\n" in err
+        assert not audit.exists()
 
     def test_output_is_identical_at_max_inflight_one_and_eight(self, tmp_path, capsys, mock_service):
         outputs = []
@@ -644,6 +646,12 @@ class TestExitTwoBeforeAnyCall:
         argv = [arg.format(**cli_paths) for arg in EVALUATE]
         assert main(argv + ["--audit", str(audit), "--repeats", "0"]) == 2
         assert audit.read_text() == "kept\n"
+
+    def test_a_refused_run_leaves_no_new_output_file(self, tmp_path, capsys, cli_paths, service_calls):
+        out, audit = tmp_path / "new.csv", tmp_path / "new.jsonl"
+        argv = [arg.format(**cli_paths) for arg in EVALUATE]
+        assert main(argv + ["--out", str(out), "--audit", str(audit), "--repeats", "0"]) == 2
+        assert not out.exists() and not audit.exists()
 
 
 SECRET_PROMPT = "Alice Moreau lives at 12 Rue Cler"

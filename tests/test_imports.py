@@ -1,20 +1,30 @@
-"""Every name a ``promptsan`` module imports is used in that module.
+"""Every name a ``promptsan`` module imports is used in that module, and
+every function, class and method it defines is used outside ``tests/``.
 
-A stdlib stand-in for a linter's F401 check. An import line marked
-``# noqa: F401`` is exempt, and a name listed in ``__all__`` counts as used.
-A name read only inside a quoted annotation counts as unused; the modules
-use ``from __future__ import annotations`` and need no quotes.
+The first is a stdlib stand-in for a linter's F401 check. An import line
+marked ``# noqa: F401`` is exempt, and a name listed in ``__all__`` counts as
+used. A name read only inside a quoted annotation counts as unused; the
+modules use ``from __future__ import annotations`` and need no quotes.
+
+The second keeps package code that only tests run out of the package: a
+top-level function or class, or a method whose name is not a dunder, must be
+read somewhere in ``src/``, ``perfbench/`` or ``scripts/`` as a name, as an
+attribute or by an import. It has no allowlist.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "promptsan"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "promptsan"
 NOQA = "# noqa: F401"
+# The code whose reads count as uses of a package definition.
+NON_TEST_ROOTS = ("src", "perfbench", "scripts")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +61,62 @@ def test_the_check_sees_an_unused_import_and_honours_noqa():
         "__all__ = ['exp']\ndef f(x: 'List') -> float:\n    return osp.sep\n"
     )
     assert unused_imports(source) == ["1: os", "3: log", "5: List"]
+
+
+def used_names(source: str) -> set[str]:
+    """The names ``source`` reads: loaded names, attribute names and imported names."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def unused_definitions(source: str, used: set[str]) -> list[str]:
+    """The functions, classes and non-dunder methods ``source`` defines that ``used`` lacks."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unused = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*functions, ast.ClassDef)) and node.name not in used:
+            unused.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            unused.extend(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, functions)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+                and item.name not in used
+            )
+    return unused
+
+
+@functools.lru_cache(maxsize=1)
+def non_test_uses() -> frozenset[str]:
+    used = set()
+    for root in NON_TEST_ROOTS:
+        for path in (REPO / root).rglob("*.py"):
+            used |= used_names(path.read_text(encoding="utf-8"))
+    return frozenset(used)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_defines_nothing_only_tests_use(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unused_definitions(source, non_test_uses()) == []
+
+
+def test_the_check_sees_a_definition_only_tests_use():
+    package = (
+        "def called():\n    pass\ndef imported():\n    pass\ndef orphan():\n    pass\n"
+        "class Kept:\n    def __init__(self):\n        pass\n"
+        "    def read(self):\n        pass\n    def orphan_method(self):\n        pass\n"
+        "class Orphan:\n    pass\n"
+    )
+    user = "from pkg import imported\ncalled()\nk = Kept()\nk.read()\norphan = 1\n"
+    assert unused_definitions(package, used_names(user)) == [
+        "orphan", "Kept.orphan_method", "Orphan",
+    ]

@@ -15,15 +15,24 @@ from promptsan.mechanisms import (
     LogitVector,
     PrivacyLedger,
     Stage,
-    _certified_draws,
-    _exp_weights,
+    _block_cdf,
+    _certified_draw,
+    _exact_draw,
+    _weights,
     clip_logits,
     em_sample,
-    em_sample_many,
     epsilon_per_token,
     schedule_total,
-    softmax,
     temperature_for_epsilon,
+)
+
+from em_reference import (
+    StubRng,
+    em_draws,
+    em_sample_distribution,
+    reference_cdf,
+    reference_em_sample_many,
+    reference_probabilities,
 )
 
 NINE_TEMPERATURES = (0.1, 0.15, 0.2, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
@@ -51,11 +60,9 @@ class TestConversions:
             with pytest.raises(ValueError, match="temperature must be positive"):
                 epsilon_per_token(temperature, bounds)
             with pytest.raises(ValueError, match="temperature must be positive"):
-                softmax(u.values, temperature)
-            with pytest.raises(ValueError, match="temperature must be positive"):
                 em_sample(u, temperature, np.random.default_rng(0))
             with pytest.raises(ValueError, match="temperature must be positive"):
-                em_sample_many(u, temperature, 3, np.random.default_rng(0), bounds=bounds)
+                em_sample(u, temperature, np.random.default_rng(0), bounds=bounds)
 
     def test_temperature_for_published_t5_epsilon(self):
         bounds = ClipBounds.from_unit_epsilon(53.42)
@@ -104,28 +111,36 @@ class TestClipping:
             LogitVector([1.0])
 
 
+def sampled_probabilities(values, temperature: float, bounds: ClipBounds | None = None) -> np.ndarray:
+    """The distribution em_sample draws from: its weights, normalised."""
+    weights = _weights(LogitVector(values), temperature, bounds)
+    return weights / weights.sum()
+
+
 class TestSampling:
     def test_equal_logits_are_symmetric(self):
-        probs = softmax([3.0, 3.0], temperature=2.0)
+        probs = sampled_probabilities([3.0, 3.0], temperature=2.0)
         assert probs.tolist() == [0.5, 0.5]
+        assert em_sample_distribution(LogitVector([3.0, 3.0]), 2.0).tolist() == [0.5, 0.5]
 
     def test_closed_form_softmax(self):
-        probs = softmax([0.0, math.log(3.0)], temperature=1.0)
-        assert probs[0] == pytest.approx(0.25, abs=1e-12)
-        assert probs[1] == pytest.approx(0.75, abs=1e-12)
+        for probs in (
+            sampled_probabilities([0.0, math.log(3.0)], temperature=1.0),
+            em_sample_distribution(LogitVector([0.0, math.log(3.0)]), 1.0),
+        ):
+            assert probs[0] == pytest.approx(0.25, abs=1e-12)
+            assert probs[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_empirical_matches_exact_distribution(self):
         u = LogitVector([0.0, 1.0, 2.0])
-        exact = softmax(u.values, temperature=0.5)
-        draws = em_sample_many(u, 0.5, 1_000_000, np.random.default_rng(0))
-        freq = np.bincount(draws, minlength=3) / draws.size
-        tv = 0.5 * np.abs(freq - exact).sum()
+        exact = reference_probabilities(u.values, temperature=0.5)
+        tv = 0.5 * np.abs(em_sample_distribution(u, 0.5) - exact).sum()
         assert tv < 0.005
 
     def test_deterministic_given_seed(self):
         u = LogitVector([0.1, 0.9, 0.5])
-        a = em_sample_many(u, 1.0, 1000, np.random.default_rng(42))
-        b = em_sample_many(u, 1.0, 1000, np.random.default_rng(42))
+        a = em_draws(u, 1.0, 1000, np.random.default_rng(42))
+        b = em_draws(u, 1.0, 1000, np.random.default_rng(42))
         assert np.array_equal(a, b)
         assert em_sample(u, 1.0, np.random.default_rng(7)) == em_sample(
             u, 1.0, np.random.default_rng(7)
@@ -143,30 +158,22 @@ class TestSampling:
             with pytest.raises(ValueError, match="softmax requires finite logits"):
                 em_sample(LogitVector(values), 1.0, np.random.default_rng(0))
             with pytest.raises(ValueError, match="softmax requires finite logits"):
-                softmax(values, temperature=0.5)
+                em_sample(LogitVector(values), 0.5, np.random.default_rng(0))
 
     def test_huge_logits_stay_stable(self):
         # Clipped ranges up to ~50 would overflow a naive exponentiation.
-        probs = softmax([50.0, 0.0], temperature=0.05)
+        probs = sampled_probabilities([50.0, 0.0], temperature=0.05)
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_ratio_bound_on_coarse_grid(self):
         # Any two clipped vectors in [0, 1]^3: per-index ratio <= exp(2/T).
         grid = np.arange(0.0, 1.0001, 0.25)
         vectors = np.array([[a, b, c] for a in grid for b in grid for c in grid])
+        bounds = ClipBounds(0.0, 1.0)
         for temperature in (0.1, 1.0):
-            probs = np.array([softmax(v, temperature) for v in vectors])
+            probs = np.array([sampled_probabilities(v, temperature, bounds) for v in vectors])
             ratio = (probs.max(axis=0) / probs.min(axis=0)).max()
             assert ratio <= math.exp(2.0 / temperature) + 1e-9
-
-
-def reference_em_sample_many(u: LogitVector, temperature: float, n: int, rng) -> np.ndarray:
-    """The sampler written out plainly: softmax, full cumulative sum, search."""
-    scaled = u.values / temperature
-    exp = np.exp(scaled - scaled.max())
-    cdf = np.cumsum(exp / exp.sum())
-    cdf[-1] = 1.0
-    return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), u.vocab_size - 1)
 
 
 # Vocabularies whose last block is ragged, full and one entry long, for any
@@ -181,29 +188,10 @@ def logit_shapes(size: int) -> dict[str, np.ndarray]:
     return {"normal": normal, "ascending": np.linspace(0.0, 8.0, size), "last_spike": spike}
 
 
-class StubRng:
-    """Hands out fixed uniforms, to hit a CDF prefix exactly.
-
-    ``random()`` answers a single draw, as ``Generator.random()`` does.
-    """
-
-    def __init__(self, uniforms: list[float] | np.ndarray) -> None:
-        self.uniforms = uniforms
-
-    def random(self, n: int | None = None) -> float | np.ndarray:
-        if n is None:
-            (x,) = self.uniforms
-            return float(x)
-        assert n == len(self.uniforms)
-        return np.array(self.uniforms)
-
-
-def assert_single_draw_matches(u: LogitVector, temperature: float, seed: int, want: int, bounds=None) -> None:
-    """em_sample draws ``want`` from a seeded stream and leaves it where random(1) would."""
-    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert em_sample(u, temperature, ours, bounds=bounds) == want
-    ref.random(1)
-    assert ours.random() == ref.random()
+def certified_draws(weights: np.ndarray, uniforms) -> np.ndarray:
+    """_certified_draw for each uniform over one _block_cdf: the reference draw, or -1."""
+    ends, edges = _block_cdf(weights)
+    return np.array([_certified_draw(weights, ends, edges, x) for x in np.asarray(uniforms).tolist()])
 
 
 def block_search_matches(values: np.ndarray, temperature: float, uniforms) -> np.ndarray:
@@ -212,11 +200,22 @@ def block_search_matches(values: np.ndarray, temperature: float, uniforms) -> np
     Asserts that every draw it decides equals the reference draw.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    draws = _certified_draws(_exp_weights(values.copy(), temperature), uniforms)
+    draws = certified_draws(_weights(LogitVector(values), temperature, None), uniforms)
     want = reference_em_sample_many(LogitVector(values), temperature, uniforms.size, StubRng(uniforms))
     decided = draws >= 0
     assert np.array_equal(draws[decided], want[decided])
     return decided
+
+
+def exact_path_is_the_reference(u: LogitVector, temperature: float, bounds: ClipBounds | None = None) -> None:
+    """The exact path searches the reference CDF, bit for bit, whatever the uniform.
+
+    _exact_draw leaves the CDF it searched in its work array.
+    """
+    work = _weights(u, temperature, bounds)
+    _exact_draw(work, 0.0)
+    clipped = u if bounds is None else clip_logits(u, bounds)
+    assert np.array_equal(work, reference_cdf(clipped.values, temperature))
 
 
 class TestEarlyExitCdf:
@@ -228,15 +227,14 @@ class TestEarlyExitCdf:
             for temperature in (0.05, 1.0, 4.0):
                 for seed in range(3):
                     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = em_sample_many(u, temperature, n, ours)
+                    got = em_draws(u, temperature, n, ours)
                     want = reference_em_sample_many(u, temperature, n, ref)
                     assert np.array_equal(got, want), (shape, temperature, seed)
                     assert ours.random() == ref.random()
-                    assert_single_draw_matches(u, temperature, seed, want[0])
 
     def test_cold_draws_reach_the_last_chunk(self):
         u = LogitVector(logit_shapes(32_000)["last_spike"])
-        draws = em_sample_many(u, 0.05, 1000, np.random.default_rng(0))
+        draws = em_draws(u, 0.05, 1000, np.random.default_rng(0))
         assert np.all(draws == 31_999)
         assert block_search_matches(u.values, 0.05, np.random.default_rng(0).random(1000)).all()
 
@@ -247,23 +245,21 @@ class TestEarlyExitCdf:
         values = np.zeros(3 * BLOCK)
         values[BLOCK:2 * BLOCK] = -1e4
         u = LogitVector(values)
-        assert em_sample_many(u, 1.0, 1, StubRng([0.5])).tolist() == [2 * BLOCK]
         assert em_sample(u, 1.0, StubRng([0.5])) == 2 * BLOCK
-        assert em_sample_many(u, 1.0, 2, StubRng([0.25, 0.5])).tolist() == [BLOCK // 2, 2 * BLOCK]
+        assert em_draws(u, 1.0, 2, StubRng([0.25, 0.5])).tolist() == [BLOCK // 2, 2 * BLOCK]
         block_search_matches(values, 1.0, [0.25, 0.5])
 
     def test_every_prefix_equals_the_full_cumulative_sum(self):
         # Uniforms on each full-cumsum value and on the float just below it
         # tell apart any prefix entry that differs from it in the last bit.
+        # Each path is checked on all of them; em_sample on every 64th.
         u = LogitVector(logit_shapes(32_000)["normal"])
-        exp = np.exp(u.values - u.values.max())
-        cdf = np.cumsum(exp / exp.sum())[:-1]
+        cdf = reference_cdf(u.values, 1.0)[:-1]
         uniforms = np.concatenate([cdf, np.nextafter(cdf, 0.0)])
-        got = em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms))
         want = reference_em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms))
-        assert np.array_equal(got, want)
+        exact_path_is_the_reference(u, 1.0)
         block_search_matches(u.values, 1.0, uniforms)
-        for x, draw in zip(uniforms[::640], want[::640]):
+        for x, draw in zip(uniforms[::64], want[::64]):
             assert em_sample(u, 1.0, StubRng([x])) == draw
 
     def test_one_draw_holds_one_vocabulary_sized_array(self):
@@ -303,7 +299,7 @@ class TestBoundedSampling:
             for temperature in (0.05, 1.0, 4.0):
                 for seed in range(3):
                     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = em_sample_many(u, temperature, n, ours, bounds=self.BOUNDS)
+                    got = em_draws(u, temperature, n, ours, bounds=self.BOUNDS)
                     want = reference_em_sample_many(clipped, temperature, n, ref)
                     assert np.array_equal(got, want), (shape, temperature, seed)
                     assert ours.random() == ref.random()
@@ -322,25 +318,24 @@ class TestBoundedSampling:
     def test_every_prefix_equals_the_clipped_full_cumulative_sum(self):
         # Uniforms on and just below each prefix of the reference CDF tell
         # apart any clipped logit that differs from clip_logits' in the last bit.
+        # Each path is checked on all of them; em_sample on every 64th.
         u = LogitVector(bounded_logit_shapes(32_000, self.BOUNDS)["raw_inf"])
         clipped = clip_logits(u, self.BOUNDS).values
-        exp = np.exp(clipped - clipped.max())
-        cdf = np.cumsum(exp / exp.sum())[:-1]
+        cdf = reference_cdf(clipped, 1.0)[:-1]
         uniforms = np.concatenate([cdf, np.nextafter(cdf, 0.0)])
-        got = em_sample_many(u, 1.0, uniforms.size, StubRng(uniforms), bounds=self.BOUNDS)
         want = reference_em_sample_many(LogitVector(clipped), 1.0, uniforms.size, StubRng(uniforms))
-        assert np.array_equal(got, want)
+        exact_path_is_the_reference(u, 1.0, self.BOUNDS)
         block_search_matches(clipped, 1.0, uniforms)
-        for x, draw in zip(uniforms[::640], want[::640]):
+        for x, draw in zip(uniforms[::64], want[::64]):
             assert em_sample(u, 1.0, StubRng([x]), bounds=self.BOUNDS) == draw
 
     def test_raw_infinities_clip_to_the_bounds(self):
         # +inf saturates to b_max and -inf to b_min, so the two ends carry
         # the probabilities of logits sitting exactly on the bounds.
         u = LogitVector([np.inf, -np.inf])
-        probs = softmax(clip_logits(u, self.BOUNDS).values, 1.0)
+        probs = reference_probabilities(clip_logits(u, self.BOUNDS).values, 1.0)
         uniforms = [probs[0] - 1e-12, probs[0] + 1e-12]
-        draws = em_sample_many(u, 1.0, 2, StubRng(uniforms), bounds=self.BOUNDS)
+        draws = em_draws(u, 1.0, 2, StubRng(uniforms), bounds=self.BOUNDS)
         assert draws.tolist() == [0, 1]
 
     def test_nan_is_rejected_anywhere(self):
@@ -368,13 +363,6 @@ def benchmark_logits(size: int = 32_000) -> np.ndarray:
     values = np.random.default_rng(size).normal(4.0, 2.5, size)
     values[0] = -10.0
     return values
-
-
-def reference_prefixes(values: np.ndarray, temperature: float) -> np.ndarray:
-    """The reference CDF of already clipped logits, without its forced last entry."""
-    scaled = values / temperature
-    exp = np.exp(scaled - scaled.max())
-    return np.cumsum(exp / exp.sum())[:-1]
 
 
 class TestCertifiedBlockSearch:
@@ -412,25 +400,22 @@ class TestCertifiedBlockSearch:
         clipped = u if bounds is None else clip_logits(u, bounds)
         if isinstance(draws, int):
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = em_sample_many(u, temperature, draws, ours, bounds=bounds)
+            got = em_draws(u, temperature, draws, ours, bounds)
             want = reference_em_sample_many(clipped, temperature, draws, ref)
             assert np.array_equal(got, want)
             assert ours.random() == ref.random()
-            assert_single_draw_matches(u, temperature, seed, want[0], bounds)
             block_search_matches(clipped.values, temperature, np.random.default_rng(seed).random(draws))
             return
         # Uniforms on a reference prefix, or one ulp below it.
-        cdf = reference_prefixes(clipped.values, temperature)
+        cdf = reference_cdf(clipped.values, temperature)[:-1]
         picked = cdf[[int(at * (cdf.size - 1)) for at, _ in draws]]
         uniforms = np.where([below for _, below in draws], np.nextafter(picked, 0.0), picked)
         uniforms = uniforms[uniforms < 1.0]
         if uniforms.size:
-            got = em_sample_many(u, temperature, uniforms.size, StubRng(uniforms), bounds=bounds)
+            got = em_draws(u, temperature, uniforms.size, StubRng(uniforms), bounds)
             want = reference_em_sample_many(clipped, temperature, uniforms.size, StubRng(uniforms))
             assert np.array_equal(got, want)
             block_search_matches(clipped.values, temperature, uniforms)
-            for x, draw in zip(uniforms, want):
-                assert em_sample(u, temperature, StubRng([x]), bounds=bounds) == draw
 
     @pytest.mark.parametrize("temperature", [0.5, 1.0, 3.0])
     def test_typical_draws_are_all_decided(self, temperature):
@@ -442,15 +427,16 @@ class TestCertifiedBlockSearch:
     def test_a_call_searches_only_below_the_measured_cutoff(self, size, monkeypatch):
         calls = []
 
-        def spy(weights, uniforms):
-            calls.append(uniforms.size)
-            return _certified_draws(weights, uniforms)
+        def spy(weights, ends, edges, x):
+            calls.append(x)
+            return _certified_draw(weights, ends, edges, x)
 
-        monkeypatch.setattr("promptsan.mechanisms._certified_draws", spy)
+        monkeypatch.setattr("promptsan.mechanisms._certified_draw", spy)
         u = LogitVector(benchmark_logits(size))
+        uniforms = [np.random.default_rng(n).random() for n in range(1, 20)]
         for n in range(1, 20):
-            em_sample_many(u, 1.0, n, np.random.default_rng(n))
-        assert calls == [n for n in range(1, 20) if n * SEARCH_DRAW_ENTRIES < size]
+            em_sample(u, 1.0, np.random.default_rng(n))
+        assert calls == (uniforms if size > SEARCH_DRAW_ENTRIES else [])
 
     def test_draws_of_the_first_and_last_index_are_decided(self):
         # Index 0 has no lower neighbour and index V-1 no upper one, so draws
@@ -458,18 +444,17 @@ class TestCertifiedBlockSearch:
         values = np.zeros(32_000)
         values[[0, -1]] = 20.0
         uniforms = np.array([0.0, 1e-12, 0.25, 0.75, 1 - 1e-12, np.nextafter(1.0, 0.0)])
-        draws = _certified_draws(_exp_weights(values, 1.0), uniforms)
+        draws = certified_draws(_weights(LogitVector(values), 1.0, None), uniforms)
         assert draws.tolist() == [0, 0, 0, 31_999, 31_999, 31_999]
 
     def test_uniforms_on_a_prefix_reach_the_exact_path(self):
         values = np.clip(benchmark_logits(), 0.0, 8.0)
         u = LogitVector(values)
-        weights = _exp_weights(values.copy(), 1.0)
-        cdf = reference_prefixes(values, 1.0)
+        weights = _weights(u, 1.0, None)
+        cdf = reference_cdf(values, 1.0)[:-1]
         for x in cdf[np.linspace(0, cdf.size - 1, 100).astype(int)]:
-            assert _certified_draws(weights, np.array([x])).tolist() == [-1]
+            assert certified_draws(weights, [x]).tolist() == [-1]
             want = reference_em_sample_many(u, 1.0, 1, StubRng([x])).tolist()
-            assert em_sample_many(u, 1.0, 1, StubRng([x])).tolist() == want
             assert [em_sample(u, 1.0, StubRng([x]))] == want
 
 
@@ -497,6 +482,16 @@ class TestLedger:
         ledger.record(Stage.POST_PROCESS, math.inf, 5)
         ledger.record(Stage.POST_PROCESS, 100.0, 5)
         assert ledger.total() == before
+
+    @pytest.mark.parametrize("stage", [Stage.REWRITE, Stage.KEYWORD_RELEASE])
+    def test_an_infinite_epsilon_makes_the_total_infinite(self, stage):
+        eps = epsilon_per_token(0.5, ClipBounds(0.0, 1e308))  # overflows
+        assert eps == math.inf
+        ledger = PrivacyLedger()
+        ledger.record(Stage.REWRITE, 2.0, 3)
+        ledger.record(stage, eps, 5)
+        assert ledger.total() == math.inf
+        assert ledger.rewrite_total() == (math.inf if stage is Stage.REWRITE else 6.0)
 
     @given(
         st.lists(

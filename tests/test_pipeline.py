@@ -237,9 +237,10 @@ class TestBudgetReport:
         subtotal_lines = [l for l in report.splitlines() if l.strip().startswith("eps/unit")]
         assert len(subtotal_lines) == 11
 
-    def test_empty_ledger_reports_zero(self):
+    @staticmethod
+    def result_with(ledger: PrivacyLedger) -> SanitizedResult:
         group = make_group(["only text"])
-        result = SanitizedResult(
+        return SanitizedResult(
             original="x",
             group=group,
             histogram=histogram_of(group.texts()),
@@ -247,7 +248,18 @@ class TestBudgetReport:
             exemplar=ScoredParaphrase(0, "only text", 1.0),
             final_prompt="p",
             sanitized="s",
-            ledger=PrivacyLedger(),
+            ledger=ledger,
             leakage_flag=False,
         )
-        assert "total: 0.000000" in budget_report(result)
+
+    def test_empty_ledger_reports_zero(self):
+        assert "total: 0.000000" in budget_report(self.result_with(PrivacyLedger()))
+
+    def test_infinite_epsilon_reports_inf(self):
+        ledger = PrivacyLedger()
+        ledger.record(Stage.REWRITE, 2.0, 3)
+        ledger.record(Stage.KEYWORD_RELEASE, math.inf, 1, "keyword release")
+        report = budget_report(self.result_with(ledger))
+        assert "total: inf" in report
+        row = next(line for line in report.splitlines() if line.startswith("keyword_release"))
+        assert row.split()[-3:] == ["inf", "1", "inf"]
