@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
-from .normalization import tokenize
+from .normalization import tokenize  # noqa: F401  -- perfbench/layers.py wraps this binding
 
 
 class ScoringError(ValueError):
@@ -50,9 +49,6 @@ class UnigramPerplexityScorer:
         # One log-probability per distinct word, summed per token when scoring.
         self._log_probs = {tok: math.log((c + 1) / denom) for tok, c in counts.items()}
 
-    def __call__(self, text: str) -> float:
-        return self.perplexity(tokenize(text))
-
     def perplexity(self, tokens: Sequence[str]) -> float:
         if not tokens:
             raise ScoringError("cannot score an empty token stream")
@@ -70,14 +66,12 @@ def select_exemplar(
     texts: Sequence[str],
     token_lists: Sequence[Sequence[str]],
     scorer: UnigramPerplexityScorer,
-    ledger: PrivacyLedger | None = None,
 ) -> ScoredParaphrase:
     """Return the text with minimal perplexity; ties go to the lowest index.
 
     ``token_lists[i]`` holds the tokens of ``texts[i]``, and the scorer
     scores those token lists. Texts with no tokens are skipped; if every
-    text is empty the selection fails. A zero-cost post-processing entry is
-    appended when a ledger is supplied.
+    text is empty the selection fails.
     """
     if not texts:
         raise SelectionError("cannot select from an empty group")
@@ -90,6 +84,4 @@ def select_exemplar(
             best = ScoredParaphrase(index=index, text=text, perplexity=ppl)
     if best is None:
         raise SelectionError("no rewrite in the group was scorable")
-    if ledger is not None:
-        ledger.record(Stage.POST_PROCESS, INFINITE_EPSILON, 1, "exemplar selection")
     return best

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
+from .mechanisms import PrivacyLedger, Stage
 from .normalization import tokenize
 from .stopwords import STOP_WORDS
 
@@ -64,7 +64,7 @@ class KeywordHistogram:
 class ReleasedKeywords:
     words: tuple[str, ...]
     method: ReleaseMethod
-    epsilon: float  # INFINITE_EPSILON for NDP
+    epsilon: float  # math.inf for NDP
     delta: float = 0.0  # nonzero only for DP
 
     def __post_init__(self) -> None:
@@ -129,18 +129,14 @@ def _ranked(counts: Mapping[str, int], n: int) -> list[str]:
     return words[:n]
 
 
-def topk_ndp(
-    hist: KeywordHistogram, k: int, ledger: PrivacyLedger | None = None
-) -> ReleasedKeywords:
+def topk_ndp(hist: KeywordHistogram, k: int) -> ReleasedKeywords:
     """Release the K highest-count words by post-processing (zero added budget)."""
     if k < 1:
         raise ValueError("k must be positive")
     if not hist.counts:
         warnings.warn("empty histogram: releasing no keywords", stacklevel=2)
     words = tuple(_ranked(hist.counts, k))
-    if ledger is not None:
-        ledger.record(Stage.POST_PROCESS, INFINITE_EPSILON, 1, "keyword release (NDP)")
-    return ReleasedKeywords(words=words, method=ReleaseMethod.NDP, epsilon=INFINITE_EPSILON)
+    return ReleasedKeywords(words=words, method=ReleaseMethod.NDP, epsilon=math.inf)
 
 
 # Count units between the stop candidate and the (K+1)-th count, before the

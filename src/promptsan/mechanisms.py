@@ -18,8 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-INFINITE_EPSILON = math.inf
-
 
 @dataclass(frozen=True)
 class ClipBounds:
@@ -72,13 +70,12 @@ class LogitVector:
 class Stage(str, Enum):
     REWRITE = "rewrite"
     KEYWORD_RELEASE = "keyword_release"
-    POST_PROCESS = "post_process"
 
 
 @dataclass(frozen=True)
 class LedgerEntry:
     stage: Stage
-    epsilon_per_unit: float  # may be INFINITE_EPSILON
+    epsilon_per_unit: float
     units: int
     note: str = ""
 
@@ -89,13 +86,7 @@ class LedgerEntry:
             raise ValueError("units must be a positive integer")
 
     def contribution(self) -> float:
-        """Budget this entry adds to the composition total.
-
-        Post-processing consumes nothing; any other entry adds its epsilon per
-        unit times its units, so an infinite epsilon makes the total infinite.
-        """
-        if self.stage is Stage.POST_PROCESS:
-            return 0.0
+        """Budget this entry adds to the composition total."""
         return self.epsilon_per_unit * self.units
 
 
@@ -103,7 +94,8 @@ class LedgerEntry:
 class PrivacyLedger:
     """Append-only record of budget-consuming events.
 
-    A ledger has one writer: concurrent Stage-1 slots each record into their
+    Post-processing of released material is free and leaves no entry. A
+    ledger has one writer: concurrent Stage-1 slots each record into their
     own ledger, which the caller's thread then merges in slot order. Holding
     no lock, a ledger pickles like any dataclass.
     """
@@ -119,7 +111,7 @@ class PrivacyLedger:
         return entry
 
     def total(self) -> float:
-        """Sequential-composition total over all non-post-processing entries."""
+        """Sequential-composition total over all entries."""
         return math.fsum(e.contribution() for e in self.entries)
 
     def rewrite_total(self) -> float:

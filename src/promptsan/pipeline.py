@@ -30,13 +30,15 @@ from .keywords import (
     topk_ndp,
 )
 from .mechanisms import ClipBounds, PrivacyLedger, Stage
-from .prompting import FinalPromptRequest, check_retry_on_leakage, generate_sanitized
+from .prompting import DEFAULT_TEMPLATE_ID, FinalPromptRequest, check_retry_on_leakage
+from .prompting import check_template_id, generate_sanitized
 from .rewriting import (
     DEFAULT_PARAPHRASE_TEMPLATE,
     ParaphraseGroup,
     RewriteParams,
     RewriteSchedule,
     StepOracle,
+    check_ex_ante_budget,
     check_temperature,
     rewrite_group,
 )
@@ -56,7 +58,7 @@ class PipelineConfig:
     seed: int = 0
     max_tokens: int = 64
     prompt_template: str = DEFAULT_PARAPHRASE_TEMPLATE
-    template_id: str = "default-v1"
+    template_id: str = DEFAULT_TEMPLATE_ID
     retry_on_leakage: int = 0
     fallback_to_exemplar: bool = False
 
@@ -75,7 +77,13 @@ class PipelineConfig:
         else:
             check_temperature(self.schedule)
         check_retry_on_leakage(self.retry_on_leakage)
+        check_template_id(self.template_id)
         self.rewrite_params()  # RewriteParams checks the settings it shares
+        entries = self.rewrite_schedule().entries
+        check_ex_ante_budget(
+            [self.max_tokens * count for _, count in entries], [t for t, _ in entries], self.bounds,
+            self.epsilon2 if self.release_method is ReleaseMethod.DP else 0.0,
+        )
 
     def rewrite_schedule(self) -> RewriteSchedule:
         """The m slot temperatures; a single temperature covers every slot."""
@@ -108,6 +116,7 @@ class SanitizedResult:
     sanitized: str
     ledger: PrivacyLedger
     leakage_flag: bool
+    exemplar_fallback: bool = False  # the exemplar stands in for a failed final generation
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,7 +128,7 @@ class SanitizedResult:
             "final_prompt": self.final_prompt,
             "sanitized": self.sanitized,
             "leakage_flag": self.leakage_flag,
-            "ledger_total": self.ledger.total(),
+            "exemplar_fallback": self.exemplar_fallback,
             "ledger": {"entries": self.ledger.to_rows(), "total": self.ledger.total()},
         }
 
@@ -165,7 +174,7 @@ def release_keywords(
     seed re-derive the run's release.
     """
     if method is ReleaseMethod.NDP:
-        return topk_ndp(histogram, k, ledger)
+        return topk_ndp(histogram, k)
     release_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     return topk_dp(histogram, k, epsilon2, DELTA2, release_rng, ledger=ledger)
 
@@ -219,7 +228,7 @@ def run_pipeline(
             histogram, config.release_method, config.k, config.epsilon2, config.seed, ledger
         )
         completed.append("released")
-        exemplar = select_exemplar(texts, token_lists, UnigramPerplexityScorer(counts), ledger)
+        exemplar = select_exemplar(texts, token_lists, UnigramPerplexityScorer(counts))
         completed.append("exemplar")
 
         stage = "stage-3 generation"
@@ -231,7 +240,6 @@ def run_pipeline(
         outcome = generate_sanitized(
             request,
             client,
-            ledger,
             max_tokens=config.max_tokens,
             retry_on_leakage=config.retry_on_leakage,
             fallback_to_exemplar=config.fallback_to_exemplar,
@@ -249,11 +257,8 @@ def run_pipeline(
         sanitized=outcome.text,
         ledger=ledger,
         leakage_flag=outcome.leakage_flag,
+        exemplar_fallback=outcome.exemplar_fallback,
     )
-
-
-def _format_eps(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.6g}"
 
 
 def budget_report(result: SanitizedResult) -> str:
@@ -263,7 +268,7 @@ def budget_report(result: SanitizedResult) -> str:
     ]
     for entry in result.ledger.entries:
         lines.append(
-            f"{entry.stage.value:<16} {entry.note:<34} {_format_eps(entry.epsilon_per_unit):>12}"
+            f"{entry.stage.value:<16} {entry.note:<34} {entry.epsilon_per_unit:>12.6g}"
             f" {entry.units:>7} {entry.contribution():>14.6f}"
         )
 
@@ -278,7 +283,7 @@ def budget_report(result: SanitizedResult) -> str:
             units = [e.units for e in rewrite_entries]
             eps1 = next(iter(eps_values))
             n_part = f"{units[0]}" if len(set(units)) == 1 else f"(n_i: {sum(units)} total)"
-            closed = f"m·n·ε₁ = {m}·{n_part}·{_format_eps(eps1)} = {result.ledger.rewrite_total():.6f}"
+            closed = f"m·n·ε₁ = {m}·{n_part}·{eps1:.6g} = {result.ledger.rewrite_total():.6f}"
             if release_eps > 0:
                 closed += f" ; + ε₂ = {release_eps:.6f} at δ₂ = {result.released.delta:g}"
             lines.append(closed)
@@ -288,6 +293,6 @@ def budget_report(result: SanitizedResult) -> str:
             for e in rewrite_entries:
                 subtotals[e.epsilon_per_unit] = subtotals.get(e.epsilon_per_unit, 0.0) + e.contribution()
             for eps1 in sorted(subtotals, reverse=True):
-                lines.append(f"  eps/unit {_format_eps(eps1)}: subtotal {subtotals[eps1]:.6f}")
+                lines.append(f"  eps/unit {eps1:.6g}: subtotal {subtotals[eps1]:.6f}")
     lines.append(f"total: {result.ledger.total():.6f}")
     return "\n".join(lines)

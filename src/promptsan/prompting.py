@@ -15,9 +15,9 @@ from typing import Sequence
 from .client import AVOID_HEADER, REWRITE_HEADER, ChatClient, ChatRequest
 from .client import ClientError, TransportError
 from .keywords import tokenize_normalize
-from .mechanisms import INFINITE_EPSILON, PrivacyLedger, Stage
 
-TEMPLATES = {"default-v1": (REWRITE_HEADER, AVOID_HEADER)}
+DEFAULT_TEMPLATE_ID = "default-v1"
+TEMPLATES = {DEFAULT_TEMPLATE_ID: (REWRITE_HEADER, AVOID_HEADER)}
 
 
 class SanitizationError(RuntimeError):
@@ -28,13 +28,17 @@ class SanitizationError(RuntimeError):
 class FinalPromptRequest:
     exemplar: str
     forbidden: tuple[str, ...]
-    template_id: str = "default-v1"
+    template_id: str = DEFAULT_TEMPLATE_ID
 
     def __post_init__(self) -> None:
         if len(set(self.forbidden)) != len(self.forbidden):
             raise ValueError("forbidden word list must be deduplicated")
-        if self.template_id not in TEMPLATES:
-            raise ValueError(f"unknown template id: {self.template_id!r}")
+        check_template_id(self.template_id)
+
+
+def check_template_id(template_id: str) -> None:
+    if template_id not in TEMPLATES:
+        raise ValueError(f"unknown template id: {template_id!r}")
 
 
 def render_template(req: FinalPromptRequest) -> str:
@@ -56,6 +60,7 @@ class GenerationOutcome:
     leakage_flag: bool
     final_prompt: str
     regenerations: int = 0
+    exemplar_fallback: bool = False  # the service failed and the exemplar was returned
 
 
 def check_retry_on_leakage(retry_on_leakage: int) -> None:
@@ -66,7 +71,6 @@ def check_retry_on_leakage(retry_on_leakage: int) -> None:
 def generate_sanitized(
     req: FinalPromptRequest,
     client: ChatClient,
-    ledger: PrivacyLedger,
     *,
     max_tokens: int = 256,
     retry_on_leakage: int = 0,
@@ -96,13 +100,11 @@ def generate_sanitized(
             text = client.complete(chat_req).text
         except (ClientError, TransportError) as exc:
             if fallback_to_exemplar:
-                ledger.record(
-                    Stage.POST_PROCESS, INFINITE_EPSILON, 1, "final generation (exemplar fallback)"
-                )
                 return GenerationOutcome(
                     text=req.exemplar,
                     leakage_flag=contains_forbidden(req.exemplar, req.forbidden),
                     final_prompt=final_prompt,
+                    exemplar_fallback=True,
                 )
             raise SanitizationError(f"final generation failed: {exc}") from exc
         regenerations = attempt
@@ -111,7 +113,6 @@ def generate_sanitized(
             break
 
     assert text is not None
-    ledger.record(Stage.POST_PROCESS, INFINITE_EPSILON, 1, "final generation (T=0)")
     return GenerationOutcome(
         text=text,
         leakage_flag=leaked,

@@ -26,6 +26,7 @@ from .mechanisms import (
     clip_logits,  # noqa: F401  -- unused here; perfbench/layers.py wraps this binding
     em_sample,
     epsilon_per_token,
+    schedule_total,
 )
 
 DEFAULT_PARAPHRASE_TEMPLATE = (
@@ -41,6 +42,18 @@ def check_temperature(temperature: float) -> None:
     """Raise ValueError unless a rewrite temperature is positive and finite."""
     if not 0 < temperature < math.inf:  # rejects NaN too
         raise ValueError(f"rewrite temperature must be positive and finite, got {temperature!r}")
+
+
+def check_ex_ante_budget(
+    token_counts: Sequence[int], temperatures: Sequence[float], bounds: ClipBounds, epsilon2: float = 0.0
+) -> None:
+    """Raise ValueError unless the most a run may charge, schedule_total + epsilon2, is finite."""
+    try:
+        budget = schedule_total(token_counts, temperatures, bounds) + epsilon2
+    except OverflowError:  # math.fsum overflowing on finite terms
+        budget = math.inf
+    if not math.isfinite(budget):
+        raise ValueError("the ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number")
 
 
 class RewriteError(RuntimeError):
@@ -67,6 +80,7 @@ class RewriteParams:
             raise ValueError("max_tokens must be positive")
         if "{prompt}" not in self.prompt_template:
             raise ValueError("prompt_template must contain {prompt}")
+        check_ex_ante_budget([self.max_tokens], [self.temperature], self.bounds)
 
     def render_prompt(self, prompt: str) -> str:
         return self.prompt_template.replace("{prompt}", prompt)
@@ -77,7 +91,6 @@ class Rewrite:
     text: str
     params: RewriteParams
     tokens_generated: int
-    retries: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,10 +105,6 @@ class ParaphraseGroup:
         for r in self.rewrites:
             if r.tokens_generated > r.params.max_tokens:
                 raise ValueError("rewrite exceeded its max_tokens budget")
-
-    @property
-    def size(self) -> int:
-        return len(self.rewrites)
 
     def texts(self) -> list[str]:
         return [r.text for r in self.rewrites]
@@ -253,7 +262,6 @@ def paraphrase_blackbox(
         text=resp.text,
         params=params,
         tokens_generated=min(units, params.max_tokens),
-        retries=resp.attempts - 1,
     )
 
 

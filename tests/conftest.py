@@ -11,7 +11,7 @@ import pytest
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
-from promptsan.mechanisms import ClipBounds, LogitVector, PrivacyLedger
+from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams
 
 
@@ -91,11 +91,9 @@ def unigram_of(texts: list[str]) -> UnigramPerplexityScorer:
     return UnigramPerplexityScorer(tokenize_group(texts)[1])
 
 
-def select_from(
-    texts: list[str], scorer: UnigramPerplexityScorer, ledger: PrivacyLedger | None = None
-) -> ScoredParaphrase:
+def select_from(texts: list[str], scorer: UnigramPerplexityScorer) -> ScoredParaphrase:
     """select_exemplar over these texts, tokenised as run_pipeline does."""
-    return select_exemplar(texts, tokenize_group(texts)[0], scorer, ledger)
+    return select_exemplar(texts, tokenize_group(texts)[0], scorer)
 
 
 def argmin_under(texts: list[str], score) -> int:

@@ -29,6 +29,7 @@ from promptsan.mechanisms import (
     epsilon_per_token,
 )
 from promptsan.metrics import bleu, rouge1, rougeL
+from promptsan.normalization import tokenize
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.prompting import FinalPromptRequest, render_template
 from promptsan.rewriting import RewriteSchedule, rewrite_group, RewriteParams
@@ -242,7 +243,7 @@ def test_criterion_7_exemplar_argmin_invariance():
             base = unigram_of(texts)
             baseline = select_from(texts, base).index
             for transform in (lambda x: x * x, lambda x: 10.0 * x, lambda x: x + 3.0):
-                assert argmin_under(texts, lambda t: transform(base(t))) == baseline
+                assert argmin_under(texts, lambda t: transform(base.perplexity(tokenize(t)))) == baseline
 
 
 def _independent_render(exemplar: str, forbidden: tuple[str, ...]) -> str:

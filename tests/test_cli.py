@@ -102,9 +102,11 @@ TWO_QUESTIONS = (
 
 RESULT_KEYS = {
     "original", "group", "histogram", "released", "exemplar",
-    "final_prompt", "sanitized", "leakage_flag", "ledger_total", "ledger",
+    "final_prompt", "sanitized", "leakage_flag", "exemplar_fallback", "ledger",
 }
-AUDIT_SHA256 = "3b940e9e752ca2c9e32f6257579f45fde13d49864850b24a36d5a822ba446a28"
+# Re-pinned with the golden digests when the ledger stopped recording free
+# post-processing (no post_process rows or ledger_total; exemplar_fallback added).
+AUDIT_SHA256 = "048583cdc7c88247942877f84436d8256f64cd1ac900e0315cf6711caf53e50b"
 
 
 class TestSanitize:
@@ -137,7 +139,7 @@ class TestSanitize:
         out, err = capsys.readouterr()
         result = json.loads(out)
         assert result["released"]["delta"] == DELTA2
-        assert result["ledger"]["entries"][-3]["note"] == f"keyword release (K=8, δ={DELTA2:g})"
+        assert result["ledger"]["entries"][-1]["note"] == f"keyword release (K=8, δ={DELTA2:g})"
         assert f"+ ε₂ = 2.000000 at δ₂ = {DELTA2:g}" in err
         ndp = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True}, "ndp.json")
         assert main(["sanitize", "--config", ndp, "--prompt", PROMPT, "--report"]) == 0
@@ -446,7 +448,7 @@ class TestSanitizeOverHttp:
     ):
         local = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True}, "local.json")
         assert main(["sanitize", "--config", local, "--prompt", PROMPT]) == 0
-        charged = json.loads(capsys.readouterr().out)["ledger_total"]
+        charged = json.loads(capsys.readouterr().out)["ledger"]["total"]
         assert charged > 0
         monkeypatch.setattr(MockServiceHandler, "refuse_final", True)
         config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": mock_service, "model": "mock"}})
@@ -624,6 +626,21 @@ class TestExitTwoBeforeAnyCall:
              "--seed is only used by the dp method"),
             (EVALUATE + ["--methods", ""], {}, "unknown sanitizer methods: ['']"),
             (EVALUATE + ["--temperatures", ""], {}, "could not convert string to float: ''"),
+            # An ex-ante budget that is not a finite float: one slot overflows,
+            # or the finite slots (plus epsilon2) sum past the largest float.
+            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e308}, "temperature": 0.5, "m": 2},
+             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
+            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 1, "m": 10},
+             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
+            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e305}, "release_method": "dp", "epsilon2": 1e308},
+             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
+            (SANITIZE + ["--schedule", "1.0:1.9:0.1"], {"bounds": {"b_min": 0, "b_max": 1e306}, "m": 1},
+             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
+            (EVALUATE, {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 4, "m": 2},
+             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
+            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "0.5"],
+             {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 4, "m": 1},
+             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
         ],
     )
     def test_exits_two_with_no_service_call(
@@ -942,3 +959,57 @@ class TestEvaluate:
         rows = [json.loads(l) for l in audit.read_text().splitlines()]
         assert len(rows) == 4
         assert set(rows[0]["privacy"]) == {"rouge1", "rougeL", "bleu"}
+
+
+def strict_json(text: str) -> object:
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, as RFC 8259 parsers do."""
+
+    def refuse(constant: str) -> None:
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Everything a command writes as JSON parses without the non-standard constants."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"bounds": {"b_min": 0, "b_max": 4}, "m": 4, "k": 3},
+            {"release_method": "dp", "epsilon2": 2.0, "k": 5},
+            {"release_method": "dp", "epsilon2": 1e9},
+        ],
+        ids=["ndp", "dp", "dp-certain"],
+    )
+    def test_sanitize_output_and_audit_line(self, tmp_path, capsys, extra):
+        config = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True, **extra})
+        audit = tmp_path / "runs.jsonl"
+        assert main(["sanitize", "--config", config, "--prompt", TWO_QUESTIONS, "--audit", str(audit)]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert strict_json(audit.read_text(encoding="utf-8")) == doc
+        assert doc["ledger"]["total"] > 0 and doc["exemplar_fallback"] is False
+
+    @pytest.mark.parametrize("method", ["ndp", "dp"])
+    def test_keywords(self, tmp_path, capsys, method):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"rewrites": [{"text": "zebra lion otter"}, {"text": "zebra lion"}]}))
+        dp = ["--epsilon2", "1"] if method == "dp" else []
+        assert main(["keywords", "--group", str(group), "--k", "2", "--method", method] + dp) == 0
+        assert strict_json(capsys.readouterr().out)["release"]["method"] == method.upper()
+
+    @pytest.mark.parametrize("reference, hypothesis", [("alpha beta", "gamma delta"), ("", "something"), ("a", "")])
+    def test_score(self, capsys, reference, hypothesis):
+        assert main(["score", "--reference", reference, "--hypothesis", hypothesis]) == 0
+        assert set(strict_json(capsys.readouterr().out)) == {"rouge1", "rougeL", "bleu"}
+
+    def test_evaluate_audit_rows(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True, "epsilon2": 2.0})
+        audit = tmp_path / "rows.jsonl"
+        assert main([
+            "evaluate", "--dataset", csqa_fixture(tmp_path, n=2), "--format", "csqa_jsonl",
+            "--config", config, "--out", str(tmp_path / "report.csv"), "--repeats", "1",
+            "--methods", "group-ndp,group-dp,paraphrase", "--temperatures", "1.0", "--audit", str(audit),
+        ]) == 0
+        rows = [strict_json(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+        assert [row["method"] for row in rows] == ["group-ndp"] * 2 + ["group-dp"] * 2 + ["paraphrase"] * 2

@@ -13,7 +13,7 @@ from promptsan.exemplar import (
     select_exemplar,
 )
 from promptsan.keywords import tokenize_group
-from promptsan.mechanisms import PrivacyLedger, Stage
+from promptsan.normalization import tokenize
 
 from conftest import argmin_under, select_from, unigram_of
 
@@ -33,16 +33,16 @@ class TestUnigramScorer:
     def test_two_copy_group_scores_two(self):
         scorer = unigram_of(["a b", "a b"])
         # counts {a: 2, b: 2}, add-one over vocab of 2 -> p = 3/6 for both.
-        assert scorer("a b") == pytest.approx(2.0, abs=1e-12)
+        assert scorer.perplexity(tokenize("a b")) == pytest.approx(2.0, abs=1e-12)
 
     def test_single_token_vocabulary_is_certain(self):
         scorer = unigram_of(["x x x"])
-        assert scorer("x") == pytest.approx(1.0, abs=1e-12)
+        assert scorer.perplexity(tokenize("x")) == pytest.approx(1.0, abs=1e-12)
 
     def test_perplexity_at_least_one(self):
         scorer = unigram_of(["rust harbor lantern", "quiet meadow"])
         for text in ("rust", "meadow lantern", "unseen tokens here"):
-            assert scorer(text) >= 1.0
+            assert scorer.perplexity(tokenize(text)) >= 1.0
 
     @given(
         st.lists(st.lists(st.sampled_from(WORDS), max_size=15), min_size=1, max_size=10),
@@ -59,9 +59,9 @@ class TestUnigramScorer:
     def test_empty_text_rejected(self):
         scorer = unigram_of(["a b"])
         with pytest.raises(ScoringError):
-            scorer("")
+            scorer.perplexity(tokenize(""))
         with pytest.raises(ScoringError):
-            scorer("...")
+            scorer.perplexity(tokenize("..."))
 
 
 class TestSelectExemplar:
@@ -77,7 +77,7 @@ class TestSelectExemplar:
     def test_tie_goes_to_lowest_index(self):
         texts = ["first second", "second first"]
         scorer = unigram_of(texts)
-        assert scorer("first second") == scorer("second first")
+        assert scorer.perplexity(["first", "second"]) == scorer.perplexity(["second", "first"])
         assert select_from(texts, scorer).index == 0
 
     def test_matches_brute_force_oracle(self, rng):
@@ -86,7 +86,7 @@ class TestSelectExemplar:
             " ".join(rng.choice(words, size=5)) + f" tag{i}" for i in range(10)
         ]
         scorer = unigram_of(texts)
-        oracle_scores = [scorer(t) for t in texts]
+        oracle_scores = [scorer.perplexity(tokenize(t)) for t in texts]
         oracle_index = min(range(len(texts)), key=lambda i: (oracle_scores[i], i))
         assert select_from(texts, scorer).index == oracle_index
 
@@ -97,12 +97,14 @@ class TestSelectExemplar:
             base = unigram_of(texts)
             baseline = select_from(texts, base).index
             for transform in (lambda x: x * x, lambda x: 10 * x, lambda x: x + 3):
-                assert argmin_under(texts, lambda t: transform(base(t))) == baseline
+                assert argmin_under(texts, lambda t: transform(base.perplexity(tokenize(t)))) == baseline
 
     def test_scaled_scores_keep_argmin(self):
         texts = ["alpha beta", "beta beta gamma", "gamma delta"]
         base = unigram_of(texts)
-        assert select_from(texts, base).index == argmin_under(texts, lambda t: 10 * base(t)) == 1
+        assert select_from(texts, base).index == argmin_under(
+            texts, lambda t: 10 * base.perplexity(tokenize(t))
+        ) == 1
 
     def test_unscorable_rewrites_skipped(self):
         texts = ["...", "valid text"]
@@ -129,24 +131,15 @@ class TestSelectExemplar:
             token_lists, counts = tokenize_group(texts)
             unigram = UnigramPerplexityScorer(counts)
             # Scoring the token lists picks what scoring each text picks.
-            index = argmin_under(texts, unigram)
+            index = argmin_under(texts, lambda t: unigram.perplexity(tokenize(t)))
             assert select_exemplar(texts, token_lists, unigram) == ScoredParaphrase(
-                index, texts[index], unigram(texts[index])
+                index, texts[index], unigram.perplexity(tokenize(texts[index]))
             )
 
     def test_all_unscorable_is_error(self):
         texts = ["...", "!!!"]
         with pytest.raises(SelectionError):
             select_from(texts, unigram_of(texts))
-
-    def test_ledger_neutrality(self):
-        texts = ["alpha beta", "gamma delta"]
-        ledger = PrivacyLedger()
-        ledger.record(Stage.REWRITE, 2.0, 10)
-        before = ledger.total()
-        select_from(texts, unigram_of(texts), ledger)
-        assert ledger.total() == before
-        assert ledger.entries[-1].stage is Stage.POST_PROCESS
 
     def test_deterministic_given_scorer(self):
         texts = ["alpha beta gamma", "beta gamma delta", "gamma delta"]

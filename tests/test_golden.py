@@ -31,15 +31,16 @@ from promptsan.rewriting import RewriteSchedule
 
 from conftest import ConstantStepOracle
 
-# GOLDEN, GOLDEN_DP and REPORT were re-pinned when BLEU began to score a
-# hypothesis with no unigram match 0 and to smooth higher zero orders by
-# NIST geometric smoothing; only BLEU values in their outputs moved.
-GOLDEN_SHA256 = "77ce0fe3e23db8f0e525fe49d1d634de969efa36b03b380b03f11a5e07ea1c0c"
-# Re-pinned when the DP release became a limited-domain Gumbel top-K over
-# presence counts with a delta2 (new draws, histogram, JSON key and ledger
-# note); the dp-certain case pins a release that is not empty.
-GOLDEN_DP_SHA256 = "e0fad7b838fa876b32facfb45ae45abf28bafa24a106205d95b606022eff9027"
-WHITEBOX_SHA256 = "c14930ca9cdaadb01cb010cadc479fcf3b9252cb836d69e92006f2ddd5e320b0"
+# GOLDEN, GOLDEN_DP and WHITEBOX were re-pinned when the ledger stopped
+# recording free post-processing: the result JSON lost its zero-cost
+# post_process rows and its top-level ledger_total (the total stays as
+# ledger.total) and gained exemplar_fallback. Every ledger.total held.
+# REPORT was last re-pinned when BLEU began to score a hypothesis with no
+# unigram match 0 and to smooth higher zero orders by NIST geometric smoothing.
+GOLDEN_SHA256 = "8350d5eef29a66348371968469dde304cab6ca7b9d70c97c68be025f1621cbcd"
+# The dp-certain case pins a release that is not empty.
+GOLDEN_DP_SHA256 = "acb2b6bc2cd9896d9453ae85de6a070a90a884affad070840c850e6353657dff"
+WHITEBOX_SHA256 = "b339bd1741e64a10338bc4e5faeb8de9eda860a5539f32cb4a0c4fc6409ef93c"
 REPORT_SHA256 = "0e0f514466f2ad35bdb5bf465a373049f6d43e532352668513082b3651e7fb39"
 
 PROMPTS = (

@@ -7,9 +7,10 @@ used. A name read only inside a quoted annotation counts as unused; the
 modules use ``from __future__ import annotations`` and need no quotes.
 
 The second keeps package code that only tests run out of the package: a
-top-level function or class, or a method whose name is not a dunder, must be
-read somewhere in ``src/``, ``perfbench/`` or ``scripts/`` as a name, as an
-attribute or by an import. It has no allowlist.
+top-level function or class, a method whose name is not a dunder, or a name
+annotated in a class body (a dataclass field), must be read somewhere in
+``src/``, ``perfbench/`` or ``scripts/`` as a name, as an attribute or by an
+import. It has no allowlist.
 """
 
 from __future__ import annotations
@@ -77,20 +78,24 @@ def used_names(source: str) -> set[str]:
 
 
 def unused_definitions(source: str, used: set[str]) -> list[str]:
-    """The functions, classes and non-dunder methods ``source`` defines that ``used`` lacks."""
+    """The functions, classes, non-dunder methods and class fields of ``source`` that ``used`` lacks."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     unused = []
     for node in ast.parse(source).body:
         if isinstance(node, (*functions, ast.ClassDef)) and node.name not in used:
             unused.append(node.name)
         if isinstance(node, ast.ClassDef):
-            unused.extend(
-                f"{node.name}.{item.name}"
-                for item in node.body
-                if isinstance(item, functions)
-                and not (item.name.startswith("__") and item.name.endswith("__"))
-                and item.name not in used
-            )
+            for item in node.body:
+                if isinstance(item, functions):
+                    name = item.name
+                    if name.startswith("__") and name.endswith("__"):
+                        continue
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if name not in used:
+                    unused.append(f"{node.name}.{name}")
     return unused
 
 
@@ -112,11 +117,12 @@ def test_module_defines_nothing_only_tests_use(module):
 def test_the_check_sees_a_definition_only_tests_use():
     package = (
         "def called():\n    pass\ndef imported():\n    pass\ndef orphan():\n    pass\n"
-        "class Kept:\n    def __init__(self):\n        pass\n"
+        "class Kept:\n    field: int\n    orphan_field: str = ''\n    plain = 1\n"
+        "    def __init__(self):\n        pass\n"
         "    def read(self):\n        pass\n    def orphan_method(self):\n        pass\n"
         "class Orphan:\n    pass\n"
     )
-    user = "from pkg import imported\ncalled()\nk = Kept()\nk.read()\norphan = 1\n"
+    user = "from pkg import imported\ncalled()\nk = Kept()\nk.read()\nk.field\norphan = 1\n"
     assert unused_definitions(package, used_names(user)) == [
-        "orphan", "Kept.orphan_method", "Orphan",
+        "orphan", "Kept.orphan_field", "Kept.orphan_method", "Orphan",
     ]

@@ -130,12 +130,6 @@ class TestTopkNdp:
         first = topk_ndp(h, 3).words
         assert all(topk_ndp(h, 3).words == first for _ in range(100))
 
-    def test_zero_ledger_contribution(self):
-        ledger = PrivacyLedger()
-        topk_ndp(hist({"ant": 1}), 1, ledger)
-        assert ledger.total() == 0.0
-        assert ledger.entries[-1].stage is Stage.POST_PROCESS
-
 
 def two_draw_oracle(counts: dict[str, int], epsilon: float) -> dict[tuple[str, str], float]:
     """Independent closed form for K=2: P(w1) * P(w2 | remaining)."""

@@ -475,14 +475,6 @@ class TestLedger:
     def test_empty_ledger(self):
         assert PrivacyLedger().total() == 0.0
 
-    def test_post_process_contributes_zero(self):
-        ledger = PrivacyLedger()
-        ledger.record(Stage.REWRITE, 2.0, 3)
-        before = ledger.total()
-        ledger.record(Stage.POST_PROCESS, math.inf, 5)
-        ledger.record(Stage.POST_PROCESS, 100.0, 5)
-        assert ledger.total() == before
-
     @pytest.mark.parametrize("stage", [Stage.REWRITE, Stage.KEYWORD_RELEASE])
     def test_an_infinite_epsilon_makes_the_total_infinite(self, stage):
         eps = epsilon_per_token(0.5, ClipBounds(0.0, 1e308))  # overflows
@@ -522,7 +514,7 @@ class TestLedger:
         ledger = PrivacyLedger()
         ledger.record(Stage.REWRITE, 19.4, 20, "blackbox T=1 (nominal bounds)")
         ledger.record(Stage.KEYWORD_RELEASE, 1.0, 1)
-        ledger.record(Stage.POST_PROCESS, math.inf, 3)
+        ledger.record(Stage.REWRITE, 38.8, 3, "whitebox T=0.5")
         restored = pickle.loads(pickle.dumps(ledger))
         assert restored == ledger
         assert restored.to_rows() == ledger.to_rows()

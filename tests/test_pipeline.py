@@ -17,7 +17,7 @@ from promptsan.keywords import (
     tokenize_normalize,
     topk_ndp,
 )
-from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage
+from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage, schedule_total
 from promptsan.pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -63,7 +63,7 @@ def config(**overrides) -> PipelineConfig:
 class TestRunPipeline:
     def test_structural_contract_ndp(self, mock_client):
         result = run_pipeline(PROMPT, config(), mock_client)
-        assert result.group.size == 10
+        assert len(result.group.rewrites) == 10
         assert len(result.released.words) <= 10
         assert result.released.method is ReleaseMethod.NDP
         assert result.ledger.total() == result.ledger.rewrite_total()
@@ -83,7 +83,7 @@ class TestRunPipeline:
             if name.startswith("promptsan") and getattr(module, "tokenize", None) is original:
                 monkeypatch.setattr(module, "tokenize", counting)
         result = run_pipeline(PROMPT, config(m=10, retry_on_leakage=0), mock_client)
-        assert result.group.size == 10
+        assert len(result.group.rewrites) == 10
         assert calls == 10 + 1
 
     def test_dp_release_adds_epsilon2(self, mock_client):
@@ -198,10 +198,44 @@ class TestRunPipeline:
         )
         cfg = config(mode="whitebox", max_tokens=12, bounds=ClipBounds(-4.0, 4.0))
         result = run_pipeline(PROMPT, cfg, mock_client, oracle=oracle)
-        assert result.group.size == 10
+        assert len(result.group.rewrites) == 10
         assert result.ledger.rewrite_total() == pytest.approx(
             sum(r.tokens_generated for r in result.group.rewrites) * 2 * 8.0, rel=1e-12
         )
+
+    @pytest.mark.parametrize("mode", ["blackbox", "whitebox"])
+    @pytest.mark.parametrize("method", [ReleaseMethod.NDP, ReleaseMethod.DP])
+    def test_the_ledger_holds_only_charges(self, mock_client, mode, method):
+        # Stages 2-3 past a DP release are post-processing and leave no entry.
+        oracle = ConstantStepOracle(
+            vocab=("harbor", "lantern", "meadow", "kettle", "</s>"),
+            logits=(1.0, 0.9, 0.8, 0.7, 0.5),
+            eos_index=4,
+        )
+        epsilon2 = 2.0 if method is ReleaseMethod.DP else None
+        cfg = config(
+            mode=mode, max_tokens=12, release_method=method, epsilon2=epsilon2, k=3,
+            schedule=RewriteSchedule.from_range(0.5, 1.5, 0.25, count_each=2),
+        )
+        result = run_pipeline(PROMPT, cfg, mock_client, oracle=oracle)
+        stages = [e.stage for e in result.ledger.entries]
+        expected = [Stage.REWRITE] * 10 + ([Stage.KEYWORD_RELEASE] if epsilon2 else [])
+        assert stages == expected
+        rewrites = result.group.rewrites
+        spent = schedule_total(
+            [r.tokens_generated for r in rewrites], [r.params.temperature for r in rewrites], cfg.bounds
+        )
+        assert result.ledger.total() == pytest.approx(spent + (epsilon2 or 0.0), rel=1e-12)
+        assert result.to_json_dict()["ledger"]["total"] == result.ledger.total()
+
+    def test_a_failed_final_generation_falls_back_to_the_exemplar(self):
+        result = run_pipeline(PROMPT, config(fallback_to_exemplar=True), CutOffClient(serve=10))
+        assert result.exemplar_fallback is True
+        assert result.sanitized == result.exemplar.text
+        doc = result.to_json_dict()
+        assert doc["exemplar_fallback"] is True and "ledger_total" not in doc
+        assert {e.stage for e in result.ledger.entries} == {Stage.REWRITE}
+        assert run_pipeline(PROMPT, config(), MockChatModel()).exemplar_fallback is False
 
     def test_a_single_temperature_covers_every_slot(self):
         cfg = config(schedule=0.5, m=4)
@@ -219,6 +253,24 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             config(release_method=ReleaseMethod.DP)
 
+    def test_an_unknown_template_id_is_rejected_with_the_config(self):
+        with pytest.raises(ValueError, match="unknown template id: 'nope'"):
+            config(template_id="nope")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # 10 slots of 64 tokens at 2e306 each overflow the sum, not a slot.
+            {"bounds": ClipBounds(0.0, 1e306)},
+            {"bounds": ClipBounds(0.0, 1e306), "schedule": RewriteSchedule.from_range(1.0, 1.9, 0.1)},
+            # The slots sum to 1.28e308, and epsilon2 takes the total past the largest float.
+            {"bounds": ClipBounds(0.0, 1e305), "release_method": ReleaseMethod.DP, "epsilon2": 1e308},
+        ],
+    )
+    def test_an_ex_ante_budget_that_is_not_finite_is_rejected(self, overrides):
+        with pytest.raises(ValueError, match="ex-ante budget m·max_tokens·ε₁"):
+            config(**overrides)
+
 
 class TestBudgetReport:
     def test_uniform_closed_form_line(self, mock_client):
@@ -226,7 +278,7 @@ class TestBudgetReport:
         report = budget_report(result)
         assert "m·n·ε₁" in report
         assert "total:" in report
-        m = result.group.size
+        m = len(result.group.rewrites)
         n = result.group.rewrites[0].tokens_generated
         assert f"{m}·{n}·16" in report
 

@@ -1,7 +1,6 @@
 import pytest
 
 from promptsan.client import ChatRequest, ChatResponse, TransportError
-from promptsan.mechanisms import PrivacyLedger, Stage
 from promptsan.prompting import (
     AVOID_HEADER,
     REWRITE_HEADER,
@@ -108,24 +107,14 @@ class AlwaysFailingClient:
 class TestGenerateSanitized:
     def test_compliant_model_clears_leakage_flag(self):
         req = FinalPromptRequest(exemplar="Visit paris in spring?", forbidden=("paris",))
-        ledger = PrivacyLedger()
-        outcome = generate_sanitized(req, DeletingClient(), ledger)
+        outcome = generate_sanitized(req, DeletingClient())
         assert outcome.leakage_flag is False
         assert "paris" not in outcome.text.lower()
 
     def test_echoing_model_sets_leakage_flag(self):
         req = FinalPromptRequest(exemplar="Visit paris in spring?", forbidden=("paris",))
-        outcome = generate_sanitized(req, EchoExemplarClient(), PrivacyLedger())
+        outcome = generate_sanitized(req, EchoExemplarClient())
         assert outcome.leakage_flag is True
-
-    def test_ledger_total_unchanged(self):
-        ledger = PrivacyLedger()
-        ledger.record(Stage.REWRITE, 3.0, 7)
-        before = ledger.total()
-        req = FinalPromptRequest(exemplar="Visit paris?", forbidden=("paris",))
-        generate_sanitized(req, DeletingClient(), ledger)
-        assert ledger.total() == before
-        assert ledger.entries[-1].stage is Stage.POST_PROCESS
 
     def test_leakage_flag_matches_token_membership(self):
         assert contains_forbidden("The CAT sat", ("cat",)) is True
@@ -134,7 +123,7 @@ class TestGenerateSanitized:
     def test_bounded_regeneration_on_leakage(self):
         req = FinalPromptRequest(exemplar="paris visit?", forbidden=("paris",))
         client = LeakThenComplyClient()
-        outcome = generate_sanitized(req, client, PrivacyLedger(), retry_on_leakage=2)
+        outcome = generate_sanitized(req, client, retry_on_leakage=2)
         assert outcome.regenerations == 1
         assert outcome.leakage_flag is False
         assert client.calls == 2
@@ -144,27 +133,25 @@ class TestGenerateSanitized:
         req = FinalPromptRequest(exemplar="paris visit?", forbidden=("paris",))
         client = LeakThenComplyClient()
         with pytest.raises(ValueError, match="retry_on_leakage must be 0 to 2"):
-            generate_sanitized(req, client, PrivacyLedger(), retry_on_leakage=retry_on_leakage)
+            generate_sanitized(req, client, retry_on_leakage=retry_on_leakage)
         assert client.calls == 0
 
     def test_failure_without_fallback_raises(self):
         req = FinalPromptRequest(exemplar="Q text", forbidden=())
         with pytest.raises(SanitizationError):
-            generate_sanitized(req, AlwaysFailingClient(), PrivacyLedger())
+            generate_sanitized(req, AlwaysFailingClient())
 
     def test_exemplar_fallback_opt_in(self):
         req = FinalPromptRequest(exemplar="Visit paris?", forbidden=("paris",))
-        ledger = PrivacyLedger()
-        outcome = generate_sanitized(
-            req, AlwaysFailingClient(), ledger, fallback_to_exemplar=True
-        )
+        outcome = generate_sanitized(req, AlwaysFailingClient(), fallback_to_exemplar=True)
         assert outcome.text == "Visit paris?"
         assert outcome.leakage_flag is True
-        assert ledger.total() == 0.0
+        assert outcome.exemplar_fallback is True
 
     def test_fixed_client_outcome_fields(self):
         req = FinalPromptRequest(exemplar="Original question?", forbidden=("secret",))
-        outcome = generate_sanitized(req, FixedClient(text="A new question?"), PrivacyLedger())
+        outcome = generate_sanitized(req, FixedClient(text="A new question?"))
         assert isinstance(outcome, GenerationOutcome)
         assert outcome.final_prompt.split("\n")[1] == "Original question?"
         assert outcome.text == "A new question?"
+        assert outcome.exemplar_fallback is False

@@ -176,11 +176,16 @@ class TestParaphraseBlackbox:
         paraphrase_blackbox("prompt", self.params(temperature=0.1), client, ledger)
         assert ledger.total() == pytest.approx(15 * 194.0, rel=1e-12)
 
-    def test_retry_metadata_recorded(self):
-        rewrite = paraphrase_blackbox(
-            "p", self.params(), FixedClient(text="ok", attempts=3), PrivacyLedger()
-        )
-        assert rewrite.retries == 2
+    def test_a_reply_after_retries_is_charged_once(self):
+        ledger = PrivacyLedger()
+        rewrite = paraphrase_blackbox("p", self.params(), FixedClient(text="ok fine", attempts=3), ledger)
+        assert rewrite.tokens_generated == 2
+        assert [(e.stage, e.units) for e in ledger.entries] == [(Stage.REWRITE, 2)]
+
+    @pytest.mark.parametrize("bounds, temperature", [(ClipBounds(0.0, 1e308), 0.5), (ClipBounds(0.0, 1e306), 0.01)])
+    def test_a_rewrite_whose_ex_ante_budget_is_not_finite_is_rejected(self, bounds, temperature):
+        with pytest.raises(ValueError, match=r"ex-ante budget m·max_tokens·ε₁ \(\+ε₂\) is not a finite number"):
+            RewriteParams(mode="blackbox", temperature=temperature, max_tokens=64, bounds=bounds)
 
     def test_missing_bounds_rejected(self):
         with pytest.raises(TypeError, match="bounds"):
@@ -204,7 +209,7 @@ class TestRewriteGroup:
             "sail the quiet canal", RewriteSchedule.uniform(1.0, 10), self.params(), rng, ledger,
             client=EchoClient(),
         )
-        assert group.size == 10
+        assert len(group.rewrites) == 10
         assert set(group.texts()) == {"sail the quiet canal"}
         assert sum(1 for e in ledger.entries if e.stage is Stage.REWRITE) == 10
 
@@ -215,7 +220,7 @@ class TestRewriteGroup:
         group = rewrite_group(
             "prompt words here", schedule, self.params(), rng, ledger, client=EchoClient()
         )
-        assert group.size == 11
+        assert len(group.rewrites) == 11
         counts = [r.tokens_generated for r in group.rewrites]
         temps = [r.params.temperature for r in group.rewrites]
         expected = schedule_total(counts, temps, ClipBounds.from_unit_epsilon(19.4))
@@ -225,14 +230,14 @@ class TestRewriteGroup:
         group = rewrite_group(
             "p q r", RewriteSchedule.uniform(1.0, 1), self.params(), rng, PrivacyLedger(), client=EchoClient()
         )
-        assert group.size == 1
+        assert len(group.rewrites) == 1
 
     def test_partial_failure_keeps_successes(self, rng):
         client = FailingClient(failures=2)
         group = rewrite_group(
             "p q", RewriteSchedule.uniform(1.0, 5), self.params(), rng, PrivacyLedger(), client=client
         )
-        assert group.size == 3
+        assert len(group.rewrites) == 3
         assert len(group.warnings) == 2
 
     def test_all_failed_raises(self, rng):
@@ -375,7 +380,7 @@ class TestFanOut:
         group = rewrite_group(
             "p q", RewriteSchedule.uniform(1.0, 8), self.params(), rng, ledger, client=BarrierClient()
         )
-        assert group.size == 8
+        assert len(group.rewrites) == 8
         assert len(ledger.entries) == 8
 
     @pytest.mark.parametrize(
