@@ -12,7 +12,7 @@ from promptsan.client import ChatRequest, ChatResponse, MockChatModel, Transport
 from promptsan.exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
 from promptsan.mechanisms import ClipBounds, LogitVector
-from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams
+from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams, rewrite_group
 
 
 @dataclass
@@ -100,6 +100,42 @@ def argmin_under(texts: list[str], score) -> int:
     """The index of the lowest ``score(text)`` over texts with tokens; ties to the lowest."""
     scorable = [i for i, tokens in enumerate(tokenize_group(texts)[0]) if tokens]
     return min(scorable, key=lambda i: (score(texts[i]), i))
+
+
+def ledger_rows_around(monkeypatch: pytest.MonkeyPatch, name: str) -> tuple[list, list]:
+    """The run's ledger rows just before and just after ``promptsan.pipeline.<name>``.
+
+    Runs a seeded NDP pipeline on the mock client; raises if the wrapped
+    stage was never reached.
+    """
+    from promptsan import pipeline
+
+    ledgers = []
+    around = []
+
+    def capturing_rewriter(prompt, rng, ledger):
+        ledgers.append(ledger)
+        return rewrite_group(
+            prompt, config.rewrite_schedule(), config.rewrite_params(), rng, ledger,
+            client=client,
+        )
+
+    original = getattr(pipeline, name)
+
+    def wrapped(*args, **kwargs):
+        before = ledgers[0].to_rows()
+        out = original(*args, **kwargs)
+        around.append((before, ledgers[0].to_rows()))
+        return out
+
+    monkeypatch.setattr(pipeline, name, wrapped)
+    config = pipeline.PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, k=5, schedule=1.0, seed=7)
+    client = MockChatModel(seed=0)
+    pipeline.run_pipeline(
+        "Where is the silver archive?", config, client, stage1_rewriter=capturing_rewriter
+    )
+    assert len(around) == 1, f"{name} ran {len(around)} times"
+    return around[0]
 
 
 @pytest.fixture

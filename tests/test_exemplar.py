@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 
@@ -15,7 +16,7 @@ from promptsan.exemplar import (
 from promptsan.keywords import tokenize_group
 from promptsan.normalization import tokenize
 
-from conftest import argmin_under, select_from, unigram_of
+from conftest import argmin_under, ledger_rows_around, select_from, unigram_of
 
 WORDS = ["harbor", "lantern", "meadow", "kettle", "the", "on", "a", "zq7y"]
 
@@ -140,6 +141,13 @@ class TestSelectExemplar:
         texts = ["...", "!!!"]
         with pytest.raises(SelectionError):
             select_from(texts, unigram_of(texts))
+
+    def test_ledger_neutrality(self, monkeypatch):
+        # Selection is post-processing: it takes no ledger and a run's ledger
+        # is the same on either side of it.
+        assert "ledger" not in inspect.signature(select_exemplar).parameters
+        before, after = ledger_rows_around(monkeypatch, "select_exemplar")
+        assert before and after == before
 
     def test_deterministic_given_scorer(self):
         texts = ["alpha beta gamma", "beta gamma delta", "gamma delta"]

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -20,7 +21,7 @@ from promptsan.keywords import (
 )
 from promptsan.mechanisms import PrivacyLedger, Stage
 
-from conftest import histogram_of, make_group
+from conftest import histogram_of, ledger_rows_around, make_group
 from topk_reference import (
     STOP,
     hockey_stick,
@@ -129,6 +130,13 @@ class TestTopkNdp:
         h = hist({"mint": 4, "nut": 4, "oak": 2, "pine": 1})
         first = topk_ndp(h, 3).words
         assert all(topk_ndp(h, 3).words == first for _ in range(100))
+
+    def test_zero_ledger_contribution(self, monkeypatch):
+        # NDP is post-processing: it takes no ledger and a run's ledger is
+        # the same on either side of it.
+        assert "ledger" not in inspect.signature(topk_ndp).parameters
+        before, after = ledger_rows_around(monkeypatch, "topk_ndp")
+        assert before and after == before
 
 
 def two_draw_oracle(counts: dict[str, int], epsilon: float) -> dict[tuple[str, str], float]:

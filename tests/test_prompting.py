@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from promptsan.client import ChatRequest, ChatResponse, TransportError
@@ -12,7 +14,7 @@ from promptsan.prompting import (
     render_template,
 )
 
-from conftest import FixedClient
+from conftest import FixedClient, ledger_rows_around
 
 
 def parse_rendered(text: str) -> tuple[str, tuple[str, ...]]:
@@ -115,6 +117,13 @@ class TestGenerateSanitized:
         req = FinalPromptRequest(exemplar="Visit paris in spring?", forbidden=("paris",))
         outcome = generate_sanitized(req, EchoExemplarClient())
         assert outcome.leakage_flag is True
+
+    def test_ledger_total_unchanged(self, monkeypatch):
+        # Regeneration is post-processing: it takes no ledger and a run's
+        # ledger is the same on either side of it.
+        assert "ledger" not in inspect.signature(generate_sanitized).parameters
+        before, after = ledger_rows_around(monkeypatch, "generate_sanitized")
+        assert before and after == before
 
     def test_leakage_flag_matches_token_membership(self):
         assert contains_forbidden("The CAT sat", ("cat",)) is True
