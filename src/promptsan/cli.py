@@ -160,7 +160,8 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
         raise ConfigError("mock_seed needs use_mock: true")
     client_doc = doc.get("client")
     if not isinstance(client_doc, dict):
-        raise ConfigError("config requires a client section unless use_mock is true")
+        raise ConfigError("client must be a JSON object" if "client" in doc
+                          else "config requires a client section unless use_mock is true")
     _reject_unknown(client_doc, _CLIENT_KEYS, "client")
     settings = {**client_doc, **_cast_present(client_doc, _CLIENT_CASTS, "client config: ")}
     # TypeError: base_url or model missing

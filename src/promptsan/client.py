@@ -66,11 +66,9 @@ class ChatRequest:
 @dataclass(frozen=True)
 class ChatResponse:
     text: str
-    tokens_generated: int
+    # The service's usage.completion_tokens; None when it gave no usable count.
+    tokens_generated: int | None
     attempts: int = 1
-    # False when the service reported no usage and tokens_generated is only
-    # an estimate; budget accounting then charges the request's max_tokens.
-    tokens_reported: bool = True
 
 
 class ChatClient(Protocol):
@@ -93,6 +91,11 @@ class TransportError(RuntimeError):
         self.attempts = attempts
 
 
+# The most rewrite slots a schedule may hold (100 times the paper's m = 10),
+# and so the most Stage-1 calls a client may have in flight at once.
+MAX_SLOTS = 1000
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
@@ -104,8 +107,10 @@ class EndpointConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.model, str) and self.model):
             raise ValueError(f"model must be a non-empty string, got {self.model!r}")
-        if not self.max_inflight >= 1:
-            raise ValueError(f"max_inflight must be at least 1, got {self.max_inflight!r}")
+        if not 1 <= self.max_inflight <= MAX_SLOTS:
+            raise ValueError(
+                f"max_inflight must be at least 1 and at most {MAX_SLOTS}, got {self.max_inflight!r}"
+            )
         if not 0 < self.timeout_s < math.inf:  # rejects NaN too
             raise ValueError(f"timeout_s must be positive and finite, got {self.timeout_s!r}")
         if not (isinstance(self.api_key_env, str) and self.api_key_env):
@@ -230,13 +235,10 @@ class HttpChatClient:
             raise ClientError("malformed completion payload: content is not a string")
         usage = data.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
-        # bool is an int subclass, but true/false is no token count.
-        reported = isinstance(tokens, int) and not isinstance(tokens, bool) and tokens >= 0
-        if not reported:
-            tokens = len(text.split())
-        return ChatResponse(
-            text=text, tokens_generated=tokens, attempts=attempts, tokens_reported=reported
-        )
+        # type() rather than isinstance: true/false is no token count.
+        if type(tokens) is not int or tokens < 0:
+            tokens = None
+        return ChatResponse(text=text, tokens_generated=tokens, attempts=attempts)
 
 
 # --- deterministic mock -----------------------------------------------------

@@ -234,7 +234,7 @@ SANITIZER_BUILDERS: dict[str, Callable[..., Sanitizer]] = {
     "group-ndp": _pipeline_builder(ReleaseMethod.NDP),
     "group-dp": _pipeline_builder(ReleaseMethod.DP),
     "paraphrase": lambda name, temperature, config, client, repeat_seed: ParaphraseSanitizer(
-        name, temperature, replace(config.rewrite_params(), mode="blackbox", temperature=temperature),
+        name, temperature, replace(config.rewrite_params(), temperature=temperature),
         client, repeat_seed,
     ),
 }
@@ -381,7 +381,10 @@ def run_experiment(
 
     Every cell's sanitizer is built before the first item runs, so a bad
     method, temperature or repeat count raises ValueError before any call.
+    So is a white-box config: the grid takes no step oracle.
     """
+    if config.mode != "blackbox":
+        raise ValueError(f"run_experiment rewrites in black-box mode only, got mode {config.mode!r}")
     unknown = [m for m in methods if m not in SANITIZER_BUILDERS]
     if unknown:
         raise ValueError(f"unknown sanitizer methods: {unknown}")

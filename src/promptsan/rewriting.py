@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .client import ChatClient, ChatRequest, ClientError, TransportError
+from .client import MAX_SLOTS, ChatClient, ChatRequest, ClientError, TransportError
 from .mechanisms import (
     ClipBounds,
     LogitVector,
@@ -32,11 +32,6 @@ from .mechanisms import (
 DEFAULT_PARAPHRASE_TEMPLATE = (
     "Paraphrase the following question. Output only the paraphrase:\n{prompt}"
 )
-
-# The most rewrite slots a schedule may hold: 100 times the paper's m = 10,
-# and each slot is one service call or one white-box decode.
-MAX_SLOTS = 1000
-
 
 def check_temperature(temperature: float) -> None:
     """Raise ValueError unless a rewrite temperature is positive and finite."""
@@ -218,8 +213,7 @@ def paraphrase_whitebox(
             )
         raise RewriteError(f"step oracle failed after {tokens_generated} tokens: {exc}") from exc
 
-    if tokens_generated:
-        ledger.record(Stage.REWRITE, eps, tokens_generated, f"whitebox T={params.temperature:g}")
+    ledger.record(Stage.REWRITE, eps, tokens_generated, f"whitebox T={params.temperature:g}")
     return Rewrite(text=" ".join(output), params=params, tokens_generated=tokens_generated)
 
 
@@ -234,9 +228,9 @@ def paraphrase_blackbox(
 
     The remote service cannot enforce clipping, so the per-token epsilon is
     nominal, derived from the configured bounds; the ledger entry is flagged
-    accordingly. Units are the tokens the service reports; when it reports
-    none (or zero), or the client only estimated the count, the ledger
-    charges max_tokens.
+    accordingly. The rewrite's tokens, and its charge, are the tokens the
+    service reports, or max_tokens when it reports none (or zero). A reply
+    that reports more than max_tokens is dropped and charged max_tokens.
     """
     if params.mode != "blackbox":
         raise ValueError("paraphrase_blackbox requires blackbox params")
@@ -253,16 +247,14 @@ def paraphrase_blackbox(
     except (ClientError, TransportError) as exc:
         raise RewriteError(f"completion service failed: {exc}") from exc
 
-    reported = resp.tokens_reported and resp.tokens_generated > 0
-    units = resp.tokens_generated if reported else params.max_tokens
-    ledger.record(
-        Stage.REWRITE, eps, units, f"blackbox T={params.temperature:g} (nominal bounds)"
-    )
-    return Rewrite(
-        text=resp.text,
-        params=params,
-        tokens_generated=min(units, params.max_tokens),
-    )
+    units = resp.tokens_generated or params.max_tokens
+    note = f"blackbox T={params.temperature:g} (nominal bounds)"
+    if units > params.max_tokens:
+        # The error leaves out the count, which depends on the whole over-long reply.
+        ledger.record(Stage.REWRITE, eps, params.max_tokens, note)
+        raise RewriteError(f"the reply broke the cap of max_tokens = {params.max_tokens}")
+    ledger.record(Stage.REWRITE, eps, units, note)
+    return Rewrite(text=resp.text, params=params, tokens_generated=units)
 
 
 def rewrite_group(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +57,25 @@ class FailingClient:
         if self.calls <= self.failures:
             raise TransportError("stub outage", attempts=3)
         return self.inner.complete(req)
+
+
+@dataclass
+class ReportingClient:
+    """Records its requests and answers as the mock, but call i reports ``reported[i]`` tokens.
+
+    Calls past the list report the mock's own count. It declares no
+    ``max_inflight``, so Stage-1 calls arrive in slot order.
+    """
+
+    reported: Sequence[int | None]
+    requests: list[ChatRequest] = field(default_factory=list)
+    inner: MockChatModel = field(default_factory=MockChatModel)
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        resp = self.inner.complete(req)
+        call = len(self.requests)
+        self.requests.append(req)
+        return replace(resp, tokens_generated=self.reported[call]) if call < len(self.reported) else resp
 
 
 @dataclass

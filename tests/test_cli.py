@@ -641,6 +641,9 @@ class TestExitTwoBeforeAnyCall:
             (EVALUATE + ["--methods", "paraphrase", "--temperatures", "0.5"],
              {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 4, "m": 1},
              "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
+            (SANITIZE, {"use_mock": False, "client": {"base_url": "http://x", "model": "m", "max_inflight": 1001}},
+             "client config: max_inflight must be at least 1 and at most 1000, got 1001"),
+            (SANITIZE, {"use_mock": False, "client": [1]}, "client must be a JSON object"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -11,7 +11,9 @@ import pytest
 import requests
 
 import promptsan
+from promptsan import rewriting
 from promptsan.client import (
+    MAX_SLOTS,
     SHUFFLE_CAP,
     ChatRequest,
     ClientError,
@@ -89,6 +91,17 @@ def fast_client(server) -> HttpChatClient:
 REQ = ChatRequest.single("hello there", temperature=0.3, max_tokens=32)
 
 
+def count_and_charge(server, payload: dict) -> tuple[int | None, list[int]]:
+    """The token count the client reads from ``payload``, and the units a rewrite charges for it."""
+    ScriptedHandler.script = [(200, payload), (200, payload)]
+    client = fast_client(server)
+    tokens = client.complete(REQ).tokens_generated
+    params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=64, bounds=ClipBounds(0.0, 8.0))
+    ledger = PrivacyLedger()
+    paraphrase_blackbox("p q", params, client, ledger)
+    return tokens, [e.units for e in ledger.entries]
+
+
 class TestHttpClient:
     def test_parses_fixture_response(self, stub_server):
         ScriptedHandler.script = [(200, completion_payload("fixed reply", tokens=9))]
@@ -107,10 +120,8 @@ class TestHttpClient:
         assert resp.text == "eventually"
         assert resp.attempts == 3
 
-    def test_missing_usage_falls_back_to_token_estimate(self, stub_server):
-        ScriptedHandler.script = [(200, completion_payload("one two three"))]
-        resp = fast_client(stub_server).complete(REQ)
-        assert resp.tokens_generated == 3
+    def test_missing_usage_is_no_token_count(self, stub_server):
+        assert count_and_charge(stub_server, completion_payload("one two three")) == (None, [64])
 
     def test_non_retryable_4xx_is_terminal(self, stub_server):
         ScriptedHandler.script = [(400, {"error": "bad request"})]
@@ -167,14 +178,11 @@ class TestHttpClient:
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_boolean_token_count_is_not_reported(self, stub_server, flag):
-        ScriptedHandler.script = [(200, {**completion_payload("one two"), "usage": {"completion_tokens": flag}})]
-        resp = fast_client(stub_server).complete(REQ)
-        assert resp.tokens_reported is False
-        assert resp.tokens_generated == 2
+        payload = {**completion_payload("one two"), "usage": {"completion_tokens": flag}}
+        assert count_and_charge(stub_server, payload) == (None, [64])
 
-    def test_usage_that_is_not_an_object_falls_back_to_estimate(self, stub_server):
-        ScriptedHandler.script = [(200, {**completion_payload("one two"), "usage": 5})]
-        assert fast_client(stub_server).complete(REQ).tokens_generated == 2
+    def test_usage_that_is_not_an_object_is_no_token_count(self, stub_server):
+        assert count_and_charge(stub_server, {**completion_payload("one two"), "usage": 5}) == (None, [64])
 
     def test_non_json_reply_drops_only_its_slot(self, stub_server):
         # Four slots in flight at once; whichever request arrives first gets the bad body.
@@ -204,9 +212,10 @@ class TestHttpClient:
         bounds = ClipBounds(0.0, 8.0)
         params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=16, bounds=bounds)
         ledger = PrivacyLedger()
-        estimated = paraphrase_blackbox("p q", params, client, ledger)
+        unreported = paraphrase_blackbox("p q", params, client, ledger)
         reported = paraphrase_blackbox("p q", params, client, ledger)
-        assert estimated.text == reported.text == "one two three"
+        assert unreported.text == reported.text == "one two three"
+        assert [unreported.tokens_generated, reported.tokens_generated] == [16, 3]
         assert [e.units for e in ledger.entries] == [16, 3]
         assert ledger.total() == 19 * epsilon_per_token(1.0, bounds)
 
@@ -316,6 +325,12 @@ class TestEndpointConfig:
     def test_model_must_be_a_non_empty_string(self, model):
         with pytest.raises(ValueError, match="model must be a non-empty string"):
             EndpointConfig(base_url="http://x", model=model)
+
+    def test_max_inflight_above_max_slots_rejected(self):
+        assert rewriting.MAX_SLOTS == MAX_SLOTS == 1000
+        assert EndpointConfig(base_url="http://x", model="m", max_inflight=MAX_SLOTS).max_inflight == 1000
+        with pytest.raises(ValueError, match="max_inflight must be at least 1 and at most 1000, got 1001"):
+            EndpointConfig(base_url="http://x", model="m", max_inflight=MAX_SLOTS + 1)
 
     def test_client_exposes_max_inflight(self):
         endpoint = EndpointConfig(base_url="http://x", model="m", max_inflight=7)

@@ -268,6 +268,13 @@ class TestSanitizerFailures:
         assert [r for r in rows if not r.failed] == [r for r in baseline if r.item_id != records[1].id]
         assert {a["failed_count"] for a in aggregate(rows)} == {2}
 
+    @pytest.mark.parametrize("method", ["group-ndp", "paraphrase"])
+    def test_a_whitebox_config_is_refused_before_any_call(self, method):
+        config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, mode="whitebox")
+        client = FailingItemClient("")  # a call would make a failed row, not an error
+        with pytest.raises(ValueError, match="black-box mode only, got mode 'whitebox'"):
+            run_experiment(synthetic_qa_records(1, seed=2), config, client, methods=(method,))
+
     def test_failed_row_carries_the_budget_already_charged(self):
         # Stage 3 fails after Stage 1 charged the rewrites and Stage 2 the DP release.
         records = synthetic_qa_records(2, seed=2)

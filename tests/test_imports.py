@@ -4,7 +4,9 @@ every function, class and method it defines is used outside ``tests/``.
 The first is a stdlib stand-in for a linter's F401 check. An import line
 marked ``# noqa: F401`` is exempt, and a name listed in ``__all__`` counts as
 used. A name read only inside a quoted annotation counts as unused; the
-modules use ``from __future__ import annotations`` and need no quotes.
+modules use ``from __future__ import annotations`` and need no quotes. The
+only exempt imports are the bindings ``perfbench`` wraps, listed in
+``PERFBENCH_BINDINGS``, so a new one must be named there.
 
 The second keeps package code that only tests run out of the package: a
 top-level function or class, a method whose name is not a dunder, or a name
@@ -26,20 +28,29 @@ PACKAGE = REPO / "src" / "promptsan"
 NOQA = "# noqa: F401"
 # The code whose reads count as uses of a package definition.
 NON_TEST_ROOTS = ("src", "perfbench", "scripts")
+# The (module, name) imports kept unused only because perfbench/layers.py
+# wraps the module's binding; each carries the NOQA mark.
+PERFBENCH_BINDINGS = {("exemplar.py", "tokenize"), ("rewriting.py", "clip_logits")}
+
+
+def imported_names(source: str, exempt: bool) -> dict[str, int]:
+    """The names ``source`` imports, with their lines: the NOQA-marked ones if ``exempt``, else the rest."""
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if (NOQA in lines[alias.lineno - 1]) == exempt:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    return imported
 
 
 def unused_imports(source: str) -> list[str]:
     """The names ``source`` imports and never reads, as ``line: name``."""
     tree = ast.parse(source)
-    lines = source.splitlines()
-    imported: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                if NOQA not in lines[alias.lineno - 1]:
-                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    imported = imported_names(source, exempt=False)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -62,6 +73,19 @@ def test_the_check_sees_an_unused_import_and_honours_noqa():
         "__all__ = ['exp']\ndef f(x: 'List') -> float:\n    return osp.sep\n"
     )
     assert unused_imports(source) == ["1: os", "3: log", "5: List"]
+    assert imported_names(source, exempt=True) == {"dumps": 4}
+
+
+def test_the_only_exempt_imports_are_the_perfbench_bindings():
+    exempt = {
+        (path.name, name)
+        for path in PACKAGE.glob("*.py")
+        for name in imported_names(path.read_text(encoding="utf-8"), exempt=True)
+    }
+    assert exempt == PERFBENCH_BINDINGS
+    layers = (REPO / "perfbench" / "layers.py").read_text(encoding="utf-8")
+    for module, name in PERFBENCH_BINDINGS:
+        assert f'Target("promptsan.{module[:-3]}", "{name}"' in layers
 
 
 def used_names(source: str) -> set[str]:

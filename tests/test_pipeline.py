@@ -33,7 +33,7 @@ from promptsan.rewriting import (
     RewriteSchedule,
 )
 
-from conftest import ConstantStepOracle, FailingClient, histogram_of, make_group
+from conftest import ConstantStepOracle, FailingClient, ReportingClient, histogram_of, make_group
 
 PROMPT = "Where would the silver archive usually store a hidden journal during the harbor festival?"
 
@@ -270,6 +270,37 @@ class TestRunPipeline:
     def test_an_ex_ante_budget_that_is_not_finite_is_rejected(self, overrides):
         with pytest.raises(ValueError, match="ex-ante budget m·max_tokens·ε₁"):
             config(**overrides)
+
+
+class TestOneTokenCount:
+    """A kept rewrite's tokens are its ledger units, and a reply over the cap is dropped."""
+
+    CAP = "the reply broke the cap of max_tokens = 64"
+
+    def test_replies_over_the_cap_are_dropped_within_the_ex_ante_bound(self):
+        cfg = config(m=3, max_tokens=64)
+        client = ReportingClient([100] * 3)
+        with pytest.raises(PipelineStageError) as exc_info:
+            run_pipeline(PROMPT, cfg, client)
+        exc = exc_info.value
+        assert exc.stage == "stage-1 rewriting" and len(client.requests) == 3
+        message = str(exc)
+        assert all(f"slot {slot} (T=1) failed: {self.CAP}" in message for slot in range(3))
+        assert "100" not in message
+        bound = schedule_total([64] * 3, [1.0] * 3, cfg.bounds)
+        assert bound == 3072
+        assert exc.ledger.total() <= bound
+
+    def test_kept_rewrites_pair_with_ledger_rows_of_equal_units(self):
+        cfg = config(m=4, max_tokens=64)
+        result = run_pipeline(PROMPT, cfg, ReportingClient([5, 100, None, 7]))
+        doc = result.to_json_dict()
+        units = [row["units"] for row in doc["ledger"]["entries"] if row["stage"] == "rewrite"]
+        assert units == [5, 64, 64, 7]
+        assert doc["group"]["warnings"] == [f"slot 1 (T=1) failed: {self.CAP}"]
+        kept = [u for slot, u in enumerate(units) if slot != 1]
+        assert [r["tokens"] for r in doc["group"]["rewrites"]] == kept == [5, 64, 7]
+        assert result.ledger.total() <= schedule_total([64] * 4, [1.0] * 4, cfg.bounds)
 
 
 class TestBudgetReport:

@@ -28,7 +28,7 @@ from promptsan.rewriting import (
     rewrite_group,
 )
 
-from conftest import ConstantStepOracle, EchoClient, FailingClient, FixedClient
+from conftest import ConstantStepOracle, EchoClient, FailingClient, FixedClient, ReportingClient
 
 
 def whitebox_params(bounds: ClipBounds, temperature: float = 1.0, max_tokens: int = 15):
@@ -181,6 +181,13 @@ class TestParaphraseBlackbox:
         rewrite = paraphrase_blackbox("p", self.params(), FixedClient(text="ok fine", attempts=3), ledger)
         assert rewrite.tokens_generated == 2
         assert [(e.stage, e.units) for e in ledger.entries] == [(Stage.REWRITE, 2)]
+
+    def test_a_reply_over_the_cap_is_dropped_and_charged_the_cap(self):
+        ledger = PrivacyLedger()
+        with pytest.raises(RewriteError, match="the reply broke the cap of max_tokens = 64") as exc_info:
+            paraphrase_blackbox("p q", self.params(), ReportingClient([100]), ledger)
+        assert "100" not in str(exc_info.value)
+        assert [(e.stage, e.units) for e in ledger.entries] == [(Stage.REWRITE, 64)]
 
     @pytest.mark.parametrize("bounds, temperature", [(ClipBounds(0.0, 1e308), 0.5), (ClipBounds(0.0, 1e306), 0.01)])
     def test_a_rewrite_whose_ex_ante_budget_is_not_finite_is_rejected(self, bounds, temperature):
