@@ -39,7 +39,6 @@ from .rewriting import (
     RewriteSchedule,
     StepOracle,
     check_ex_ante_budget,
-    check_temperature,
     rewrite_group,
 )
 
@@ -71,17 +70,14 @@ class PipelineConfig:
             self.epsilon2 is None or not 0 < self.epsilon2 < math.inf  # rejects NaN too
         ):
             raise ValueError("DP keyword release requires a positive finite epsilon2")
-        if isinstance(self.schedule, RewriteSchedule):
-            if self.schedule.total != self.m:
-                raise ValueError("schedule must cover exactly m rewrites")
-        else:
-            check_temperature(self.schedule)
+        if isinstance(self.schedule, RewriteSchedule) and self.schedule.total != self.m:
+            raise ValueError("schedule must cover exactly m rewrites")
+        schedule = self.rewrite_schedule()  # checks the slot count and each temperature
         check_retry_on_leakage(self.retry_on_leakage)
         check_template_id(self.template_id)
         self.rewrite_params()  # RewriteParams checks the settings it shares
-        entries = self.rewrite_schedule().entries
         check_ex_ante_budget(
-            [self.max_tokens * count for _, count in entries], [t for t, _ in entries], self.bounds,
+            [self.max_tokens] * self.m, schedule.temperatures, self.bounds,
             self.epsilon2 if self.release_method is ReleaseMethod.DP else 0.0,
         )
 
@@ -98,7 +94,7 @@ class PipelineConfig:
         """
         return RewriteParams(
             mode=self.mode,
-            temperature=float(self.rewrite_schedule().entries[0][0]),
+            temperature=float(self.rewrite_schedule().temperatures[0]),
             max_tokens=self.max_tokens,
             prompt_template=self.prompt_template,
             bounds=self.bounds,

@@ -39,6 +39,12 @@ def check_temperature(temperature: float) -> None:
         raise ValueError(f"rewrite temperature must be positive and finite, got {temperature!r}")
 
 
+def _check_slot_count(m: int) -> None:
+    """Raise ValueError if a run would have more than MAX_SLOTS rewrite slots."""
+    if m > MAX_SLOTS:
+        raise ValueError(f"a schedule may hold at most {MAX_SLOTS} rewrite slots, got {m}")
+
+
 def check_ex_ante_budget(
     token_counts: Sequence[int], temperatures: Sequence[float], bounds: ClipBounds, epsilon2: float = 0.0
 ) -> None:
@@ -124,33 +130,28 @@ class ParaphraseGroup:
 
 @dataclass(frozen=True)
 class RewriteSchedule:
-    """Temperatures for the m rewrite slots, e.g. 0.5..1.5 in 0.1 steps."""
+    """The temperature of each rewrite slot, in slot order, e.g. 0.5..1.5 in 0.1 steps."""
 
-    entries: tuple[tuple[float, int], ...]  # (temperature, count)
+    temperatures: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        if not self.temperatures:
             raise ValueError("schedule must be nonempty")
-        for temperature, count in self.entries:
+        for temperature in set(self.temperatures):
             check_temperature(temperature)
-            if count < 1:
-                raise ValueError("schedule counts must be positive")
-        if self.total > MAX_SLOTS:
-            raise ValueError(f"a schedule may hold at most {MAX_SLOTS} rewrite slots, got {self.total}")
+        _check_slot_count(self.total)
 
     @property
     def total(self) -> int:
-        return sum(count for _, count in self.entries)
-
-    def expand(self) -> list[float]:
-        return [t for t, count in self.entries for _ in range(count)]
+        return len(self.temperatures)
 
     @classmethod
     def uniform(cls, temperature: float, m: int) -> "RewriteSchedule":
-        return cls(entries=((temperature, m),))
+        _check_slot_count(m)  # before building an m-long tuple
+        return cls((temperature,) * m)
 
     @classmethod
-    def from_range(cls, low: float, high: float, step: float, count_each: int = 1) -> "RewriteSchedule":
+    def from_range(cls, low: float, high: float, step: float) -> "RewriteSchedule":
         if not all(map(math.isfinite, (low, high, step))):
             raise ValueError("schedule range must be finite")
         if step <= 0 or high < low:
@@ -163,7 +164,7 @@ class RewriteSchedule:
                 raise ValueError(f"schedule range gives more than {MAX_SLOTS} rewrite slots")
             temps.append(round(t, 10))
             t += step
-        return cls(entries=tuple((t, count_each) for t in temps))
+        return cls(tuple(temps))
 
 
 class StepOracle(Protocol):
@@ -276,22 +277,20 @@ def rewrite_group(
     one another's output and slot order does not perturb the samples. Failed
     slots are dropped with a warning; only an all-failed group is an error.
 
-    Each slot records into its own ledger, and the slot ledgers are appended
-    to ``ledger`` in slot order once the slots are done, also when one
-    raised, because slots that ran have spent their budget. A client with a
+    Each slot records into its own ledger. Every slot runs, whatever another
+    raises; then the slot ledgers are appended to ``ledger`` in slot order,
+    since every slot has spent its budget, and the first error in slot order
+    that is not a ``RewriteError`` is re-raised. A client with a
     ``max_inflight`` attribute has up to that many slots in flight at once;
-    rewrites, warnings and ledger entries still come out in slot order,
-    exactly as from an inline run. A slot that raises anything but
-    ``RewriteError`` stops an inline run at that slot; in flight, every slot
-    finishes before the first such error in slot order is re-raised.
+    what a run returns, records or raises does not depend on that number.
     """
     if params.mode == "blackbox" and client is None:
         raise ValueError("blackbox rewriting needs a chat client")
     if params.mode == "whitebox" and oracle is None:
         raise ValueError("whitebox rewriting needs a step oracle")
 
-    temperatures = schedule.expand()
-    m = len(temperatures)
+    temperatures = schedule.temperatures
+    m = schedule.total
     # A white-box slot needs a stream of up to max_tokens uniforms, so each
     # gets a child stream; a black-box slot needs one integer, its request
     # seed. Element i of either depends on i alone.
@@ -301,9 +300,9 @@ def rewrite_group(
         slot_seeds = rng.integers(0, 2**63, size=m).tolist()
     slot_ledgers = [PrivacyLedger() for _ in range(m)]
     # One validated RewriteParams per distinct temperature, shared by its slots.
-    params_at = {t: replace(params, temperature=t) for t, _ in schedule.entries}
+    params_at = {t: replace(params, temperature=t) for t in set(temperatures)}
 
-    def run_slot(slot: int) -> Rewrite | RewriteError:
+    def run_slot(slot: int) -> Rewrite | Exception:
         slot_params = params_at[temperatures[slot]]
         try:
             if params.mode == "whitebox":
@@ -315,31 +314,29 @@ def rewrite_group(
             return paraphrase_blackbox(
                 prompt, slot_params, client, slot_ledgers[slot], seed=slot_seeds[slot]
             )
-        except RewriteError as exc:
+        except Exception as exc:  # sorted out in slot order once every slot has run
             return exc
 
     # Only a client that declares how many calls it may have in flight (the
     # HTTP client) gets worker threads; in-process clients and oracles would
     # pay for the threads and gain nothing.
     workers = min(m, getattr(client, "max_inflight", 1)) if params.mode == "blackbox" else 1
-    try:
-        if workers > 1:
-            # Not pool.map: it cancels pending slots once a result raises.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(run_slot, slot) for slot in range(m)]
-            outcomes = [future.result() for future in futures]
-        else:
-            outcomes = [run_slot(slot) for slot in range(m)]
-    finally:
-        for slot_ledger in slot_ledgers:
-            for entry in slot_ledger.entries:
-                ledger.append(entry)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_slot, range(m)))
+    else:
+        outcomes = list(map(run_slot, range(m)))
+    for slot_ledger in slot_ledgers:
+        for entry in slot_ledger.entries:
+            ledger.append(entry)
 
     rewrites: list[Rewrite] = []
     issues: list[str] = []
     for slot, outcome in enumerate(outcomes):
         if isinstance(outcome, RewriteError):
             issues.append(f"slot {slot} (T={temperatures[slot]:g}) failed: {outcome}")
+        elif isinstance(outcome, Exception):
+            raise outcome
         else:
             rewrites.append(outcome)
 

@@ -155,7 +155,7 @@ def test_criterion_4_composition_closed_forms():
             oracle=WHITEBOX_ORACLE,
         )
         width = 4.0
-        expected = math.fsum(20 * 2 * width / t for t in schedule.expand())
+        expected = math.fsum(20 * 2 * width / t for t in schedule.temperatures)
         assert non_uniform.ledger.total() == pytest.approx(expected, rel=1e-9)
 
 

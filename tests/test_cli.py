@@ -351,7 +351,7 @@ class TestConfigErrors:
     def test_a_json_integer_is_a_number(self, tmp_path):
         doc = {**BASE_CONFIG, "use_mock": True, "temperature": 1, "release_method": "dp", "epsilon2": 2}
         config, _ = load_cli_config(write_config(tmp_path, doc))
-        assert config.rewrite_schedule().expand() == [1.0] * 10
+        assert config.rewrite_schedule().temperatures == (1.0,) * 10
         assert type(config.epsilon2) is float and config.epsilon2 == 2.0
 
     @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ class LeakyFinalClient:
 
 def _pipeline_outputs(method: ReleaseMethod, eps2: float | None) -> list[str]:
     bounds = ClipBounds(0.0, 8.0)
-    schedules = (1.0, RewriteSchedule.from_range(0.5, 1.5, 0.25, count_each=2))
+    schedules = (1.0, RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5)))
     out = []
     for prompt, schedule, retry, mock_seed in itertools.product(PROMPTS, schedules, (0, 2), (0, 3)):
         config = PipelineConfig(

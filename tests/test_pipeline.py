@@ -215,7 +215,7 @@ class TestRunPipeline:
         epsilon2 = 2.0 if method is ReleaseMethod.DP else None
         cfg = config(
             mode=mode, max_tokens=12, release_method=method, epsilon2=epsilon2, k=3,
-            schedule=RewriteSchedule.from_range(0.5, 1.5, 0.25, count_each=2),
+            schedule=RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5)),
         )
         result = run_pipeline(PROMPT, cfg, mock_client, oracle=oracle)
         stages = [e.stage for e in result.ledger.entries]

@@ -69,7 +69,7 @@ class TestParams:
         with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
             RewriteParams(mode="blackbox", temperature=temperature, max_tokens=10, bounds=bounds)
         with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
-            RewriteSchedule(entries=((1.0, 2), (temperature, 1)))
+            RewriteSchedule((1.0, 1.0, temperature))
         with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
             PipelineConfig(bounds=bounds, schedule=temperature)
 
@@ -83,13 +83,13 @@ class TestParams:
 
     def test_schedule_holds_at_most_max_slots(self):
         assert RewriteSchedule.uniform(1.0, MAX_SLOTS).total == MAX_SLOTS
-        assert len(RewriteSchedule.from_range(0.001, 1.0, 0.001).expand()) == MAX_SLOTS
+        assert RewriteSchedule.from_range(0.001, 1.0, 0.001).total == MAX_SLOTS
         with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
             RewriteSchedule.uniform(1.0, MAX_SLOTS + 1)
         with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
-            RewriteSchedule.from_range(0.5, 1.0, 0.01, count_each=20)
+            RewriteSchedule((1.0,) * (MAX_SLOTS + 1))
         with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
-            PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=10**12)
+            PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=MAX_SLOTS + 1)
 
 
 class TestParaphraseWhitebox:
@@ -263,8 +263,8 @@ class TestRewriteGroup:
         assert all(t == "SECRET PROMPT" for t in group.texts())
 
     def test_schedule_permutation_preserves_total(self, mock_client):
-        fwd = RewriteSchedule(entries=((0.5, 2), (1.5, 2)))
-        bwd = RewriteSchedule(entries=((1.5, 2), (0.5, 2)))
+        fwd = RewriteSchedule((0.5, 0.5, 1.5, 1.5))
+        bwd = RewriteSchedule((1.5, 1.5, 0.5, 0.5))
         ledger_fwd, ledger_bwd = PrivacyLedger(), PrivacyLedger()
         group_fwd = rewrite_group(
             "quiet harbor lantern", fwd, self.params(),
@@ -277,17 +277,6 @@ class TestRewriteGroup:
         assert [r.params.temperature for r in group_fwd.rewrites] == [0.5, 0.5, 1.5, 1.5]
         assert [r.params.temperature for r in group_bwd.rewrites] == [1.5, 1.5, 0.5, 0.5]
         assert ledger_fwd.total() == pytest.approx(ledger_bwd.total(), rel=1e-12)
-
-    def test_untyped_error_stops_the_inline_run_at_its_slot(self, rng):
-        client = InlineFailAtTemperature(0.7, KeyError("boom"))
-        schedule = RewriteSchedule.from_range(0.5, 1.0, 0.1)
-        ledger = PrivacyLedger()
-        with pytest.raises(KeyError):
-            rewrite_group("p q", schedule, self.params(), rng, ledger, client=client)
-        assert client.temperatures == [0.5, 0.6, 0.7]
-        assert [e.note for e in ledger.entries] == [
-            f"blackbox T={t:g} (nominal bounds)" for t in (0.5, 0.6)
-        ]
 
     def test_a_slot_sends_the_same_seed_at_any_m_and_temperature(self):
         class RecordingClient:
@@ -324,14 +313,14 @@ class TestRewriteGroup:
 
 
 class InflightMock:
-    """The mock behind a ``max_inflight`` attribute, so rewrite_group fans out."""
+    """A client (the mock by default) behind a ``max_inflight`` attribute, so rewrite_group fans out."""
 
-    def __init__(self, max_inflight: int) -> None:
+    def __init__(self, max_inflight: int, inner=None) -> None:
         self.max_inflight = max_inflight
-        self.mock = MockChatModel()
+        self.inner = inner or MockChatModel()
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        return self.mock.complete(req)
+        return self.inner.complete(req)
 
 
 class BarrierClient:
@@ -347,7 +336,7 @@ class BarrierClient:
         return ChatResponse(text="kept text", tokens_generated=2)
 
 
-class InlineFailAtTemperature:
+class FailAtTemperature:
     """Raises ``error`` for the slot at ``temperature``; answers the rest.
 
     Declares no ``max_inflight``, so rewrite_group runs its slots inline.
@@ -363,12 +352,6 @@ class InlineFailAtTemperature:
         if req.temperature == self.temperature:
             raise self.error
         return ChatResponse(text="kept text", tokens_generated=2)
-
-
-class FailAtTemperature(InlineFailAtTemperature):
-    """The same client with four calls in flight."""
-
-    max_inflight = 4
 
 
 class TestFanOut:
@@ -392,7 +375,7 @@ class TestFanOut:
 
     @pytest.mark.parametrize(
         "schedule",
-        [RewriteSchedule.from_range(0.5, 1.5, 0.1), RewriteSchedule.from_range(0.5, 1.5, 0.25, count_each=2)],
+        [RewriteSchedule.from_range(0.5, 1.5, 0.1), RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5))],
     )
     def test_pipeline_output_is_identical_at_any_max_inflight(self, schedule):
         config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=schedule.total, schedule=schedule, seed=5)
@@ -411,18 +394,22 @@ class TestFanOut:
             sys.setswitchinterval(interval)
         assert len(outputs) == 1
 
-    def test_untyped_error_raises_after_every_other_slot_is_charged(self, rng):
+    @pytest.mark.parametrize("max_inflight", [None, 1, 4], ids=["inline", "inflight1", "inflight4"])
+    def test_untyped_error_raises_after_every_other_slot_is_charged(self, rng, max_inflight):
         ledger = PrivacyLedger()
-        client = FailAtTemperature(0.8, KeyError("boom"))
-        with pytest.raises(KeyError):
+        failing = FailAtTemperature(0.8, KeyError("boom"))
+        client = failing if max_inflight is None else InflightMock(max_inflight, failing)
+        with pytest.raises(KeyError) as exc_info:
             rewrite_group("p q", self.schedule, self.params(), rng, ledger, client=client)
-        assert [e.note for e in ledger.entries] == [
-            f"blackbox T={t:g} (nominal bounds)" for t in (0.5, 0.6, 0.7, 0.9, 1.0)
+        assert exc_info.value is failing.error
+        assert sorted(failing.temperatures) == list(self.schedule.temperatures)
+        assert [(e.note, e.units) for e in ledger.entries] == [
+            (f"blackbox T={t:g} (nominal bounds)", 2) for t in (0.5, 0.6, 0.7, 0.9, 1.0)
         ]
 
     def test_failed_slot_is_dropped_in_slot_order(self, rng):
         ledger = PrivacyLedger()
-        client = FailAtTemperature(0.6, TransportError("stub outage", attempts=3))
+        client = InflightMock(4, FailAtTemperature(0.6, TransportError("stub outage", attempts=3)))
         group = rewrite_group("p q", self.schedule, self.params(), rng, ledger, client=client)
         assert [r.params.temperature for r in group.rewrites] == [0.5, 0.7, 0.8, 0.9, 1.0]
         assert len(group.warnings) == 1
@@ -453,7 +440,10 @@ TEMPERATURES = (0.1, 0.25, 0.5, 1.0, 1.5)
 schedules = st.one_of(
     st.builds(RewriteSchedule.uniform, st.sampled_from(TEMPERATURES), st.integers(2, 10)),
     st.builds(
-        lambda low, step, n, each: RewriteSchedule.from_range(low, low + step * (n - 1), step, each),
+        lambda low, step, n, each: RewriteSchedule(tuple(
+            t for t in RewriteSchedule.from_range(low, low + step * (n - 1), step).temperatures
+            for _ in range(each)
+        )),
         st.sampled_from(TEMPERATURES),
         st.sampled_from((0.05, 0.1, 0.25)),
         st.integers(2, 6),
