@@ -12,6 +12,8 @@ side. Progress goes to standard error; standard output is one JSON object:
 per metric, the runs of each side, their medians and inclusive quartiles,
 the change in percent, the parent's interquartile range and, for a metric
 that BENCHMARK.json gives a direction, the number of pairs the change won.
+An end-to-end metric also gets a verdict against its bound in BENCHMARK.json
+(see ``verdict``).
 """
 
 from __future__ import annotations
@@ -43,12 +45,34 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Whether the change is worse on an end-to-end metric, as BENCHMARK.json's bound judges it.
+
+    "worse": the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median. "unresolved": the parent's runs spread
+    too widely to tell, their interquartile range exceeding ``bound`` times
+    their median, unless every change run beats every parent run. "no worse"
+    otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    pm, cm = statistics.median(parent), statistics.median(change)
+    if sign * (pm - cm) > bound * abs(pm):
+        return "worse"
+    q1, q3 = quartiles(parent)
+    if q3 - q1 > bound * abs(pm) and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "no worse"
+
+
 def _rounded(values: list) -> list:
     return [None if v is None else round(v, 4) for v in values]
 
 
-def summarize_metric(parent: list, change: list, better: str | None) -> dict:
-    """Medians, quartiles and pair wins of one metric; None marks a run that lacked it."""
+def summarize_metric(parent: list, change: list, better: str | None, bound: float | None = None) -> dict:
+    """Medians, quartiles, pair wins and, given a bound, the verdict of one metric.
+
+    None marks a run that lacked the metric.
+    """
     p = [v for v in parent if v is not None]
     c = [v for v in change if v is not None]
     out: dict = {"parent_runs": _rounded(parent), "change_runs": _rounded(change)}
@@ -69,11 +93,16 @@ def summarize_metric(parent: list, change: list, better: str | None) -> dict:
         out["change_better_pairs"] = sum(
             1 for a, b in zip(parent, change) if a is not None and b is not None and sign * (b - a) > 0
         )
+        if bound is not None:
+            out["verdict"] = verdict(p, c, better, bound)
     return out
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str], end_to_end: set[str]) -> dict:
-    """Summary of paired results; ``runs[side][i]`` is run.py's result line for pair i + 1."""
+def summarize(runs: dict[str, list[dict]], better: dict[str, str], end_to_end: dict[str, float]) -> dict:
+    """Summary of paired results; ``runs[side][i]`` is run.py's result line for pair i + 1.
+
+    ``end_to_end`` maps each end-to-end metric to its bound.
+    """
     pairs = len(runs["parent"])
     if len(runs["change"]) != pairs:
         raise ValueError("each side needs one result per pair")
@@ -92,7 +121,7 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str], end_to_end: s
         }
         group = "end_to_end" if name in end_to_end else "per_layer"
         summary.setdefault(group, {})[name] = summarize_metric(
-            values["parent"], values["change"], better.get(name)
+            values["parent"], values["change"], better.get(name), end_to_end.get(name)
         )
     return summary
 
@@ -142,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = {
         "parent": args.parent, "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
-        **summarize(runs, directions(benchmark), {m["name"] for m in benchmark["end_to_end"]}),
+        **summarize(runs, directions(benchmark), {m["name"]: m["bound"] for m in benchmark["end_to_end"]}),
     }
     print(json.dumps(summary, indent=1))
     return 0

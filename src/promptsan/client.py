@@ -17,6 +17,7 @@ import struct
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
+from urllib.parse import urlsplit
 
 from .normalization import _STRIP_CHARS, tokenize
 from .stopwords import STOP_WORDS
@@ -105,6 +106,13 @@ class EndpointConfig:
     api_key_env: str = "PROMPTSAN_API_KEY"
 
     def __post_init__(self) -> None:
+        try:
+            url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
+        except ValueError:  # an unclosed IPv6 bracket, for one
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            # The message leaves the value out: a URL may carry credentials.
+            raise ValueError("base_url must be an http:// or https:// URL with a host")
         if not (isinstance(self.model, str) and self.model):
             raise ValueError(f"model must be a non-empty string, got {self.model!r}")
         if not 1 <= self.max_inflight <= MAX_SLOTS:

@@ -381,10 +381,14 @@ def run_experiment(
 
     Every cell's sanitizer is built before the first item runs, so a bad
     method, temperature or repeat count raises ValueError before any call.
-    So is a white-box config: the grid takes no step oracle.
+    So do an empty or repeated list of methods or temperatures, and a
+    white-box config: the grid takes no step oracle.
     """
     if config.mode != "blackbox":
         raise ValueError(f"run_experiment rewrites in black-box mode only, got mode {config.mode!r}")
+    for name, values in (("methods", methods), ("temperatures", temperatures)):
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"{name} must be a non-empty list without repeats, got {list(values)}")
     unknown = [m for m in methods if m not in SANITIZER_BUILDERS]
     if unknown:
         raise ValueError(f"unknown sanitizer methods: {unknown}")

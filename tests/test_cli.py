@@ -644,6 +644,12 @@ class TestExitTwoBeforeAnyCall:
             (SANITIZE, {"use_mock": False, "client": {"base_url": "http://x", "model": "m", "max_inflight": 1001}},
              "client config: max_inflight must be at least 1 and at most 1000, got 1001"),
             (SANITIZE, {"use_mock": False, "client": [1]}, "client must be a JSON object"),
+            (SANITIZE, {"use_mock": False, "client": {"base_url": "localhost:9/v1", "model": "m"}},
+             "client config: base_url must be an http:// or https:// URL with a host"),
+            (EVALUATE + ["--methods", "group-ndp,group-ndp"], {},
+             "methods must be a non-empty list without repeats, got ['group-ndp', 'group-ndp']"),
+            (EVALUATE + ["--temperatures", "0.5,0.50"], {},
+             "temperatures must be a non-empty list without repeats, got [0.5, 0.5]"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -326,6 +326,23 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match="model must be a non-empty string"):
             EndpointConfig(base_url="http://x", model=model)
 
+    @pytest.mark.parametrize(
+        "base_url",
+        ["localhost:9/v1", "user:secret@localhost:9/v1", "ftp://x/v1", "http://", "http:///v1",
+         "https://user:secret@/v1", "http://[::1/v1", "", 5, None],
+    )
+    def test_base_url_must_be_an_http_url_with_a_host(self, base_url):
+        message = "base_url must be an http:// or https:// URL with a host"
+        with pytest.raises(ValueError, match=message) as exc_info:
+            EndpointConfig(base_url=base_url, model="m")
+        assert "secret" not in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "base_url", ["http://x", "HTTPS://api.example.com/v1", "http://127.0.0.1:9", "http://[::1]:8"]
+    )
+    def test_an_http_url_with_a_host_is_accepted(self, base_url):
+        assert EndpointConfig(base_url=base_url, model="m").base_url == base_url
+
     def test_max_inflight_above_max_slots_rejected(self):
         assert rewriting.MAX_SLOTS == MAX_SLOTS == 1000
         assert EndpointConfig(base_url="http://x", model="m", max_inflight=MAX_SLOTS).max_inflight == 1000

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -274,6 +275,21 @@ class TestSanitizerFailures:
         client = FailingItemClient("")  # a call would make a failed row, not an error
         with pytest.raises(ValueError, match="black-box mode only, got mode 'whitebox'"):
             run_experiment(synthetic_qa_records(1, seed=2), config, client, methods=(method,))
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"methods": ()}, "methods must be a non-empty list without repeats, got []"),
+            ({"methods": ("group-ndp", "paraphrase", "group-ndp")},
+             "methods must be a non-empty list without repeats, got ['group-ndp', 'paraphrase', 'group-ndp']"),
+            ({"temperatures": ()}, "temperatures must be a non-empty list without repeats, got []"),
+            ({"temperatures": (0.5, 1.0, 0.50)}, "temperatures must be a non-empty list without repeats"),
+        ],
+    )
+    def test_an_empty_or_repeated_grid_axis_is_refused_before_any_call(self, grid, message):
+        client = FailingItemClient("")  # a call would make a failed row, not an error
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(synthetic_qa_records(1, seed=2), self.CONFIG, client, **grid)
 
     def test_failed_row_carries_the_budget_already_charged(self):
         # Stage 3 fails after Stage 1 charged the rewrites and Stage 2 the DP release.

@@ -375,7 +375,10 @@ class TestFanOut:
 
     @pytest.mark.parametrize(
         "schedule",
-        [RewriteSchedule.from_range(0.5, 1.5, 0.1), RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5))],
+        [
+            RewriteSchedule.from_range(0.5, 1.5, 0.1),
+            RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5)),
+        ],
     )
     def test_pipeline_output_is_identical_at_any_max_inflight(self, schedule):
         config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=schedule.total, schedule=schedule, seed=5)
