@@ -17,7 +17,7 @@ import struct
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from .normalization import _STRIP_CHARS, tokenize
 from .stopwords import STOP_WORDS
@@ -102,7 +102,8 @@ class EndpointConfig:
     base_url: str
     model: str
     timeout_s: float = 30.0
-    max_inflight: int = 4
+    # Every slot of a schedule, so the m Stage-1 calls of a prompt go out at once.
+    max_inflight: int = MAX_SLOTS
     api_key_env: str = "PROMPTSAN_API_KEY"
 
     def __post_init__(self) -> None:
@@ -110,11 +111,17 @@ class EndpointConfig:
             url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
         except ValueError:  # an unclosed IPv6 bracket, for one
             url = None
+        # The messages leave the value out: a URL may carry credentials.
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
-            # The message leaves the value out: a URL may carry credentials.
             raise ValueError("base_url must be an http:// or https:// URL with a host")
+        if url.fragment:
+            # A fragment is never sent, so a URL carrying one would not mean what it says.
+            raise ValueError("base_url must not carry a #fragment")
         if not (isinstance(self.model, str) and self.model):
             raise ValueError(f"model must be a non-empty string, got {self.model!r}")
+        # type() rather than isinstance: True is no count of calls.
+        if type(self.max_inflight) is not int:
+            raise ValueError(f"max_inflight must be an integer, got {self.max_inflight!r}")
         if not 1 <= self.max_inflight <= MAX_SLOTS:
             raise ValueError(
                 f"max_inflight must be at least 1 and at most {MAX_SLOTS}, got {self.max_inflight!r}"
@@ -162,11 +169,14 @@ class HttpChatClient:
         import requests
 
         self.endpoint = endpoint
+        # Joined onto the path, so a query the service needs (an api-version, say) stays one.
+        base = urlsplit(endpoint.base_url)
+        self._url = urlunsplit(base._replace(path=base.path.rstrip("/") + "/chat/completions"))
         self._sleep = sleeper
         self._owns_session = session is None
         if session is None:
-            # Pool a connection for every call that may be in flight, so each
-            # wave of Stage-1 calls reuses the last one's connections.
+            # Pool a connection for every call that may be in flight, so the
+            # next prompt's Stage-1 calls reuse this one's connections.
             session = requests.Session()
             adapter = requests.adapters.HTTPAdapter(
                 pool_maxsize=max(endpoint.max_inflight, requests.adapters.DEFAULT_POOLSIZE)
@@ -182,7 +192,13 @@ class HttpChatClient:
 
     @property
     def max_inflight(self) -> int:
-        """How many Stage-1 calls of one prompt may be in flight at once."""
+        """How many Stage-1 calls of one prompt may be in flight at once.
+
+        By default every slot of a schedule, so the m rewrites of a prompt go
+        out in one wave and the prompt costs two round trips: that wave and
+        the final generation. A smaller value sends the m calls in waves of
+        up to that many.
+        """
         return self.endpoint.max_inflight
 
     def _headers(self) -> dict[str, str]:
@@ -195,7 +211,6 @@ class HttpChatClient:
     def complete(self, req: ChatRequest) -> ChatResponse:
         import requests
 
-        url = self.endpoint.base_url.rstrip("/") + "/chat/completions"
         body: dict = {
             "model": req.model or self.endpoint.model,
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],
@@ -209,7 +224,7 @@ class HttpChatClient:
         for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 resp = self._session.post(
-                    url, json=body, headers=self._headers(), timeout=self.endpoint.timeout_s
+                    self._url, json=body, headers=self._headers(), timeout=self.endpoint.timeout_s
                 )
             except requests.RequestException as exc:
                 last_failure = f"transport error: {exc}"

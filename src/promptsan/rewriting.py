@@ -281,8 +281,9 @@ def rewrite_group(
     raises; then the slot ledgers are appended to ``ledger`` in slot order,
     since every slot has spent its budget, and the first error in slot order
     that is not a ``RewriteError`` is re-raised. A client with a
-    ``max_inflight`` attribute has up to that many slots in flight at once;
-    what a run returns, records or raises does not depend on that number.
+    ``max_inflight`` attribute has up to that many slots in flight at once,
+    so at the HTTP client's default all m slots go out in one wave; what a
+    run returns, records or raises does not depend on that number.
     """
     if params.mode == "blackbox" and client is None:
         raise ValueError("blackbox rewriting needs a chat client")

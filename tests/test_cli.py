@@ -376,6 +376,7 @@ class TestConfigErrors:
             ({"timeout_s": "2.5"}, "timeout_s: must be a JSON number, got '2.5'"),
             ({"timeout_s": True}, "timeout_s: must be a JSON number, got True"),
             ({"base_url": 5}, "base_url: must be a JSON string, got 5"),
+            ({"base_url": "http://127.0.0.1:9/v1#frag"}, "base_url must not carry a #fragment"),
         ],
     )
     def test_bad_client_value_exits_two(self, tmp_path, capsys, client, message):
@@ -460,20 +461,20 @@ class TestSanitizeOverHttp:
         assert not audit.exists()
 
     def test_output_is_identical_at_max_inflight_one_and_eight(self, tmp_path, capsys, mock_service):
+        # None leaves max_inflight out, so all ten slots go out in one wave.
         outputs = []
-        for max_inflight in (1, 8):
-            doc = {
-                **BASE_CONFIG,
-                "schedule": "0.5:1.4:0.1",
-                "client": {"base_url": mock_service, "model": "mock", "max_inflight": max_inflight},
-            }
+        for max_inflight in (1, 8, None):
+            client = {"base_url": mock_service, "model": "mock"}
+            if max_inflight is not None:
+                client["max_inflight"] = max_inflight
+            doc = {**BASE_CONFIG, "schedule": "0.5:1.4:0.1", "client": client}
             config = write_config(tmp_path, doc, f"inflight{max_inflight}.json")
             assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 0
             outputs.append(capsys.readouterr().out)
         local = write_config(tmp_path, {**BASE_CONFIG, "schedule": "0.5:1.4:0.1", "use_mock": True})
         assert main(["sanitize", "--config", local, "--prompt", PROMPT]) == 0
         outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 class TestKeywords:

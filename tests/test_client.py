@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -34,11 +36,13 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 
     script: list = []
     requests_seen: list = []
+    paths_seen: list = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).requests_seen.append(body)
+        type(self).paths_seen.append(self.path)
         status, payload = self.script.pop(0) if self.script else (500, {"error": "script empty"})
         # A str payload is sent as it is, as a misbehaving service might.
         raw = isinstance(payload, str)
@@ -60,6 +64,7 @@ def stub_server():
     thread.start()
     ScriptedHandler.script = []
     ScriptedHandler.requests_seen = []
+    ScriptedHandler.paths_seen = []
     server.clients = []
     yield server
     for client in server.clients:
@@ -190,7 +195,7 @@ class TestHttpClient:
             (200, completion_payload("fine words", tokens=2)) for _ in range(3)
         ]
         client = fast_client(stub_server)
-        assert client.max_inflight == 4
+        assert client.max_inflight == MAX_SLOTS
         params = RewriteParams(
             mode="blackbox", temperature=1.0, max_tokens=16, bounds=ClipBounds(0.0, 8.0)
         )
@@ -245,6 +250,23 @@ class TestHttpClient:
         borrowed.close()
         assert len(pools[1]) == 0
 
+    @pytest.mark.parametrize(
+        "base_path, path_seen",
+        [
+            ("/v1?api-version=1", "/v1/chat/completions?api-version=1"),
+            ("/v1/?api-version=1&b=2", "/v1/chat/completions?api-version=1&b=2"),
+            ("/v1/", "/v1/chat/completions"),
+            ("", "/chat/completions"),
+        ],
+    )
+    def test_path_joins_onto_base_url_path_and_keeps_its_query(self, stub_server, base_path, path_seen):
+        ScriptedHandler.script = [(200, completion_payload("x", tokens=1))]
+        host, port = stub_server.server_address
+        client = HttpChatClient(EndpointConfig(base_url=f"http://{host}:{port}{base_path}", model="m"))
+        stub_server.clients.append(client)
+        client.complete(REQ)
+        assert ScriptedHandler.paths_seen == [path_seen]
+
     def test_api_key_header_from_environment(self, stub_server, monkeypatch):
         monkeypatch.setenv("PROMPTSAN_API_KEY", "sk-test")
         client = fast_client(stub_server)
@@ -275,21 +297,28 @@ class KeepAliveBarrierHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_connections_are_reused_above_the_default_pool_size():
-    m = 12
-    KeepAliveBarrierHandler.barrier = threading.Barrier(m, timeout=5)
-    KeepAliveBarrierHandler.peers = set()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveBarrierHandler)
+@contextmanager
+def loopback(handler):
+    """Serve ``handler`` on a loopback port for the block; yields the base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address
-    client = HttpChatClient(
-        EndpointConfig(base_url=f"http://{host}:{port}", model="m", max_inflight=m),
-        sleeper=lambda _: None,
-    )
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def rewrite_over_http(endpoint: EndpointConfig, m: int, seeds=(0,)) -> None:
+    """One group of m black-box rewrites per seed through an HttpChatClient, every slot kept."""
+    client = HttpChatClient(endpoint, sleeper=lambda _: None)
     params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=16, bounds=ClipBounds(0.0, 8.0))
     try:
-        for seed in (0, 1):
+        for seed in seeds:
             group = rewrite_group(
                 "p q", RewriteSchedule.uniform(1.0, m), params, np.random.default_rng(seed),
                 PrivacyLedger(), client=client,
@@ -297,18 +326,76 @@ def test_connections_are_reused_above_the_default_pool_size():
             assert len(group.rewrites) == m
     finally:
         client.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+
+
+def test_connections_are_reused_above_the_default_pool_size():
+    m = 12
+    KeepAliveBarrierHandler.barrier = threading.Barrier(m, timeout=5)
+    KeepAliveBarrierHandler.peers = set()
+    with loopback(KeepAliveBarrierHandler) as base_url:
+        rewrite_over_http(EndpointConfig(base_url=base_url, model="m", max_inflight=m), m, seeds=(0, 1))
     # The second group of m concurrent calls opens no connection of its own.
     assert len(KeepAliveBarrierHandler.peers) == m
+
+
+class PeakInflightHandler(BaseHTTPRequestHandler):
+    """Records the most requests held at once.
+
+    Each request is held until ``target`` requests have been held together
+    (or 5 s pass), then for another 20 ms, so calls sent beyond the client's
+    bound would overlap the held ones and raise ``peak`` past it.
+    """
+
+    protocol_version = "HTTP/1.1"
+    target = 1
+    held = 0
+    peak = 0
+    cond = threading.Condition()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        cls = type(self)
+        with cls.cond:
+            cls.held += 1
+            cls.peak = max(cls.peak, cls.held)
+            cls.cond.notify_all()
+            cls.cond.wait_for(lambda: cls.peak >= cls.target, timeout=5)
+        time.sleep(0.02)
+        with cls.cond:
+            cls.held -= 1
+        data = json.dumps(completion_payload("fine words", tokens=2)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize(
+    "max_inflight, peak", [(None, 10), (3, 3), (1, 1)], ids=["default", "inflight3", "inflight1"]
+)
+def test_stage_one_calls_in_flight_never_exceed_max_inflight(max_inflight, peak):
+    m = 10
+    PeakInflightHandler.target, PeakInflightHandler.held, PeakInflightHandler.peak = peak, 0, 0
+    limit = {} if max_inflight is None else {"max_inflight": max_inflight}
+    with loopback(PeakInflightHandler) as base_url:
+        rewrite_over_http(EndpointConfig(base_url=base_url, model="m", **limit), m)
+    # At the default, all m slots of the prompt are in flight together: one wave.
+    assert PeakInflightHandler.peak == peak
 
 
 class TestEndpointConfig:
     @pytest.mark.parametrize("max_inflight", [0, -1])
     def test_max_inflight_below_one_rejected(self, max_inflight):
         with pytest.raises(ValueError, match="max_inflight"):
+            EndpointConfig(base_url="http://x", model="m", max_inflight=max_inflight)
+
+    @pytest.mark.parametrize("max_inflight", [12.5, 3.0, True, "4"])
+    def test_max_inflight_must_be_an_integer(self, max_inflight):
+        with pytest.raises(ValueError, match=f"max_inflight must be an integer, got {max_inflight!r}"):
             EndpointConfig(base_url="http://x", model="m", max_inflight=max_inflight)
 
     @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("inf"), float("nan")])
@@ -343,6 +430,12 @@ class TestEndpointConfig:
     def test_an_http_url_with_a_host_is_accepted(self, base_url):
         assert EndpointConfig(base_url=base_url, model="m").base_url == base_url
 
+    @pytest.mark.parametrize("base_url", ["http://x/v1#frag", "https://user:secret@x/v1?a=1#frag"])
+    def test_base_url_with_a_fragment_is_rejected(self, base_url):
+        with pytest.raises(ValueError, match="base_url must not carry a #fragment") as exc_info:
+            EndpointConfig(base_url=base_url, model="m")
+        assert "secret" not in str(exc_info.value)
+
     def test_max_inflight_above_max_slots_rejected(self):
         assert rewriting.MAX_SLOTS == MAX_SLOTS == 1000
         assert EndpointConfig(base_url="http://x", model="m", max_inflight=MAX_SLOTS).max_inflight == 1000
@@ -352,7 +445,7 @@ class TestEndpointConfig:
     def test_client_exposes_max_inflight(self):
         endpoint = EndpointConfig(base_url="http://x", model="m", max_inflight=7)
         assert HttpChatClient(endpoint).max_inflight == 7
-        assert EndpointConfig(base_url="http://x", model="m").max_inflight == 4
+        assert EndpointConfig(base_url="http://x", model="m").max_inflight == MAX_SLOTS
 
 
 class TestRequestValidation:
