@@ -167,6 +167,7 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
     # TypeError: base_url or model missing
     with _config_errors("client config: ", (TypeError, ValueError)):
         endpoint = EndpointConfig(**settings)
+        endpoint.api_key()  # a malformed key fails here, before any call
     return config, HttpChatClient(endpoint)
 
 

@@ -87,10 +87,6 @@ class ClientError(RuntimeError):
 class TransportError(RuntimeError):
     """Transport or retryable service failure that exhausted its retries."""
 
-    def __init__(self, message: str, attempts: int) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-
 
 # The most rewrite slots a schedule may hold (100 times the paper's m = 10),
 # and so the most Stage-1 calls a client may have in flight at once.
@@ -132,7 +128,16 @@ class EndpointConfig:
             raise ValueError(f"api_key_env must be a non-empty string, got {self.api_key_env!r}")
 
     def api_key(self) -> str | None:
-        return os.environ.get(self.api_key_env) or None
+        """The key in the ``api_key_env`` variable, None if it is unset or empty.
+
+        Raises ValueError, without the value, if the key holds any character
+        outside visible ASCII (0x21-0x7E): an HTTP library would reject the
+        header with an error quoting it.
+        """
+        key = os.environ.get(self.api_key_env, "")
+        if not all("!" <= ch <= "~" for ch in key):
+            raise ValueError(f"the API key in {self.api_key_env} must hold only visible ASCII characters")
+        return key or None
 
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -220,11 +225,12 @@ class HttpChatClient:
         if req.seed is not None:
             body["seed"] = req.seed
 
+        headers = self._headers()
         last_failure = ""
         for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 resp = self._session.post(
-                    self._url, json=body, headers=self._headers(), timeout=self.endpoint.timeout_s
+                    self._url, json=body, headers=headers, timeout=self.endpoint.timeout_s
                 )
             except requests.RequestException as exc:
                 last_failure = f"transport error: {exc}"
@@ -243,10 +249,7 @@ class HttpChatClient:
             if attempt < MAX_ATTEMPTS:
                 delay = BASE_DELAY_S * BACKOFF_FACTOR ** (attempt - 1)
                 self._sleep(delay * (1.0 + 0.25 * random.random()))
-        raise TransportError(
-            f"request failed after {MAX_ATTEMPTS} attempts: {last_failure}",
-            attempts=MAX_ATTEMPTS,
-        )
+        raise TransportError(f"request failed after {MAX_ATTEMPTS} attempts: {last_failure}")
 
     @staticmethod
     def _parse(data: dict, attempts: int) -> ChatResponse:

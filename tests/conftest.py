@@ -1,9 +1,13 @@
-"""Shared fixtures and stub services for the test suite."""
+"""Shared fixtures, stub services and the loopback HTTP harness for the test suite."""
 
 from __future__ import annotations
 
+import json
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -55,7 +59,7 @@ class FailingClient:
     def complete(self, req: ChatRequest) -> ChatResponse:
         self.calls += 1
         if self.calls <= self.failures:
-            raise TransportError("stub outage", attempts=3)
+            raise TransportError("stub outage")
         return self.inner.complete(req)
 
 
@@ -76,6 +80,65 @@ class ReportingClient:
         call = len(self.requests)
         self.requests.append(req)
         return replace(resp, tokens_generated=self.reported[call]) if call < len(self.reported) else resp
+
+
+class QuietHandler(BaseHTTPRequestHandler):
+    """A request handler that logs nothing and writes each reply whole."""
+
+    # On a kept-alive connection the header and body writes would otherwise
+    # meet delayed ACK: a stall of about 40 ms per reply.
+    disable_nagle_algorithm = True
+
+    def read_body(self) -> bytes:
+        return self.rfile.read(int(self.headers.get("Content-Length", 0)))
+
+    def read_json(self) -> dict:
+        raw = self.read_body()
+        return json.loads(raw) if raw else {}
+
+    def reply(self, status: int, body: object, content_type: str = "application/json") -> None:
+        """Send ``body``: bytes as they are, anything else as JSON."""
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    # At socketserver's default backlog of 5, a wave of ten Stage-1 calls on
+    # new connections overflows the accept queue, and a connection turned
+    # away there retries only after a 1 s SYN timeout.
+    request_queue_size = 128
+
+
+@contextmanager
+def loopback(handler: type[BaseHTTPRequestHandler]) -> Iterator[tuple[LoopbackServer, str]]:
+    """Serve ``handler`` on a loopback port for the block; yields the server and its base URL."""
+    server = LoopbackServer(("127.0.0.1", 0), handler)
+    # At the default 0.5 s poll interval, shutdown() would wait up to half a second.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    try:
+        yield server, f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def completion_payload(text: str, tokens: int | None = None) -> dict:
+    """A chat-completions reply body carrying ``text``, and ``tokens`` as its usage if given."""
+    payload = {"choices": [{"message": {"role": "assistant", "content": text}}]}
+    if tokens is not None:
+        payload["usage"] = {"completion_tokens": tokens}
+    return payload
 
 
 @dataclass

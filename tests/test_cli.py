@@ -4,8 +4,6 @@ import hashlib
 import io
 import json
 import math
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +21,8 @@ from promptsan.client import (
 )
 from promptsan.evaluation import synthetic_qa_records
 from promptsan.keywords import DELTA2
+
+from conftest import QuietHandler, completion_payload, loopback
 
 
 @pytest.fixture
@@ -232,7 +232,7 @@ class TestSanitize:
         assert temps == sorted(set(temps))
 
 
-class MockServiceHandler(BaseHTTPRequestHandler):
+class MockServiceHandler(QuietHandler):
     """A chat-completions service answering as ``MockChatModel(seed=0)`` does.
 
     With ``refuse_final`` set it answers the Stage-3 generation request with
@@ -243,7 +243,7 @@ class MockServiceHandler(BaseHTTPRequestHandler):
     refuse_final = False
 
     def do_POST(self):
-        self.answer(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        self.answer(self.read_json())
 
     def answer(self, body: dict) -> None:
         if self.refuse_final and REWRITE_HEADER in body["messages"][-1]["content"]:
@@ -258,33 +258,13 @@ class MockServiceHandler(BaseHTTPRequestHandler):
                 seed=body.get("seed"),
             )
         )
-        data = json.dumps(
-            {
-                "choices": [{"message": {"role": "assistant", "content": resp.text}}],
-                "usage": {"completion_tokens": resp.tokens_generated},
-            }
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
+        self.reply(200, completion_payload(resp.text, resp.tokens_generated))
 
 
 @pytest.fixture
 def mock_service():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), MockServiceHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with loopback(MockServiceHandler) as (_, base_url):
+        yield base_url
 
 
 BASE_CONFIG = {"m": 10, "k": 8, "bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": 7}
@@ -459,6 +439,24 @@ class TestSanitizeOverHttp:
         assert "pipeline failed in stage-3 generation" in err
         assert f"budget charged before the failure: {charged:g}\n" in err
         assert not audit.exists()
+
+    def test_a_malformed_api_key_exits_two_before_any_request(self, tmp_path, capsys, mock_service, monkeypatch):
+        monkeypatch.setenv("PROMPTSAN_API_KEY", "sk-secret-123\r")
+        seen = []
+        answer = MockServiceHandler.answer
+        monkeypatch.setattr(MockServiceHandler, "answer", lambda self, body: seen.append(body) or answer(self, body))
+        config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": mock_service, "model": "mock"}})
+        audits = [tmp_path / "sanitize.jsonl", tmp_path / "evaluate.jsonl"]
+        assert main(["sanitize", "--config", config, "--prompt", PROMPT, "--audit", str(audits[0])]) == 2
+        assert main([
+            "evaluate", "--dataset", csqa_fixture(tmp_path, n=2), "--format", "csqa_jsonl",
+            "--config", config, "--out", str(tmp_path / "r.csv"), "--repeats", "1",
+            "--methods", "paraphrase", "--temperatures", "1.0", "--audit", str(audits[1]),
+        ]) == 2
+        err = capsys.readouterr().err
+        message = "error: client config: the API key in PROMPTSAN_API_KEY must hold only visible ASCII characters\n"
+        assert err == message * 2
+        assert seen == [] and not any(audit.exists() for audit in audits)
 
     def test_output_is_identical_at_max_inflight_one_and_eight(self, tmp_path, capsys, mock_service):
         # None leaves max_inflight out, so all ten slots go out in one wave.
@@ -701,31 +699,21 @@ class EchoingServiceHandler(MockServiceHandler):
     echoed: list = []
 
     def do_POST(self):
-        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        raw = self.read_body()
         body = json.loads(raw)
         if self.odd_seeds_only and body.get("seed", 0) % 2 == 0:
             self.answer(body)
             return
         type(self).echoed.append(raw)
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
+        self.reply(self.status, raw)
 
 
 @pytest.fixture
 def echoing_service(monkeypatch):
     monkeypatch.setattr(client_module, "BASE_DELAY_S", 0.0)
     EchoingServiceHandler.echoed = []
-    server = ThreadingHTTPServer(("127.0.0.1", 0), EchoingServiceHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    with loopback(EchoingServiceHandler) as (_, base_url):
+        yield base_url
     assert any(b"Moreau" in raw for raw in EchoingServiceHandler.echoed)
 
 

@@ -1,12 +1,11 @@
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ import requests
 import promptsan
 from promptsan import rewriting
 from promptsan.client import (
+    MAX_ATTEMPTS,
     MAX_SLOTS,
     SHUFFLE_CAP,
     ChatRequest,
@@ -30,8 +30,10 @@ from promptsan.metrics import rouge1
 from promptsan.normalization import tokenize
 from promptsan.rewriting import RewriteParams, RewriteSchedule, paraphrase_blackbox, rewrite_group
 
+from conftest import QuietHandler, completion_payload, loopback
 
-class ScriptedHandler(BaseHTTPRequestHandler):
+
+class ScriptedHandler(QuietHandler):
     """Replays a scripted list of (status, payload) responses."""
 
     script: list = []
@@ -39,51 +41,31 @@ class ScriptedHandler(BaseHTTPRequestHandler):
     paths_seen: list = []
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        type(self).requests_seen.append(body)
+        type(self).requests_seen.append(self.read_json())
         type(self).paths_seen.append(self.path)
         status, payload = self.script.pop(0) if self.script else (500, {"error": "script empty"})
         # A str payload is sent as it is, as a misbehaving service might.
-        raw = isinstance(payload, str)
-        data = payload.encode() if raw else json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html" if raw else "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
+        if isinstance(payload, str):
+            self.reply(status, payload.encode(), "text/html")
+        else:
+            self.reply(status, payload)
 
 
 @pytest.fixture
 def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     ScriptedHandler.script = []
     ScriptedHandler.requests_seen = []
     ScriptedHandler.paths_seen = []
-    server.clients = []
-    yield server
-    for client in server.clients:
-        client.close()
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=2)
+    with loopback(ScriptedHandler) as (server, _):
+        server.clients = []
+        yield server
+        for client in server.clients:
+            client.close()
 
 
 def endpoint_for(server) -> EndpointConfig:
     host, port = server.server_address
     return EndpointConfig(base_url=f"http://{host}:{port}/v1", model="test-model", timeout_s=5)
-
-
-def completion_payload(text: str, tokens: int | None = None) -> dict:
-    payload = {"choices": [{"message": {"role": "assistant", "content": text}}]}
-    if tokens is not None:
-        payload["usage"] = {"completion_tokens": tokens}
-    return payload
 
 
 def fast_client(server) -> HttpChatClient:
@@ -139,9 +121,30 @@ class TestHttpClient:
 
     def test_exhausted_retries_raise_transport_error(self, stub_server):
         ScriptedHandler.script = [(503, {}), (503, {}), (503, {})]
-        with pytest.raises(TransportError) as exc_info:
+        with pytest.raises(TransportError, match=r"^request failed after 3 attempts: HTTP 503: "):
             fast_client(stub_server).complete(REQ)
-        assert exc_info.value.attempts == 3
+        assert len(ScriptedHandler.requests_seen) == MAX_ATTEMPTS == 3
+
+    def test_refused_connections_are_retried_then_raise_transport_error(self, monkeypatch):
+        # A port that was bound and then closed: every connection is refused.
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            host, port = sock.getsockname()
+        delays: list[float] = []
+        endpoint = EndpointConfig(base_url=f"http://{host}:{port}/v1", model="m")
+        client = HttpChatClient(endpoint, sleeper=delays.append)
+        posts = []
+        post = client._session.post
+        monkeypatch.setattr(client._session, "post", lambda *a, **kw: posts.append(a) or post(*a, **kw))
+        try:
+            with pytest.raises(TransportError, match=r"^request failed after 3 attempts: transport error: "):
+                client.complete(REQ)
+        finally:
+            client.close()
+        assert len(posts) == MAX_ATTEMPTS
+        assert len(delays) == 2
+        assert 1.0 <= delays[0] <= 1.25
+        assert 2.0 <= delays[1] <= 2.5
 
     def test_retry_delays_double_from_one_second_with_jitter(self, stub_server):
         ScriptedHandler.script = [(503, {}), (503, {}), (503, {})]
@@ -274,8 +277,16 @@ class TestHttpClient:
         monkeypatch.delenv("PROMPTSAN_API_KEY")
         assert "Authorization" not in client._headers()
 
+    @pytest.mark.parametrize("key", ["sk-secret-123\r", "sk-secret-123\n", "sk secret-123", "sk-sécret-123"])
+    def test_a_key_outside_visible_ascii_is_refused_before_any_request(self, stub_server, monkeypatch, key):
+        monkeypatch.setenv("PROMPTSAN_API_KEY", key)
+        with pytest.raises(ValueError, match="API key in PROMPTSAN_API_KEY must hold only visible ASCII") as exc_info:
+            fast_client(stub_server).complete(REQ)
+        assert "secret" not in str(exc_info.value)
+        assert ScriptedHandler.requests_seen == []
 
-class KeepAliveBarrierHandler(BaseHTTPRequestHandler):
+
+class KeepAliveBarrierHandler(QuietHandler):
     """Keeps connections open and answers only once ``barrier`` calls are waiting."""
 
     protocol_version = "HTTP/1.1"
@@ -283,34 +294,10 @@ class KeepAliveBarrierHandler(BaseHTTPRequestHandler):
     peers: set = set()
 
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.read_body()
         type(self).peers.add(self.client_address)
         type(self).barrier.wait()
-        data = json.dumps(completion_payload("fine words", tokens=2)).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@contextmanager
-def loopback(handler):
-    """Serve ``handler`` on a loopback port for the block; yields the base URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    try:
-        yield f"http://{host}:{port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+        self.reply(200, completion_payload("fine words", tokens=2))
 
 
 def rewrite_over_http(endpoint: EndpointConfig, m: int, seeds=(0,)) -> None:
@@ -332,13 +319,13 @@ def test_connections_are_reused_above_the_default_pool_size():
     m = 12
     KeepAliveBarrierHandler.barrier = threading.Barrier(m, timeout=5)
     KeepAliveBarrierHandler.peers = set()
-    with loopback(KeepAliveBarrierHandler) as base_url:
+    with loopback(KeepAliveBarrierHandler) as (_, base_url):
         rewrite_over_http(EndpointConfig(base_url=base_url, model="m", max_inflight=m), m, seeds=(0, 1))
     # The second group of m concurrent calls opens no connection of its own.
     assert len(KeepAliveBarrierHandler.peers) == m
 
 
-class PeakInflightHandler(BaseHTTPRequestHandler):
+class PeakInflightHandler(QuietHandler):
     """Records the most requests held at once.
 
     Each request is held until ``target`` requests have been held together
@@ -353,7 +340,7 @@ class PeakInflightHandler(BaseHTTPRequestHandler):
     cond = threading.Condition()
 
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.read_body()
         cls = type(self)
         with cls.cond:
             cls.held += 1
@@ -363,15 +350,7 @@ class PeakInflightHandler(BaseHTTPRequestHandler):
         time.sleep(0.02)
         with cls.cond:
             cls.held -= 1
-        data = json.dumps(completion_payload("fine words", tokens=2)).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
+        self.reply(200, completion_payload("fine words", tokens=2))
 
 
 @pytest.mark.parametrize(
@@ -381,7 +360,7 @@ def test_stage_one_calls_in_flight_never_exceed_max_inflight(max_inflight, peak)
     m = 10
     PeakInflightHandler.target, PeakInflightHandler.held, PeakInflightHandler.peak = peak, 0, 0
     limit = {} if max_inflight is None else {"max_inflight": max_inflight}
-    with loopback(PeakInflightHandler) as base_url:
+    with loopback(PeakInflightHandler) as (_, base_url):
         rewrite_over_http(EndpointConfig(base_url=base_url, model="m", **limit), m)
     # At the default, all m slots of the prompt are in flight together: one wave.
     assert PeakInflightHandler.peak == peak

@@ -168,7 +168,7 @@ class ScriptedAnswerer:
 
 class FailingAnswerer:
     def complete(self, req: ChatRequest) -> ChatResponse:
-        raise TransportError("answerer down", attempts=3)
+        raise TransportError("answerer down")
 
 
 class TestEvaluateItem:
@@ -248,7 +248,7 @@ class FailingItemClient:
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         if self.marker in req.messages[-1].content:
-            raise TransportError("service down", attempts=3)
+            raise TransportError("service down")
         return self.mock.complete(req)
 
 

@@ -48,7 +48,7 @@ class CutOffClient:
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         if len(self.texts) >= self.serve:
-            raise TransportError("stub outage", attempts=1)
+            raise TransportError("stub outage")
         resp = self.inner.complete(req)
         self.texts.append(resp.text)
         return resp

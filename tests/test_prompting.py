@@ -103,7 +103,7 @@ class LeakThenComplyClient:
 
 class AlwaysFailingClient:
     def complete(self, req: ChatRequest) -> ChatResponse:
-        raise TransportError("down", attempts=3)
+        raise TransportError("down")
 
 
 class TestGenerateSanitized:

@@ -412,7 +412,7 @@ class TestFanOut:
 
     def test_failed_slot_is_dropped_in_slot_order(self, rng):
         ledger = PrivacyLedger()
-        client = InflightMock(4, FailAtTemperature(0.6, TransportError("stub outage", attempts=3)))
+        client = InflightMock(4, FailAtTemperature(0.6, TransportError("stub outage")))
         group = rewrite_group("p q", self.schedule, self.params(), rng, ledger, client=client)
         assert [r.params.temperature for r in group.rewrites] == [0.5, 0.7, 0.8, 0.9, 1.0]
         assert len(group.warnings) == 1
@@ -432,7 +432,7 @@ class DropFirstSlot:
         with self.lock:
             fail, self.failed = not self.failed, True
         if fail:
-            raise TransportError("stub outage", attempts=3)
+            raise TransportError("stub outage")
         return self.mock.complete(req)
 
 
