@@ -32,7 +32,7 @@ from .mechanisms import PrivacyLedger
 from .metrics import all_metrics, rouge1
 from .normalization import tokenize
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
-from .rewriting import RewriteError, RewriteParams, paraphrase_blackbox
+from .rewriting import RewriteParams, paraphrase_blackbox
 
 CSQA_LABELS = ("A", "B", "C", "D", "E")
 
@@ -220,7 +220,7 @@ class ParaphraseSanitizer:
                 question, self.params, self.client, ledger,
                 seed=stable_seed(self.repeat_seed, question),
             )
-        except RewriteError as exc:
+        except Exception as exc:
             raise PipelineStageError("stage-1 rewriting", exc, ledger) from exc
         return SanitizedText(text=rewrite.text, ledger_total=ledger.total())
 
@@ -339,7 +339,7 @@ def evaluate_item(
     """Sanitize once, then score privacy and utility from that same output.
 
     A sanitizer failure becomes a failed row carrying the budget the failed
-    run had already charged.
+    run had already charged, and so does any error of the answerer.
     """
     cell = {
         "method": sanitizer.name,
@@ -362,8 +362,10 @@ def evaluate_item(
             record, sanitized.text, answerer, seed=stable_seed(record.id, repeat_index)
         )
         failed = False
-    except (ClientError, TransportError) as exc:
-        utility, note, failed = 0.0, f"answerer failed: {exc}", True
+    except Exception as exc:
+        # A client error's message is prompt-free; any other may quote the question.
+        detail = exc if isinstance(exc, (ClientError, TransportError)) else type(exc).__name__
+        utility, note, failed = 0.0, f"answerer failed: {detail}", True
     return EvalRow(
         **cell, **privacy, utility=utility, ledger_total=sanitized.ledger_total,
         failed=failed, note=note,

@@ -58,7 +58,6 @@ class LogitVector:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("logit vector needs at least 2 entries")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property

@@ -4,15 +4,16 @@ Stage-1 rewrites the prompt into a group, Stage-2 extracts consensus keywords
 and the lowest-perplexity exemplar, Stage-3 renders the suppression template
 and asks the model for the final question. The original prompt is
 structurally withheld from Stage-3: the template request is built from the
-exemplar and the released keywords only. Stage-1 is a plug-in seam; any
-callable with the group-rewrite signature can replace the built-in engine.
+exemplar and the released keywords only. ``run_pipeline`` is Stage-1 followed
+by ``finish``, which runs Stages 2-3 on any group. Stage-1 is a plug-in seam:
+build a group by another paraphrasing method, charge its ledger, call ``finish``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -41,9 +42,6 @@ from .rewriting import (
     check_ex_ante_budget,
     rewrite_group,
 )
-
-GroupRewriter = Callable[[str, np.random.Generator, PrivacyLedger], ParaphraseGroup]
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -103,7 +101,6 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class SanitizedResult:
-    original: str
     group: ParaphraseGroup
     histogram: KeywordHistogram  # the counts the release ranked
     released: ReleasedKeywords
@@ -116,7 +113,7 @@ class SanitizedResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "original": self.original,
+            "original": self.group.source,
             "group": self.group.to_json_dict(),
             "histogram": self.histogram.to_json_dict(),
             "released": self.released.to_json_dict(),
@@ -162,7 +159,7 @@ def release_keywords(
     seed: int,
     ledger: PrivacyLedger | None = None,
 ) -> ReleasedKeywords:
-    """Release the top ``k`` of ``histogram`` for ``run_pipeline`` and ``keywords`` alike.
+    """Release the top ``k`` of ``histogram`` for ``finish`` and ``keywords`` alike.
 
     NDP is post-processing. DP releases at ``epsilon2`` and ``DELTA2``, drawing
     from the second child ``default_rng(seed).spawn(2)`` would give; that
@@ -181,41 +178,43 @@ def run_pipeline(
     client: ChatClient,
     *,
     oracle: StepOracle | None = None,
-    stage1_rewriter: GroupRewriter | None = None,
 ) -> SanitizedResult:
     """Run the full rewrite -> control -> regenerate flow for one prompt.
 
-    Deterministic given the config seed and deterministic services. The
-    default Stage-1 engine is the built-in group rewriter; pass
-    ``stage1_rewriter`` to plug in any other paraphrasing method behind the
-    same contract. The exemplar is chosen by the unigram model fit on the
-    rewrites' pooled token count.
-
-    The release ranks ``keyword_histogram``'s counts. The rewrite stream is
-    the first child ``default_rng(seed).spawn(2)`` would give, and
-    ``release_keywords`` draws from the second.
+    Deterministic given the config seed and deterministic services. Stage 1
+    is ``rewrite_group`` on the first child ``default_rng(seed).spawn(2)``
+    would give, charging a new ledger; ``finish`` runs Stages 2-3 on its group.
     """
     ledger = PrivacyLedger()
     rewrite_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-
-    completed: list[str] = []
-    stage = "stage-1 rewriting"
     try:
-        if stage1_rewriter is None:
-            group = rewrite_group(
-                prompt,
-                config.rewrite_schedule(),
-                config.rewrite_params(),
-                rewrite_rng,
-                ledger,
-                client=client,
-                oracle=oracle,
-            )
-        else:
-            group = stage1_rewriter(prompt, rewrite_rng, ledger)
-        completed.append("group")
+        group = rewrite_group(
+            prompt,
+            config.rewrite_schedule(),
+            config.rewrite_params(),
+            rewrite_rng,
+            ledger,
+            client=client,
+            oracle=oracle,
+        )
+    except Exception as exc:
+        raise PipelineStageError("stage-1 rewriting", exc, ledger) from exc
+    return finish(group, ledger, config, client)
 
-        stage = "stage-2 control"
+
+def finish(
+    group: ParaphraseGroup, ledger: PrivacyLedger, config: PipelineConfig, client: ChatClient
+) -> SanitizedResult:
+    """Run Stages 2-3 on ``group``, whose Stage-1 charges ``ledger`` already holds.
+
+    Reads only the rewrite texts. The release ranks ``keyword_histogram``'s
+    counts and records a DP release into ``ledger``, which the result carries;
+    the exemplar is chosen by the unigram model fit on the rewrites' pooled
+    token count.
+    """
+    completed = ["group"]
+    stage = "stage-2 control"
+    try:
         texts = group.texts()
         token_lists, counts = tokenize_group(texts)
         histogram = keyword_histogram(config.release_method, token_lists, counts)
@@ -244,7 +243,6 @@ def run_pipeline(
         raise PipelineStageError(stage, exc, ledger, tuple(completed)) from exc
 
     return SanitizedResult(
-        original=prompt,
         group=group,
         histogram=histogram,
         released=released,
@@ -279,10 +277,7 @@ def budget_report(result: SanitizedResult) -> str:
             units = [e.units for e in rewrite_entries]
             eps1 = next(iter(eps_values))
             n_part = f"{units[0]}" if len(set(units)) == 1 else f"(n_i: {sum(units)} total)"
-            closed = f"m·n·ε₁ = {m}·{n_part}·{eps1:.6g} = {result.ledger.rewrite_total():.6f}"
-            if release_eps > 0:
-                closed += f" ; + ε₂ = {release_eps:.6f} at δ₂ = {result.released.delta:g}"
-            lines.append(closed)
+            lines.append(f"m·n·ε₁ = {m}·{n_part}·{eps1:.6g} = {result.ledger.rewrite_total():.6f}")
         else:
             lines.append("rewrite subtotals by temperature:")
             subtotals: dict[float, float] = {}
@@ -290,5 +285,7 @@ def budget_report(result: SanitizedResult) -> str:
                 subtotals[e.epsilon_per_unit] = subtotals.get(e.epsilon_per_unit, 0.0) + e.contribution()
             for eps1 in sorted(subtotals, reverse=True):
                 lines.append(f"  eps/unit {eps1:.6g}: subtotal {subtotals[eps1]:.6f}")
+    if release_eps > 0:
+        lines.append(f"+ ε₂ = {release_eps:.6f} at δ₂ = {result.released.delta:g}")
     lines.append(f"total: {result.ledger.total():.6f}")
     return "\n".join(lines)

@@ -15,7 +15,7 @@ import pytest
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
-from promptsan.mechanisms import ClipBounds, LogitVector
+from promptsan.mechanisms import ClipBounds, LogitVector, PrivacyLedger
 from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams, rewrite_group
 
 
@@ -185,37 +185,31 @@ def argmin_under(texts: list[str], score) -> int:
 
 
 def ledger_rows_around(monkeypatch: pytest.MonkeyPatch, name: str) -> tuple[list, list]:
-    """The run's ledger rows just before and just after ``promptsan.pipeline.<name>``.
+    """The ledger's rows just before and just after ``promptsan.pipeline.<name>``.
 
-    Runs a seeded NDP pipeline on the mock client; raises if the wrapped
-    stage was never reached.
+    Runs ``finish`` on the mock client over a seeded group whose Stage-1
+    charges the ledger holds; raises if the wrapped stage was never reached.
     """
     from promptsan import pipeline
 
-    ledgers = []
+    config = pipeline.PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, k=5, schedule=1.0, seed=7)
+    client = MockChatModel(seed=0)
+    ledger = PrivacyLedger()
+    group = rewrite_group(
+        "Where is the silver archive?", config.rewrite_schedule(), config.rewrite_params(),
+        np.random.default_rng(config.seed), ledger, client=client,
+    )
     around = []
-
-    def capturing_rewriter(prompt, rng, ledger):
-        ledgers.append(ledger)
-        return rewrite_group(
-            prompt, config.rewrite_schedule(), config.rewrite_params(), rng, ledger,
-            client=client,
-        )
-
     original = getattr(pipeline, name)
 
     def wrapped(*args, **kwargs):
-        before = ledgers[0].to_rows()
+        before = ledger.to_rows()
         out = original(*args, **kwargs)
-        around.append((before, ledgers[0].to_rows()))
+        around.append((before, ledger.to_rows()))
         return out
 
     monkeypatch.setattr(pipeline, name, wrapped)
-    config = pipeline.PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, k=5, schedule=1.0, seed=7)
-    client = MockChatModel(seed=0)
-    pipeline.run_pipeline(
-        "Where is the silver archive?", config, client, stage1_rewriter=capturing_rewriter
-    )
+    pipeline.finish(group, ledger, config, client)
     assert len(around) == 1, f"{name} ran {len(around)} times"
     return around[0]
 

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from promptsan.client import (
+    CHOICES_HEADER,
     REWRITE_HEADER,
     ChatRequest,
     ChatResponse,
@@ -269,6 +270,25 @@ class FailingItemClient:
         return self.mock.complete(req)
 
 
+class TypeErrorOnce:
+    """The mock, except that the first request holding ``marker`` raises ``TypeError(message)``.
+
+    ``message`` is formatted with the request's text as ``{request}``.
+    """
+
+    def __init__(self, marker: str, message: str) -> None:
+        self.mock = MockChatModel(seed=0)
+        self.marker = marker
+        self.message: str | None = message
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        content = req.messages[-1].content
+        if self.message is not None and self.marker in content:
+            message, self.message = self.message, None
+            raise TypeError(message.format(request=content))
+        return self.mock.complete(req)
+
+
 class TestSanitizerFailures:
     CONFIG = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, seed=0, epsilon2=1.0)
 
@@ -285,6 +305,37 @@ class TestSanitizerFailures:
         assert all(r.ledger_total == 0.0 for r in failed)
         assert [r for r in rows if not r.failed] == [r for r in baseline if r.item_id != records[1].id]
         assert {a["failed_count"] for a in aggregate(rows)} == {2}
+
+    def one_failed_row(self, methods, client=None, answerer=None) -> EvalRow:
+        """Runs the grid plainly and with these services; every row but one must match."""
+        records = synthetic_qa_records(3, seed=2)
+        grid = dict(methods=methods, temperatures=(0.5, 1.0), repeats=2)
+        baseline = run_experiment(records, self.CONFIG, MockChatModel(seed=0), **grid)
+        rows = run_experiment(
+            records, self.CONFIG, client or MockChatModel(seed=0), answerer=answerer, **grid
+        )
+        failed = [i for i, r in enumerate(rows) if r.failed]
+        assert len(failed) == 1 and len(rows) == len(baseline)
+        as_json = [json.dumps(r.to_json_dict()) for r in rows]
+        assert as_json[: failed[0]] + as_json[failed[0] + 1 :] == [
+            json.dumps(r.to_json_dict()) for i, r in enumerate(baseline) if i != failed[0]
+        ]
+        assert not [r.note for r in rows for record in records if record.question in r.note]
+        return rows[failed[0]]
+
+    def test_an_untyped_answerer_error_fails_one_row_without_its_message(self):
+        # The error quotes the answer request, so the note keeps only its type's name.
+        answerer = TypeErrorOnce(CHOICES_HEADER, "cannot read {request!r}")
+        failed = self.one_failed_row(("group-ndp", "paraphrase"), answerer=answerer)
+        assert failed.note == "answerer failed: TypeError"
+        assert (failed.method, failed.utility) == ("group-ndp", 0.0)
+
+    def test_an_untyped_error_in_the_paraphrase_rewrite_fails_one_row(self):
+        question = synthetic_qa_records(3, seed=2)[1].question
+        message = "unsupported operand type(s) for +: 'int' and 'NoneType'"
+        failed = self.one_failed_row(("paraphrase",), client=TypeErrorOnce(question, message))
+        assert (failed.method, failed.ledger_total) == ("paraphrase", 0.0)
+        assert failed.note == f"sanitizer failed in stage-1 rewriting: {message}"
 
     @pytest.mark.parametrize("method", ["group-ndp", "paraphrase"])
     def test_a_whitebox_config_is_refused_before_any_call(self, method):

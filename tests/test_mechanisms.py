@@ -162,6 +162,17 @@ class TestSampling:
                 with pytest.raises(ValueError, match="softmax requires finite logits"):
                     em_sample(LogitVector(values), temperature, np.random.default_rng(0), bounds=bounds)
 
+    @EITHER_BOUNDS
+    @pytest.mark.parametrize("size", [3, 32_000])
+    def test_a_draw_leaves_the_callers_logits_unchanged(self, bounds, size):
+        # LogitVector keeps the caller's float64 array, so the sampler works in arrays of its own.
+        values = np.random.default_rng(0).normal(4.0, 6.0, size)
+        before = values.copy()
+        u = LogitVector(values)
+        em_sample(u, 0.5, np.random.default_rng(1), bounds=bounds)
+        assert u.values is values
+        assert np.array_equal(values, before)
+
     def test_huge_logits_stay_stable(self):
         # Clipped ranges up to ~50 would overflow a naive exponentiation.
         probs = sampled_probabilities([50.0, 0.0], temperature=0.05)

@@ -9,6 +9,7 @@ from promptsan import normalization
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.exemplar import ScoredParaphrase
 from promptsan.keywords import (
+    DELTA2,
     STOP_OFFSET,
     ReleaseMethod,
     build_histogram,
@@ -23,6 +24,7 @@ from promptsan.pipeline import (
     PipelineStageError,
     SanitizedResult,
     budget_report,
+    finish,
     run_pipeline,
 )
 from promptsan.prompting import contains_forbidden
@@ -117,17 +119,16 @@ class TestRunPipeline:
         assert result.ledger.total() == expected
 
     def test_identity_rewriter_plug_in(self, mock_client):
-        def identity_rewriter(prompt: str, rng, ledger) -> ParaphraseGroup:
-            params = RewriteParams(
-                mode="blackbox", temperature=1.0, max_tokens=64, bounds=ClipBounds(0.0, 8.0)
-            )
-            rewrites = tuple(
-                Rewrite(text=prompt, params=params, tokens_generated=len(prompt.split()))
-                for _ in range(10)
-            )
-            return ParaphraseGroup(source=prompt, rewrites=rewrites)
-
-        result = run_pipeline(PROMPT, config(), mock_client, stage1_rewriter=identity_rewriter)
+        # A plug-in Stage 1 builds its group and charges its ledger; this one charges nothing.
+        params = RewriteParams(
+            mode="blackbox", temperature=1.0, max_tokens=64, bounds=ClipBounds(0.0, 8.0)
+        )
+        rewrites = tuple(
+            Rewrite(text=PROMPT, params=params, tokens_generated=len(PROMPT.split()))
+            for _ in range(10)
+        )
+        group = ParaphraseGroup(source=PROMPT, rewrites=rewrites)
+        result = finish(group, PrivacyLedger(), config(), mock_client)
         oracle = topk_ndp(histogram_of([PROMPT] * 10), 10)
         assert result.released.words == oracle.words
         assert set(result.released.words) <= set(tokenize_normalize(PROMPT))
@@ -272,6 +273,41 @@ class TestRunPipeline:
             config(**overrides)
 
 
+class TestFinish:
+    """``finish`` runs Stages 2-3 on any group whose Stage-1 charges its ledger holds."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"release_method": ReleaseMethod.DP, "epsilon2": 1e9}], ids=["ndp", "dp"]
+    )
+    def test_finish_on_the_group_reproduces_run_pipeline(self, overrides):
+        cfg = config(**overrides)
+        result = run_pipeline(PROMPT, cfg, MockChatModel(seed=0))
+        assert result.released.words
+        ledger = PrivacyLedger()
+        for entry in result.ledger.entries:
+            if entry.stage is Stage.REWRITE:
+                ledger.append(entry)
+        stage1_rows = ledger.to_rows()
+        finished = finish(result.group, ledger, cfg, MockChatModel(seed=0))
+        assert json.dumps(finished.to_json_dict(), ensure_ascii=False) == json.dumps(
+            result.to_json_dict(), ensure_ascii=False
+        )
+        assert finished.ledger is ledger
+        assert ledger.to_rows()[: len(stage1_rows)] == stage1_rows
+
+    def test_a_dp_finish_short_of_k_words_keeps_the_callers_ledger(self, mock_client):
+        cfg = config(release_method=ReleaseMethod.DP, epsilon2=1.0, k=10)
+        ledger = PrivacyLedger()
+        ledger.record(Stage.REWRITE, 16.0, 3, "plug-in T=1")
+        stage1_rows = ledger.to_rows()
+        with pytest.raises(PipelineStageError) as exc_info:
+            finish(make_group(["silver archive", "hidden silver journal"]), ledger, cfg, mock_client)
+        exc = exc_info.value
+        assert (exc.stage, exc.completed) == ("stage-2 control", ("group", "histogram"))
+        assert exc.ledger is ledger
+        assert ledger.to_rows() == stage1_rows
+
+
 class TestOneTokenCount:
     """A kept rewrite's tokens are its ledger units, and a reply over the cap is dropped."""
 
@@ -320,11 +356,17 @@ class TestBudgetReport:
         subtotal_lines = [l for l in report.splitlines() if l.strip().startswith("eps/unit")]
         assert len(subtotal_lines) == 11
 
+    @pytest.mark.parametrize("schedule", [1.0, RewriteSchedule.from_range(0.5, 1.5, 0.1)])
+    def test_a_dp_release_adds_one_epsilon2_line_to_either_summary(self, mock_client, schedule):
+        cfg = config(m=11, schedule=schedule, release_method=ReleaseMethod.DP, epsilon2=200.0)
+        lines = budget_report(run_pipeline(PROMPT, cfg, mock_client)).splitlines()
+        assert [line for line in lines if "ε₂" in line] == [f"+ ε₂ = 200.000000 at δ₂ = {DELTA2:g}"]
+        assert lines[-2].startswith("+ ε₂") and lines[-1].startswith("total:")
+
     @staticmethod
     def result_with(ledger: PrivacyLedger) -> SanitizedResult:
         group = make_group(["only text"])
         return SanitizedResult(
-            original="x",
             group=group,
             histogram=histogram_of(group.texts()),
             released=topk_ndp(histogram_of(group.texts()), 1),

@@ -20,7 +20,7 @@ def test_library_surface_snippet_runs(capsys):
 
 def test_library_surface_names_the_keyword_arguments_of_run_pipeline():
     section = README.read_text(encoding="utf-8").split("## Library surface", 1)[1].split("\n## ", 1)[0]
-    sentence = re.search(r"`run_pipeline` takes \w+\s+keyword arguments:(.*?)\.\s", section, re.S).group(1)
+    sentence = re.search(r"`run_pipeline` takes \w+\s+keyword arguments?:(.*?)\.\s", section, re.S).group(1)
     params = inspect.signature(run_pipeline).parameters.values()
     assert re.findall(r"`(\w+)`,", sentence) == [p.name for p in params if p.kind is p.KEYWORD_ONLY]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.evaluation import synthetic_qa_records
 from promptsan.keywords import ReleaseMethod
-from promptsan.mechanisms import ClipBounds, PrivacyLedger, Stage, schedule_total
+from promptsan.mechanisms import ClipBounds, LogitVector, PrivacyLedger, Stage, schedule_total
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.rewriting import (
     MAX_SLOTS,
@@ -138,8 +138,6 @@ class TestParaphraseWhitebox:
                 if self.steps >= 3:
                     raise RuntimeError("oracle exploded")
                 self.steps += 1
-                from promptsan.mechanisms import LogitVector
-
                 return LogitVector([0.0, 0.0])
 
         ledger = PrivacyLedger()
@@ -147,6 +145,24 @@ class TestParaphraseWhitebox:
             paraphrase_whitebox("p", whitebox_params(bounds), FlakyOracle(), rng, ledger)
         assert "after 3 tokens" in str(exc_info.value)
         assert ledger.entries[-1].units == 3
+
+    def test_an_oracle_reusing_one_logits_buffer_decodes_every_step(self, rng, bounds):
+        class BufferOracle:
+            """Writes each step's logits into one preallocated buffer."""
+
+            vocab = ("A", "B", "C")
+            eos_index = None
+            buffer = np.zeros(3)
+
+            def step_logits(self, context):
+                self.buffer[:] = 0.0
+                self.buffer[len(context) % 3] = 8.0
+                return LogitVector(self.buffer)
+
+        ledger = PrivacyLedger()
+        rewrite = paraphrase_whitebox("p", whitebox_params(bounds, max_tokens=6), BufferOracle(), rng, ledger)
+        assert rewrite.tokens_generated == len(rewrite.text.split()) == 6
+        assert ledger.entries[-1].units == 6
 
     def test_seeded_determinism(self, bounds):
         oracle = ConstantStepOracle(vocab=("A", "B"), logits=(0.3, 0.7))
