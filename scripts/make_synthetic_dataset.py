@@ -7,9 +7,8 @@ downloading anything.
 """
 
 import argparse
-import json
 
-from promptsan.evaluation import synthetic_qa_records
+from promptsan.evaluation import synthetic_qa_records, write_dataset
 
 
 def main() -> None:
@@ -20,41 +19,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    records = synthetic_qa_records(args.n, seed=args.seed, dataset=args.dataset)
-    if args.dataset == "csqa":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": record.id,
-                            "answerKey": record.gold,
-                            "question": {
-                                "stem": record.question,
-                                "choices": [
-                                    {"label": c.label, "text": c.text} for c in record.choices
-                                ],
-                            },
-                        }
-                    )
-                    + "\n"
-                )
-    else:
-        doc = {
-            "dataset_name": "synthetic-docvqa",
-            "data": [
-                {
-                    "questionId": record.id,
-                    "question": record.question,
-                    "answers": [record.gold],
-                    "ocr_tokens": list(record.context),
-                }
-                for record in records
-            ],
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    print(f"wrote {len(records)} {args.dataset} records to {args.out}")
+    write_dataset(synthetic_qa_records(args.n, seed=args.seed, dataset=args.dataset), args.out)
+    print(f"wrote {args.n} {args.dataset} records to {args.out}")
 
 
 if __name__ == "__main__":

@@ -233,7 +233,8 @@ class HttpChatClient:
                     self._url, json=body, headers=headers, timeout=self.endpoint.timeout_s
                 )
             except requests.RequestException as exc:
-                last_failure = f"transport error: {exc}"
+                # The type only: requests' message quotes the URL, query included.
+                last_failure = f"transport error: {type(exc).__name__}"
             else:
                 if resp.status_code == 200:
                     try:

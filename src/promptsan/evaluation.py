@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
@@ -27,12 +28,14 @@ from .client import (
     ClientError,
     TransportError,
 )
+from .exemplar import SelectionError
 from .keywords import ReleaseMethod
 from .mechanisms import PrivacyLedger
 from .metrics import all_metrics, rouge1
 from .normalization import tokenize
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
-from .rewriting import RewriteParams, paraphrase_blackbox
+from .prompting import SanitizationError
+from .rewriting import GroupRewriteError, RewriteError, RewriteParams, paraphrase_blackbox
 
 CSQA_LABELS = ("A", "B", "C", "D", "E")
 
@@ -107,6 +110,33 @@ def _parse_docvqa_entry(doc: dict) -> QARecord:
         dataset="docvqa",
         context=tuple(str(t) for t in tokens),
     )
+
+
+def write_dataset(records: Sequence[QARecord], path: str | os.PathLike[str]) -> None:
+    """Write records in the format ``load_dataset`` reads for their kind.
+
+    CSQA records become one JSON object per line (``csqa_jsonl``), DocVQA
+    records one ``{"data": [...]}`` object (``docvqa_json``). Loading the
+    file back returns the same records.
+    """
+    kinds = {record.dataset for record in records}
+    if len(kinds) != 1:
+        raise ValueError(
+            f"records must be non-empty and of one dataset kind, got kinds {sorted(kinds)}"
+        )
+    with open(path, "w", encoding="utf-8") as fh:
+        if kinds == {"csqa"}:
+            for r in records:
+                choices = [{"label": c.label, "text": c.text} for c in r.choices]
+                question = {"stem": r.question, "choices": choices}
+                fh.write(json.dumps({"id": r.id, "answerKey": r.gold, "question": question}) + "\n")
+        else:
+            data = [
+                {"questionId": r.id, "question": r.question, "answers": [r.gold],
+                 "ocr_tokens": list(r.context)}
+                for r in records
+            ]
+            json.dump({"data": data}, fh)
 
 
 def load_dataset(
@@ -330,6 +360,18 @@ def _answer_utility(
     return rouge1(tokenize(record.gold), tokenize(resp.text)), ""
 
 
+# The package's own errors: in the black-box runs of the grid their messages
+# quote no prompt, URL or request.
+_PROMPT_FREE_ERRORS = (
+    ClientError, TransportError, RewriteError, GroupRewriteError, SanitizationError, SelectionError,
+)
+
+
+def _describe(exc: BaseException | None) -> str:
+    """A failed-row note's account of ``exc``: its message if the package's own, else its type."""
+    return str(exc) if isinstance(exc, _PROMPT_FREE_ERRORS) else type(exc).__name__
+
+
 def evaluate_item(
     record: QARecord,
     sanitizer: Sanitizer,
@@ -354,7 +396,7 @@ def evaluate_item(
             **cell, rouge1=0.0, rougeL=0.0, bleu=0.0, utility=0.0,
             ledger_total=exc.ledger.total(),
             failed=True,
-            note=f"sanitizer failed in {exc.stage}: {exc.__cause__}",
+            note=f"sanitizer failed in {exc.stage}: {_describe(exc.__cause__)}",
         )
     privacy = all_metrics(record.question, sanitized.text)
     try:
@@ -363,9 +405,7 @@ def evaluate_item(
         )
         failed = False
     except Exception as exc:
-        # A client error's message is prompt-free; any other may quote the question.
-        detail = exc if isinstance(exc, (ClientError, TransportError)) else type(exc).__name__
-        utility, note, failed = 0.0, f"answerer failed: {detail}", True
+        utility, note, failed = 0.0, f"answerer failed: {_describe(exc)}", True
     return EvalRow(
         **cell, **privacy, utility=utility, ledger_total=sanitized.ledger_total,
         failed=failed, note=note,

@@ -17,7 +17,6 @@ from .client import ClientError, TransportError
 from .keywords import tokenize_normalize
 
 DEFAULT_TEMPLATE_ID = "default-v1"
-TEMPLATES = {DEFAULT_TEMPLATE_ID: (REWRITE_HEADER, AVOID_HEADER)}
 
 
 class SanitizationError(RuntimeError):
@@ -37,7 +36,7 @@ class FinalPromptRequest:
 
 
 def check_template_id(template_id: str) -> None:
-    if template_id not in TEMPLATES:
+    if template_id != DEFAULT_TEMPLATE_ID:
         raise ValueError(f"unknown template id: {template_id!r}")
 
 
@@ -45,8 +44,7 @@ def render_template(req: FinalPromptRequest) -> str:
     """Render the four-line generation prompt, newline separated."""
     if not req.exemplar:
         raise ValueError("exemplar must be nonempty")
-    refer_header, avoid_header = TEMPLATES[req.template_id]
-    return "\n".join([refer_header, req.exemplar, avoid_header, ", ".join(req.forbidden)])
+    return "\n".join([REWRITE_HEADER, req.exemplar, AVOID_HEADER, ", ".join(req.forbidden)])
 
 
 def contains_forbidden(text: str, forbidden: Sequence[str]) -> bool:

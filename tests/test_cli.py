@@ -19,7 +19,7 @@ from promptsan.client import (
     Message,
     MockChatModel,
 )
-from promptsan.evaluation import synthetic_qa_records
+from promptsan.evaluation import Choice, QARecord, synthetic_qa_records, write_dataset
 from promptsan.keywords import DELTA2
 
 from conftest import QuietHandler, completion_payload, loopback
@@ -46,23 +46,9 @@ def mock_config(tmp_path):
 
 
 def csqa_fixture(tmp_path, n=20, seed=5) -> str:
-    path = tmp_path / "dev.jsonl"
-    lines = []
-    for record in synthetic_qa_records(n, seed=seed):
-        lines.append(
-            json.dumps(
-                {
-                    "id": record.id,
-                    "answerKey": record.gold,
-                    "question": {
-                        "stem": record.question,
-                        "choices": [{"label": c.label, "text": c.text} for c in record.choices],
-                    },
-                }
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+    path = str(tmp_path / "dev.jsonl")
+    write_dataset(synthetic_qa_records(n, seed=seed), path)
+    return path
 
 
 class TestCalibrate:
@@ -746,10 +732,8 @@ class TestErrorBodiesStayOutOfTelemetry:
     def test_evaluate_audit(self, tmp_path, capsys, echoing_service, monkeypatch, status):
         monkeypatch.setattr(EchoingServiceHandler, "status", status)
         dataset = tmp_path / "dev.jsonl"
-        choices = [{"label": label, "text": f"place {label}"} for label in "ABCDE"]
-        dataset.write_text(
-            json.dumps({"id": "q0", "answerKey": "A", "question": {"stem": SECRET_PROMPT, "choices": choices}})
-        )
+        choices = tuple(Choice(label, f"place {label}") for label in "ABCDE")
+        write_dataset([QARecord("q0", SECRET_PROMPT, "A", "csqa", choices=choices)], dataset)
         audit = tmp_path / "rows.jsonl"
         assert main([
             "evaluate", "--dataset", str(dataset), "--format", "csqa_jsonl",
@@ -914,21 +898,7 @@ class TestEvaluate:
     def test_docvqa_format_end_to_end(self, tmp_path, mock_config):
         records = synthetic_qa_records(5, seed=9, dataset="docvqa")
         dataset = tmp_path / "dev.json"
-        dataset.write_text(
-            json.dumps(
-                {
-                    "data": [
-                        {
-                            "questionId": r.id,
-                            "question": r.question,
-                            "answers": [r.gold],
-                            "ocr_tokens": list(r.context),
-                        }
-                        for r in records
-                    ]
-                }
-            )
-        )
+        write_dataset(records, dataset)
         out = tmp_path / "report.csv"
         code = main(
             [

@@ -131,13 +131,14 @@ class TestHttpClient:
             sock.bind(("127.0.0.1", 0))
             host, port = sock.getsockname()
         delays: list[float] = []
-        endpoint = EndpointConfig(base_url=f"http://{host}:{port}/v1", model="m")
+        # A credential in the query must not reach the message.
+        endpoint = EndpointConfig(base_url=f"http://{host}:{port}/v1?key=SECRET123", model="m")
         client = HttpChatClient(endpoint, sleeper=delays.append)
         posts = []
         post = client._session.post
         monkeypatch.setattr(client._session, "post", lambda *a, **kw: posts.append(a) or post(*a, **kw))
         try:
-            with pytest.raises(TransportError, match=r"^request failed after 3 attempts: transport error: "):
+            with pytest.raises(TransportError, match=r"^request failed after 3 attempts: transport error: ConnectionError$"):
                 client.complete(REQ)
         finally:
             client.close()

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from promptsan.client import (
 )
 from promptsan.evaluation import (
     Choice,
+    DatasetLoad,
     EvalRow,
     QARecord,
     SanitizedText,
@@ -25,6 +30,7 @@ from promptsan.evaluation import (
     load_dataset,
     run_experiment,
     synthetic_qa_records,
+    write_dataset,
 )
 from promptsan.mechanisms import ClipBounds
 from promptsan.metrics import all_metrics
@@ -144,6 +150,40 @@ class TestLoadDataset:
         path.write_text(csqa_line("a", "s") + "\n" + csqa_line("b", "s"))
         with pytest.raises(ValueError):
             load_dataset(str(path), "csqa_jsonl", sample=(5, 0))
+
+
+FORMATS = {"csqa": "csqa_jsonl", "docvqa": "docvqa_json"}
+
+
+class TestWriteDataset:
+    @pytest.mark.parametrize("kind", FORMATS)
+    def test_load_returns_the_written_records(self, tmp_path, kind):
+        records = synthetic_qa_records(20, seed=4, dataset=kind)
+        path = str(tmp_path / "dev")
+        write_dataset(records, path)
+        assert load_dataset(path, FORMATS[kind]) == DatasetLoad(tuple(records), ())
+
+    @pytest.mark.parametrize(
+        "records",
+        [[], synthetic_qa_records(1, dataset="csqa") + synthetic_qa_records(1, dataset="docvqa")],
+        ids=["empty", "mixed"],
+    )
+    def test_empty_or_mixed_records_are_refused(self, tmp_path, records):
+        with pytest.raises(ValueError, match="one dataset kind"):
+            write_dataset(records, str(tmp_path / "dev"))
+        assert not (tmp_path / "dev").exists()
+
+    @pytest.mark.parametrize("kind", FORMATS)
+    def test_the_synthetic_dataset_script_output_loads_back(self, tmp_path, kind):
+        root = Path(__file__).resolve().parents[1]
+        out = str(tmp_path / "dev")
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "make_synthetic_dataset.py"),
+             "--out", out, "--dataset", kind, "--n", "50", "--seed", "3"],
+            check=True, capture_output=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        load = load_dataset(out, FORMATS[kind])
+        assert load == DatasetLoad(tuple(synthetic_qa_records(50, seed=3, dataset=kind)), ())
 
 
 def record_for(stem: str, gold: str = "B") -> QARecord:
@@ -335,7 +375,14 @@ class TestSanitizerFailures:
         message = "unsupported operand type(s) for +: 'int' and 'NoneType'"
         failed = self.one_failed_row(("paraphrase",), client=TypeErrorOnce(question, message))
         assert (failed.method, failed.ledger_total) == ("paraphrase", 0.0)
-        assert failed.note == f"sanitizer failed in stage-1 rewriting: {message}"
+        assert failed.note == "sanitizer failed in stage-1 rewriting: TypeError"
+
+    def test_an_untyped_error_in_a_group_rewrite_fails_one_row_without_its_message(self):
+        # The error quotes the rewrite request, and with it the question.
+        question = synthetic_qa_records(3, seed=2)[1].question
+        failed = self.one_failed_row(("group-ndp",), client=TypeErrorOnce(question, "cannot read {request!r}"))
+        assert failed.method == "group-ndp"
+        assert failed.note == "sanitizer failed in stage-1 rewriting: TypeError"
 
     @pytest.mark.parametrize("method", ["group-ndp", "paraphrase"])
     def test_a_whitebox_config_is_refused_before_any_call(self, method):

@@ -23,7 +23,13 @@ import numpy as np
 
 from promptsan.cli import main
 from promptsan.client import ChatRequest, ChatResponse, ClientError, MockChatModel
-from promptsan.evaluation import aggregate, emit_report, run_experiment, synthetic_qa_records
+from promptsan.evaluation import (
+    aggregate,
+    emit_report,
+    run_experiment,
+    synthetic_qa_records,
+    write_dataset,
+)
 from promptsan.keywords import ReleaseMethod
 from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.pipeline import PipelineConfig, run_pipeline
@@ -93,22 +99,7 @@ def _cli_evaluate(tmp_path, capsys) -> str:
     config = tmp_path / "evaluate.json"
     config.write_text(json.dumps({"bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": 7, "use_mock": True}))
     dataset = tmp_path / "dev.jsonl"
-    dataset.write_text(
-        "".join(
-            json.dumps(
-                {
-                    "id": r.id,
-                    "answerKey": r.gold,
-                    "question": {
-                        "stem": r.question,
-                        "choices": [{"label": c.label, "text": c.text} for c in r.choices],
-                    },
-                }
-            )
-            + "\n"
-            for r in synthetic_qa_records(3, seed=5)
-        )
-    )
+    write_dataset(synthetic_qa_records(3, seed=5), dataset)
     csv_path = tmp_path / "cli.csv"
     assert main([
         "evaluate", "--dataset", str(dataset), "--format", "csqa_jsonl",
@@ -212,12 +203,7 @@ def _cli_docvqa_evaluate(tmp_path, capsys) -> list[str]:
     config = tmp_path / "docvqa.json"
     config.write_text(json.dumps({"bounds": {"b_min": 0.0, "b_max": 8.0}, "seed": 7, "use_mock": True}))
     dataset = tmp_path / "docvqa_dev.json"
-    dataset.write_text(json.dumps({
-        "data": [
-            {"questionId": r.id, "question": r.question, "answers": [r.gold], "ocr_tokens": list(r.context)}
-            for r in synthetic_qa_records(3, seed=6, dataset="docvqa")
-        ]
-    }))
+    write_dataset(synthetic_qa_records(3, seed=6, dataset="docvqa"), dataset)
     csv_path, audit = tmp_path / "docvqa.csv", tmp_path / "docvqa_audit.jsonl"
     assert main([
         "evaluate", "--dataset", str(dataset), "--format", "docvqa_json",
