@@ -15,8 +15,9 @@ import os
 import random
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
 from .normalization import _STRIP_CHARS, tokenize
@@ -189,15 +190,33 @@ class HttpChatClient:
             session.mount("http://", adapter)
             session.mount("https://", adapter)
         self._session = session
+        # The proxy and CA variables, merged with the session's proxies and its
+        # verify, cert and stream settings: read once, not rescanned per call.
+        self._send_settings = session.merge_environment_settings(self._url, {}, None, None, None)
+        self._pool = ThreadPoolExecutor(max_workers=endpoint.max_inflight)
 
     def close(self) -> None:
-        """Close the session this client built; a caller-supplied one stays open."""
+        """Stop the worker threads, and close the session this client built.
+
+        A caller-supplied session stays open. A closed client still works: its
+        next ``map`` starts new threads, as its session opens new connections.
+        """
+        self._pool.shutdown()
+        self._pool = ThreadPoolExecutor(max_workers=self.endpoint.max_inflight)
         if self._owns_session:
             self._session.close()
 
+    def map(self, fn: Callable, items: Iterable) -> list:
+        """``fn`` over ``items``, in input order, with up to ``max_inflight`` calls at once.
+
+        The worker threads belong to the client: made as calls need them and
+        kept for later calls, so the cap holds across concurrent callers too.
+        """
+        return list(self._pool.map(fn, items))
+
     @property
     def max_inflight(self) -> int:
-        """How many Stage-1 calls of one prompt may be in flight at once.
+        """How many calls ``map`` may have in flight at once, across all its callers.
 
         By default every slot of a schedule, so the m rewrites of a prompt go
         out in one wave and the prompt costs two round trips: that wave and
@@ -229,9 +248,11 @@ class HttpChatClient:
         last_failure = ""
         for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
-                resp = self._session.post(
-                    self._url, json=body, headers=headers, timeout=self.endpoint.timeout_s
+                # prepare_request still applies the session's hooks, cookies and auth.
+                request = self._session.prepare_request(
+                    requests.Request("POST", self._url, json=body, headers=headers)
                 )
+                resp = self._session.send(request, timeout=self.endpoint.timeout_s, **self._send_settings)
             except requests.RequestException as exc:
                 # The type only: requests' message quotes the URL, query included.
                 last_failure = f"transport error: {type(exc).__name__}"

@@ -11,7 +11,6 @@ charges tokens_generated * epsilon_per_token to the ledger.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
@@ -280,10 +279,11 @@ def rewrite_group(
     Each slot records into its own ledger. Every slot runs, whatever another
     raises; then the slot ledgers are appended to ``ledger`` in slot order,
     since every slot has spent its budget, and the first error in slot order
-    that is not a ``RewriteError`` is re-raised. A client with a
-    ``max_inflight`` attribute has up to that many slots in flight at once,
-    so at the HTTP client's default all m slots go out in one wave; what a
-    run returns, records or raises does not depend on that number.
+    that is not a ``RewriteError`` is re-raised. Black-box slots run
+    through the client's ``map`` if it has one: the HTTP client's runs them
+    on its own worker threads, up to its ``max_inflight`` at once, so at its
+    default all m slots go out in one wave. Otherwise the slots run inline.
+    What a run returns, records or raises does not depend on how they run.
     """
     if params.mode == "blackbox" and client is None:
         raise ValueError("blackbox rewriting needs a chat client")
@@ -318,15 +318,9 @@ def rewrite_group(
         except Exception as exc:  # sorted out in slot order once every slot has run
             return exc
 
-    # Only a client that declares how many calls it may have in flight (the
-    # HTTP client) gets worker threads; in-process clients and oracles would
-    # pay for the threads and gain nothing.
-    workers = min(m, getattr(client, "max_inflight", 1)) if params.mode == "blackbox" else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_slot, range(m)))
-    else:
-        outcomes = list(map(run_slot, range(m)))
+    # Only the HTTP client has a map: in-process clients and oracles would gain nothing from threads.
+    run_all = getattr(client, "map", map) if params.mode == "blackbox" else map
+    outcomes = list(run_all(run_slot, range(m)))
     for slot_ledger in slot_ledgers:
         for entry in slot_ledger.entries:
             ledger.append(entry)

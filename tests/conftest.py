@@ -67,8 +67,8 @@ class FailingClient:
 class ReportingClient:
     """Records its requests and answers as the mock, but call i reports ``reported[i]`` tokens.
 
-    Calls past the list report the mock's own count. It declares no
-    ``max_inflight``, so Stage-1 calls arrive in slot order.
+    Calls past the list report the mock's own count. It has no ``map``, so
+    Stage-1 calls arrive in slot order.
     """
 
     reported: Sequence[int | None]

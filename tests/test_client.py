@@ -134,15 +134,15 @@ class TestHttpClient:
         # A credential in the query must not reach the message.
         endpoint = EndpointConfig(base_url=f"http://{host}:{port}/v1?key=SECRET123", model="m")
         client = HttpChatClient(endpoint, sleeper=delays.append)
-        posts = []
-        post = client._session.post
-        monkeypatch.setattr(client._session, "post", lambda *a, **kw: posts.append(a) or post(*a, **kw))
+        sends = []
+        send = client._session.send
+        monkeypatch.setattr(client._session, "send", lambda *a, **kw: sends.append(a) or send(*a, **kw))
         try:
             with pytest.raises(TransportError, match=r"^request failed after 3 attempts: transport error: ConnectionError$"):
                 client.complete(REQ)
         finally:
             client.close()
-        assert len(posts) == MAX_ATTEMPTS
+        assert len(sends) == MAX_ATTEMPTS
         assert len(delays) == 2
         assert 1.0 <= delays[0] <= 1.25
         assert 2.0 <= delays[1] <= 2.5
@@ -253,6 +253,44 @@ class TestHttpClient:
         assert [len(p) for p in pools] == [0, 1]
         borrowed.close()
         assert len(pools[1]) == 0
+
+    def test_a_closed_client_stops_its_threads_and_still_completes(self, stub_server):
+        ScriptedHandler.script = [(200, completion_payload("again", tokens=1)) for _ in range(2)]
+        client = fast_client(stub_server)
+        assert [r.text for r in client.map(client.complete, [REQ])] == ["again"]
+        ident = client.map(lambda _: threading.get_ident(), [0])[0]
+        client.close()
+        client.close()
+        assert ident not in {t.ident for t in threading.enumerate()}
+        # Like the session's connections, the threads are made again as calls need them.
+        assert [r.text for r in client.map(client.complete, [REQ])] == ["again"]
+
+    def test_environment_proxies_are_honoured(self, stub_server, monkeypatch):
+        ScriptedHandler.script = [(200, completion_payload("proxied", tokens=1))]
+        host, port = stub_server.server_address
+        for name in ("NO_PROXY", "no_proxy", "http_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://{host}:{port}")
+        client = HttpChatClient(EndpointConfig(base_url="http://service.invalid/v1", model="m"))
+        stub_server.clients.append(client)
+        assert client.complete(REQ).text == "proxied"
+        # A proxy is sent the absolute form of the target.
+        assert ScriptedHandler.paths_seen == ["http://service.invalid/v1/chat/completions"]
+
+    def test_environment_is_read_once_per_client(self, stub_server, monkeypatch):
+        ScriptedHandler.script = [(200, completion_payload("x", tokens=1)) for _ in range(3)]
+        session = requests.Session()
+        merges = []
+        merge = session.merge_environment_settings
+        monkeypatch.setattr(session, "merge_environment_settings", lambda *a: merges.append(a) or merge(*a))
+        client = HttpChatClient(endpoint_for(stub_server), session=session)
+        try:
+            for _ in range(3):
+                client.complete(REQ)
+        finally:
+            client.close()
+            session.close()
+        assert len(merges) == 1
 
     @pytest.mark.parametrize(
         "base_path, path_seen",
@@ -365,6 +403,31 @@ def test_stage_one_calls_in_flight_never_exceed_max_inflight(max_inflight, peak)
         rewrite_over_http(EndpointConfig(base_url=base_url, model="m", **limit), m)
     # At the default, all m slots of the prompt are in flight together: one wave.
     assert PeakInflightHandler.peak == peak
+
+
+@pytest.mark.parametrize("max_inflight, threads", [(None, 10), (3, 3)], ids=["default", "inflight3"])
+def test_stage_one_threads_belong_to_the_client(monkeypatch, max_inflight, threads):
+    m = 10
+    # At the default all ten calls of a group are held together, so the first
+    # group needs ten threads at once and the second needs them again.
+    KeepAliveBarrierHandler.barrier = threading.Barrier(m if max_inflight is None else 1, timeout=5)
+    # Thread objects, not idents: a new thread may take the ident of one that ended.
+    workers = []
+    complete = HttpChatClient.complete
+
+    def recording_complete(self, req):
+        workers.append(threading.current_thread())
+        return complete(self, req)
+
+    monkeypatch.setattr(HttpChatClient, "complete", recording_complete)
+    limit = {} if max_inflight is None else {"max_inflight": max_inflight}
+    with loopback(KeepAliveBarrierHandler) as (_, base_url):
+        rewrite_over_http(EndpointConfig(base_url=base_url, model="m", **limit), m, seeds=(0, 1))
+    assert len(workers) == 2 * m
+    first, second = set(workers[:m]), set(workers[m:])
+    assert len(first | second) <= threads
+    if max_inflight is None:
+        assert second <= first
 
 
 class TestEndpointConfig:

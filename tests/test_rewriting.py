@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -328,8 +329,16 @@ class TestRewriteGroup:
             )
 
 
-class InflightMock:
-    """A client (the mock by default) behind a ``max_inflight`` attribute, so rewrite_group fans out."""
+class ThreadedMap:
+    """A ``map`` on up to ``max_inflight`` threads, as the HTTP client has, so rewrite_group fans out."""
+
+    def map(self, fn, items):
+        with ThreadPoolExecutor(max_workers=self.max_inflight) as pool:
+            return list(pool.map(fn, items))
+
+
+class InflightMock(ThreadedMap):
+    """A client (the mock by default) whose ``map`` has up to ``max_inflight`` calls in flight."""
 
     def __init__(self, max_inflight: int, inner=None) -> None:
         self.max_inflight = max_inflight
@@ -339,7 +348,7 @@ class InflightMock:
         return self.inner.complete(req)
 
 
-class BarrierClient:
+class BarrierClient(ThreadedMap):
     """Returns only once four calls are waiting together."""
 
     max_inflight = 4
@@ -355,7 +364,7 @@ class BarrierClient:
 class FailAtTemperature:
     """Raises ``error`` for the slot at ``temperature``; answers the rest.
 
-    Declares no ``max_inflight``, so rewrite_group runs its slots inline.
+    Has no ``map``, so rewrite_group runs its slots inline.
     """
 
     def __init__(self, temperature: float, error: Exception) -> None:
