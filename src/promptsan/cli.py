@@ -13,8 +13,8 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator
-from dataclasses import replace
+from collections.abc import Iterator
+from dataclasses import fields, replace
 
 from .client import EndpointConfig, HttpChatClient, MockChatModel
 from .evaluation import (
@@ -63,14 +63,13 @@ def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
 def _parse_bounds(doc: dict) -> ClipBounds:
     if not isinstance(doc, dict):
         raise ConfigError("bounds must be a JSON object")
-    _reject_unknown(doc, set(_BOUNDS_CASTS), "bounds")
+    _reject_unknown(doc, _BOUNDS_KEYS, "bounds")
     if "unit_epsilon" in doc and ("b_min" in doc or "b_max" in doc):
         raise ConfigError("bounds: give either unit_epsilon or b_min/b_max, not both")
-    values = _cast_present(doc, _BOUNDS_CASTS, "bounds: ")
     with _config_errors("bounds: ", (KeyError, ValueError)):
-        if "unit_epsilon" in values:
-            return ClipBounds.from_unit_epsilon(values["unit_epsilon"])
-        return ClipBounds(values["b_min"], values["b_max"])
+        if "unit_epsilon" in doc:
+            return ClipBounds.from_unit_epsilon(doc["unit_epsilon"])
+        return ClipBounds(doc["b_min"], doc["b_max"])
 
 
 def parse_schedule(spec: str) -> RewriteSchedule:
@@ -82,49 +81,12 @@ def parse_schedule(spec: str) -> RewriteSchedule:
         return RewriteSchedule.from_range(low, high, step)
 
 
-def _json(kind: type) -> Callable[[object], object]:
-    """A cast that accepts only JSON values of ``kind``; a boolean is no number.
-
-    ``float`` stands for any JSON number, integer or not, and casts it to float.
-    """
-    name = {
-        bool: "true or false", int: "a JSON integer", float: "a JSON number", str: "a JSON string",
-    }[kind]
-    accepted = (int, float) if kind is float else (kind,)
-
-    def cast(value: object) -> object:
-        if type(value) not in accepted:
-            raise TypeError(f"must be {name}, got {value!r}")
-        return kind(value)
-
-    return cast
-
-
-# The cast of each key a config may set. Only the keys a config sets are
-# passed on, so PipelineConfig, MockChatModel and EndpointConfig hold every
-# default.
-_TOP_CASTS: dict[str, Callable[[object], object]] = {
-    "m": _json(int), "k": _json(int), "seed": _json(int), "max_tokens": _json(int),
-    "retry_on_leakage": _json(int), "fallback_to_exemplar": _json(bool),
-    "temperature": _json(float), "schedule": parse_schedule, "epsilon2": _json(float),
-    "release_method": lambda value: ReleaseMethod(str(value).upper()),
-    "prompt_template": _json(str), "use_mock": _json(bool), "mock_seed": _json(int),
-}
-_TOP_KEYS = {*_TOP_CASTS, "bounds", "client"}
-_CLIENT_CASTS: dict[str, Callable[[object], object]] = {
-    "base_url": _json(str), "timeout_s": _json(float), "max_inflight": _json(int),
-}
-_CLIENT_KEYS = {*_CLIENT_CASTS, "model", "api_key_env"}
-_BOUNDS_CASTS = dict.fromkeys(("b_min", "b_max", "unit_epsilon"), _json(float))
-
-
-def _cast_present(doc: dict, casts: dict[str, Callable[[object], object]], prefix: str) -> dict:
-    present = {}
-    for key, cast in casts.items():
-        if key in doc:
-            with _config_errors(f"{prefix}{key}: ", (TypeError, ValueError, OverflowError)):
-                present[key] = cast(doc[key])
-    return present
+# Each value goes as it is to the field of its name, whose type checks it; a
+# config cannot set mode (white-box needs a step oracle) or template_id.
+_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)} - {"bounds", "mode", "template_id"}
+_TOP_KEYS = _CONFIG_FIELDS | {"temperature", "use_mock", "mock_seed", "bounds", "client"}
+_CLIENT_KEYS = {f.name for f in fields(EndpointConfig)}
+_BOUNDS_KEYS = {f.name for f in fields(ClipBounds)} | {"unit_epsilon"}
 
 
 def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
@@ -139,23 +101,31 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
     if "bounds" not in doc:
         raise ConfigError("config requires bounds")
     bounds = _parse_bounds(doc["bounds"])
-    fields = _cast_present(doc, _TOP_CASTS, "")
-    use_mock = fields.pop("use_mock", False)
-    mock = {"seed": fields.pop("mock_seed")} if "mock_seed" in fields else {}
-    temperature = fields.pop("temperature", None)
-    if "schedule" in fields:
-        if temperature is not None:
+    settings = {key: doc[key] for key in _CONFIG_FIELDS & doc.keys()}
+    if "epsilon2" in settings and settings["epsilon2"] is None:  # the library reads None as unset
+        raise ConfigError("epsilon2 must be a number, got None")
+    if "release_method" in settings:
+        with _config_errors("release_method: "):
+            settings["release_method"] = ReleaseMethod(str(settings["release_method"]).upper())
+    if "schedule" in settings:
+        if "temperature" in doc:
             raise ConfigError("give either temperature or schedule, not both")
-        fields.setdefault("m", fields["schedule"].total)
-    elif temperature is not None:
-        fields["schedule"] = temperature
+        settings["schedule"] = parse_schedule(settings["schedule"])
+        settings.setdefault("m", settings["schedule"].total)
+    elif "temperature" in doc:
+        settings["schedule"] = doc["temperature"]
     with _config_errors():
-        config = PipelineConfig(bounds=bounds, **fields)
+        config = PipelineConfig(bounds=bounds, **settings)
 
+    use_mock = doc.get("use_mock", False)
+    if type(use_mock) is not bool:  # no library type holds use_mock
+        raise ConfigError(f"use_mock must be true or false, got {use_mock!r}")
+    mock = {"seed": doc["mock_seed"]} if "mock_seed" in doc else {}
     if use_mock:
         if "client" in doc:
             raise ConfigError("give either use_mock or a client section, not both")
-        return config, MockChatModel(**mock)
+        with _config_errors("mock_seed: "):
+            return config, MockChatModel(**mock)
     if mock:
         raise ConfigError("mock_seed needs use_mock: true")
     client_doc = doc.get("client")
@@ -163,10 +133,9 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
         raise ConfigError("client must be a JSON object" if "client" in doc
                           else "config requires a client section unless use_mock is true")
     _reject_unknown(client_doc, _CLIENT_KEYS, "client")
-    settings = {**client_doc, **_cast_present(client_doc, _CLIENT_CASTS, "client config: ")}
     # TypeError: base_url or model missing
     with _config_errors("client config: ", (TypeError, ValueError)):
-        endpoint = EndpointConfig(**settings)
+        endpoint = EndpointConfig(**client_doc)
         endpoint.api_key()  # a malformed key fails here, before any call
     return config, HttpChatClient(endpoint)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
+from .mechanisms import as_float, check_count
 from .normalization import _STRIP_CHARS, tokenize
 from .stopwords import STOP_WORDS
 
@@ -116,13 +117,12 @@ class EndpointConfig:
             raise ValueError("base_url must not carry a #fragment")
         if not (isinstance(self.model, str) and self.model):
             raise ValueError(f"model must be a non-empty string, got {self.model!r}")
-        # type() rather than isinstance: True is no count of calls.
-        if type(self.max_inflight) is not int:
-            raise ValueError(f"max_inflight must be an integer, got {self.max_inflight!r}")
+        check_count("max_inflight", self.max_inflight)
         if not 1 <= self.max_inflight <= MAX_SLOTS:
             raise ValueError(
                 f"max_inflight must be at least 1 and at most {MAX_SLOTS}, got {self.max_inflight!r}"
             )
+        object.__setattr__(self, "timeout_s", as_float("timeout_s", self.timeout_s))
         if not 0 < self.timeout_s < math.inf:  # rejects NaN too
             raise ValueError(f"timeout_s must be positive and finite, got {self.timeout_s!r}")
         if not (isinstance(self.api_key_env, str) and self.api_key_env):
@@ -207,23 +207,12 @@ class HttpChatClient:
             self._session.close()
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        """``fn`` over ``items``, in input order, with up to ``max_inflight`` calls at once.
+        """``fn`` over ``items``, in input order, with up to ``endpoint.max_inflight`` calls at once.
 
         The worker threads belong to the client: made as calls need them and
         kept for later calls, so the cap holds across concurrent callers too.
         """
         return list(self._pool.map(fn, items))
-
-    @property
-    def max_inflight(self) -> int:
-        """How many calls ``map`` may have in flight at once, across all its callers.
-
-        By default every slot of a schedule, so the m rewrites of a prompt go
-        out in one wave and the prompt costs two round trips: that wave and
-        the final generation. A smaller value sends the m calls in waves of
-        up to that many.
-        """
-        return self.endpoint.max_inflight
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -332,6 +321,9 @@ class MockChatModel:
     """
 
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_count("seed", self.seed)
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         content = "\n".join(m.content for m in req.messages)

@@ -18,14 +18,32 @@ from typing import Sequence
 import numpy as np
 
 
+def check_count(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is an int; type() rather than isinstance, as True is no count."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_float(name: str, value: object) -> float:
+    """``value`` as a float; ValueError unless it is an int or float (a bool is no number) a float holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"{name} must be a finite number") from None
+
+
 @dataclass(frozen=True)
 class ClipBounds:
-    """Inclusive clipping interval [b_min, b_max] for logits, b_min < b_max."""
+    """Inclusive clipping interval [b_min, b_max] for logits, b_min < b_max, stored as floats."""
 
     b_min: float
     b_max: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "b_min", as_float("b_min", self.b_min))
+        object.__setattr__(self, "b_max", as_float("b_max", self.b_max))
         if not (math.isfinite(self.b_min) and math.isfinite(self.b_max)):
             raise ValueError("clip bounds must be finite")
         if not self.b_min < self.b_max:
@@ -43,7 +61,7 @@ class ClipBounds:
         Useful when only the per-token budget constant c = 2*(b_max - b_min)
         is published for a model; the implied clip width is c/2.
         """
-        if epsilon_at_unit_temperature <= 0:
+        if not as_float("unit_epsilon", epsilon_at_unit_temperature) > 0:
             raise ValueError("epsilon at unit temperature must be positive")
         return cls(0.0, epsilon_at_unit_temperature / 2.0)
 

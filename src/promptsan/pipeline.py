@@ -30,7 +30,7 @@ from .keywords import (
     topk_dp,
     topk_ndp,
 )
-from .mechanisms import ClipBounds, PrivacyLedger, Stage
+from .mechanisms import ClipBounds, PrivacyLedger, Stage, as_float, check_count
 from .prompting import DEFAULT_TEMPLATE_ID, FinalPromptRequest, check_retry_on_leakage
 from .prompting import check_template_id, generate_sanitized
 from .rewriting import (
@@ -60,17 +60,27 @@ class PipelineConfig:
     fallback_to_exemplar: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("m", "k", "seed"):
+            check_count(name, getattr(self, name))
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not isinstance(self.release_method, ReleaseMethod):
+            raise ValueError(f"release_method must be a ReleaseMethod, got {self.release_method!r}")
+        if self.epsilon2 is not None:
+            object.__setattr__(self, "epsilon2", as_float("epsilon2", self.epsilon2))
         if self.release_method is ReleaseMethod.DP and (
             self.epsilon2 is None or not 0 < self.epsilon2 < math.inf  # rejects NaN too
         ):
             raise ValueError("DP keyword release requires a positive finite epsilon2")
-        if isinstance(self.schedule, RewriteSchedule) and self.schedule.total != self.m:
-            raise ValueError("schedule must cover exactly m rewrites")
+        if type(self.fallback_to_exemplar) is not bool:
+            raise ValueError(f"fallback_to_exemplar must be a bool, got {self.fallback_to_exemplar!r}")
+        if not isinstance(self.schedule, RewriteSchedule):
+            object.__setattr__(self, "schedule", as_float("rewrite temperature", self.schedule))
         schedule = self.rewrite_schedule()  # checks the slot count and each temperature
+        if schedule.total != self.m:
+            raise ValueError("schedule must cover exactly m rewrites")
         check_retry_on_leakage(self.retry_on_leakage)
         check_template_id(self.template_id)
         self.rewrite_params()  # RewriteParams checks the settings it shares
@@ -83,7 +93,7 @@ class PipelineConfig:
         """The m slot temperatures; a single temperature covers every slot."""
         if isinstance(self.schedule, RewriteSchedule):
             return self.schedule
-        return RewriteSchedule.uniform(float(self.schedule), self.m)
+        return RewriteSchedule.uniform(self.schedule, self.m)
 
     def rewrite_params(self) -> RewriteParams:
         """Parameters shared by every slot, at the first slot's temperature.
@@ -92,7 +102,7 @@ class PipelineConfig:
         """
         return RewriteParams(
             mode=self.mode,
-            temperature=float(self.rewrite_schedule().temperatures[0]),
+            temperature=self.schedule if isinstance(self.schedule, float) else self.schedule.temperatures[0],
             max_tokens=self.max_tokens,
             prompt_template=self.prompt_template,
             bounds=self.bounds,

@@ -15,6 +15,7 @@ from typing import Sequence
 from .client import AVOID_HEADER, REWRITE_HEADER, ChatClient, ChatRequest
 from .client import ClientError, TransportError
 from .keywords import tokenize_normalize
+from .mechanisms import check_count
 
 DEFAULT_TEMPLATE_ID = "default-v1"
 
@@ -62,6 +63,7 @@ class GenerationOutcome:
 
 
 def check_retry_on_leakage(retry_on_leakage: int) -> None:
+    check_count("retry_on_leakage", retry_on_leakage)
     if not 0 <= retry_on_leakage <= 2:
         raise ValueError(f"retry_on_leakage must be 0 to 2, got {retry_on_leakage!r}")
 

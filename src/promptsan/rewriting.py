@@ -22,6 +22,8 @@ from .mechanisms import (
     LogitVector,
     PrivacyLedger,
     Stage,
+    as_float,
+    check_count,
     clip_logits,  # noqa: F401  -- unused here; perfbench/layers.py wraps this binding
     em_sample,
     epsilon_per_token,
@@ -33,8 +35,8 @@ DEFAULT_PARAPHRASE_TEMPLATE = (
 )
 
 def check_temperature(temperature: float) -> None:
-    """Raise ValueError unless a rewrite temperature is positive and finite."""
-    if not 0 < temperature < math.inf:  # rejects NaN too
+    """Raise ValueError unless a rewrite temperature is a positive finite number."""
+    if not 0 < as_float("rewrite temperature", temperature) < math.inf:  # rejects NaN too
         raise ValueError(f"rewrite temperature must be positive and finite, got {temperature!r}")
 
 
@@ -76,8 +78,13 @@ class RewriteParams:
         if self.mode not in ("whitebox", "blackbox"):
             raise ValueError(f"unknown rewrite mode: {self.mode!r}")
         check_temperature(self.temperature)
+        check_count("max_tokens", self.max_tokens)
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
+        if not isinstance(self.bounds, ClipBounds):
+            raise ValueError(f"bounds must be a ClipBounds, got {self.bounds!r}")
+        if not isinstance(self.prompt_template, str):
+            raise ValueError(f"prompt_template must be a string, got {self.prompt_template!r}")
         if "{prompt}" not in self.prompt_template:
             raise ValueError("prompt_template must contain {prompt}")
         check_ex_ante_budget([self.max_tokens], [self.temperature], self.bounds)
@@ -136,7 +143,7 @@ class RewriteSchedule:
     def __post_init__(self) -> None:
         if not self.temperatures:
             raise ValueError("schedule must be nonempty")
-        for temperature in set(self.temperatures):
+        for _, temperature in {(type(t), t) for t in self.temperatures}:  # True would hide behind 1.0
             check_temperature(temperature)
         _check_slot_count(self.total)
 
@@ -281,7 +288,7 @@ def rewrite_group(
     since every slot has spent its budget, and the first error in slot order
     that is not a ``RewriteError`` is re-raised. Black-box slots run
     through the client's ``map`` if it has one: the HTTP client's runs them
-    on its own worker threads, up to its ``max_inflight`` at once, so at its
+    on its own worker threads, up to its endpoint's ``max_inflight`` at once, so at its
     default all m slots go out in one wave. Otherwise the slots run inline.
     What a run returns, records or raises does not depend on how they run.
     """

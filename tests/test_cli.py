@@ -20,7 +20,9 @@ from promptsan.client import (
     MockChatModel,
 )
 from promptsan.evaluation import Choice, QARecord, synthetic_qa_records, write_dataset
-from promptsan.keywords import DELTA2
+from promptsan.keywords import DELTA2, ReleaseMethod
+from promptsan.mechanisms import ClipBounds
+from promptsan.pipeline import PipelineConfig
 
 from conftest import QuietHandler, completion_payload, loopback
 
@@ -60,16 +62,6 @@ class TestCalibrate:
         doc = json.loads(out.read_text())
         assert doc == {"b_min": 1.0, "b_max": 5.0}
 
-    def test_empty_file_exits_two(self, tmp_path):
-        samples = tmp_path / "empty.txt"
-        samples.write_text("")
-        assert main(["calibrate", "--samples", str(samples), "--out", str(tmp_path / "o.json")]) == 2
-
-    def test_degenerate_samples_exit_two(self, tmp_path):
-        samples = tmp_path / "same.txt"
-        samples.write_text("5.0\n5.0\n5.0\n")
-        assert main(["calibrate", "--samples", str(samples), "--out", str(tmp_path / "o.json")]) == 2
-
     def test_rerun_overwrites_identically(self, tmp_path):
         samples = tmp_path / "logits.txt"
         samples.write_text("0.0\n2.0\n")
@@ -104,19 +96,6 @@ class TestSanitize:
         assert first == second
         assert set(json.loads(first)) == RESULT_KEYS
 
-    def test_missing_epsilon2_with_dp_release_exits_two(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "release_method": "dp",
-                    "bounds": {"b_min": 0.0, "b_max": 8.0},
-                    "use_mock": True,
-                }
-            )
-        )
-        assert main(["sanitize", "--config", str(path), "--prompt", PROMPT]) == 2
-
     def test_delta2_shows_only_on_dp_output(self, tmp_path, capsys):
         dp = write_config(tmp_path, {
             **BASE_CONFIG, "use_mock": True, "release_method": "dp", "epsilon2": 2.0,
@@ -132,20 +111,6 @@ class TestSanitize:
         out, err = capsys.readouterr()
         assert set(json.loads(out)["released"]) == {"words", "method", "epsilon"}
         assert "δ" not in out + err
-
-    def test_unknown_config_key_exits_two(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"bounds": {"b_min": 0, "b_max": 1}, "use_mock": True, "oops": 1}))
-        assert main(["sanitize", "--config", str(path), "--prompt", PROMPT]) == 2
-
-    def test_whitebox_mode_is_a_config_error(self, tmp_path, capsys):
-        # White-box rewriting needs a step oracle, which a config cannot supply.
-        path = tmp_path / "whitebox.json"
-        path.write_text(
-            json.dumps({"bounds": {"b_min": 0, "b_max": 8}, "use_mock": True, "mode": "whitebox"})
-        )
-        assert main(["sanitize", "--config", str(path), "--prompt", PROMPT]) == 2
-        assert "unknown config keys: ['mode']" in capsys.readouterr().err
 
     def test_stage_failure_prints_no_prompt_text(self, tmp_path, capsys):
         prompt = "Alice Moreau lives at 12 Rue Cler"
@@ -175,11 +140,6 @@ class TestSanitize:
         prompt_file.write_text(PROMPT + "\n")
         assert main(["sanitize", "--config", mock_config, "--prompt", f"@{prompt_file}"]) == 0
         assert json.loads(capsys.readouterr().out)["original"] == PROMPT
-
-    def test_missing_prompt_file_exits_two(self, mock_config, tmp_path, capsys):
-        missing = tmp_path / "absent.txt"
-        assert main(["sanitize", "--config", mock_config, "--prompt", f"@{missing}"]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot read prompt file:")
 
     def test_audit_file_appended(self, mock_config, tmp_path, capsys):
         audit = tmp_path / "audit.jsonl"
@@ -262,104 +222,21 @@ def write_config(tmp_path, doc: dict, name: str = "config.json") -> str:
     return str(path)
 
 
-class TestConfigErrors:
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"bounds": {"unit_epsilon": -1}}, "bounds: epsilon at unit temperature must be positive"),
-            ({"schedule": 5}, "invalid schedule 5"),
-            ({"temperature": 0}, "rewrite temperature must be positive"),
-            ({"temperature": "hot"}, "temperature: must be a JSON number, got 'hot'"),
-            ({"bounds": [0, 8]}, "bounds must be a JSON object"),
-            ({"mock_seed": "x"}, "mock_seed"),
-            ({"m": math.inf}, "m: must be a JSON integer, got inf"),
-            ({"mock_seed": -math.inf}, "mock_seed: must be a JSON integer, got -inf"),
-            ({"seed": -1}, "seed must be nonnegative, got -1"),
-            ({"prompt_template": "no placeholder"}, "prompt_template must contain {prompt}"),
-            ({"prompt_template": "{"}, "prompt_template must contain {prompt}"),
-            ({"max_tokens": 0}, "max_tokens must be positive"),
-            ({"use_mock": "false"}, "use_mock: must be true or false, got 'false'"),
-            ({"fallback_to_exemplar": "false"}, "fallback_to_exemplar: must be true or false"),
-            ({"fallback_to_exemplar": 1}, "fallback_to_exemplar: must be true or false, got 1"),
-            ({"m": 2.9}, "m: must be a JSON integer, got 2.9"),
-            ({"k": True}, "k: must be a JSON integer, got True"),
-            ({"seed": "3"}, "seed: must be a JSON integer, got '3'"),
-            ({"max_tokens": 64.0}, "max_tokens: must be a JSON integer, got 64.0"),
-            ({"retry_on_leakage": False}, "retry_on_leakage: must be a JSON integer"),
-            ({"mock_seed": 1.5}, "mock_seed: must be a JSON integer, got 1.5"),
-            ({"retry_on_leakage": 9}, "retry_on_leakage must be 0 to 2, got 9"),
-            ({"retry_on_leakage": -1}, "retry_on_leakage must be 0 to 2, got -1"),
-            ({"audit_path": "cfg_audit.jsonl"}, "unknown config keys: ['audit_path']"),
-            ({"model": "gpt-test"}, "unknown config keys: ['model']"),
-            ({"release_method": "dp", "epsilon2": math.nan}, "DP keyword release requires a positive finite epsilon2"),
-            ({"temperature": 1.0, "schedule": "0.5:0.8:0.1"}, "give either temperature or schedule"),
-            ({"release_method": "dp", "epsilon2": True}, "epsilon2: must be a JSON number, got True"),
-            ({"release_method": "dp", "epsilon2": "1.0"}, "epsilon2: must be a JSON number, got '1.0'"),
-            ({"temperature": False}, "temperature: must be a JSON number, got False"),
-            ({"prompt_template": 5}, "prompt_template: must be a JSON string, got 5"),
-            ({"bounds": {"b_min": False, "b_max": "8"}}, "bounds: b_min: must be a JSON number, got False"),
-            ({"bounds": {"b_min": 0, "b_max": "8"}}, "bounds: b_max: must be a JSON number, got '8'"),
-            ({"bounds": {"unit_epsilon": True}}, "bounds: unit_epsilon: must be a JSON number, got True"),
-            ({"schedule": "0.5:1.5:nan"}, "invalid schedule '0.5:1.5:nan'"),
-            ({"schedule": "0.5:inf:0.1"}, "invalid schedule '0.5:inf:0.1'"),
-            ({"release_method": "dp", "epsilon2": math.inf}, "DP keyword release requires a positive finite epsilon2"),
-            ({"client": {"bogus": 1}}, "give either use_mock or a client section, not both"),
-            ({"client": {"base_url": "http://127.0.0.1:9", "model": "m"}}, "give either use_mock or a client"),
-            ({"use_mock": False, "mock_seed": 3}, "mock_seed needs use_mock: true"),
-        ],
+def test_a_json_integer_is_a_number(tmp_path):
+    doc = {**BASE_CONFIG, "use_mock": True, "temperature": 1, "release_method": "dp", "epsilon2": 2}
+    config, _ = load_cli_config(write_config(tmp_path, doc))
+    assert config.rewrite_schedule().temperatures == (1.0,) * 10
+    assert type(config.epsilon2) is float and config.epsilon2 == 2.0
+    # The library stores the same floats, so a result never depends on 2 against 2.0.
+    library = PipelineConfig(
+        bounds=ClipBounds(0, 8), m=10, k=8, seed=7, schedule=1, release_method=ReleaseMethod.DP, epsilon2=2
     )
-    def test_bad_value_exits_two_with_message(self, tmp_path, capsys, overrides, message):
-        config = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True, **overrides})
-        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-
-    def test_a_json_integer_is_a_number(self, tmp_path):
-        doc = {**BASE_CONFIG, "use_mock": True, "temperature": 1, "release_method": "dp", "epsilon2": 2}
-        config, _ = load_cli_config(write_config(tmp_path, doc))
-        assert config.rewrite_schedule().temperatures == (1.0,) * 10
-        assert type(config.epsilon2) is float and config.epsilon2 == 2.0
-
-    @pytest.mark.parametrize(
-        "flags", [["--seed", "-1"], ["--schedule", "0:1:0.5"], ["--schedule", "0.5:inf:0.1"]]
-    )
-    def test_bad_flag_exits_two(self, tmp_path, capsys, flags):
-        config = write_config(tmp_path, {**BASE_CONFIG, "use_mock": True})
-        assert main(["sanitize", "--config", config, "--prompt", PROMPT, *flags]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
-    @pytest.mark.parametrize(
-        "client, message",
-        [
-            ({"max_inflight": 0}, "max_inflight must be at least 1"),
-            ({"max_inflight": "x"}, "max_inflight: must be a JSON integer, got 'x'"),
-            ({"timeout_s": 0}, "timeout_s must be positive"),
-            ({"api_key_env": 5}, "api_key_env must be a non-empty string"),
-            ({"max_inflight": True}, "max_inflight: must be a JSON integer, got True"),
-            ({"max_inflight": 2.9}, "max_inflight: must be a JSON integer, got 2.9"),
-            ({"model": ""}, "model must be a non-empty string"),
-            ({"model": None}, "model must be a non-empty string, got None"),
-            ({"timeout_s": "2.5"}, "timeout_s: must be a JSON number, got '2.5'"),
-            ({"timeout_s": True}, "timeout_s: must be a JSON number, got True"),
-            ({"base_url": 5}, "base_url: must be a JSON string, got 5"),
-            ({"base_url": "http://127.0.0.1:9/v1#frag"}, "base_url must not carry a #fragment"),
-        ],
-    )
-    def test_bad_client_value_exits_two(self, tmp_path, capsys, client, message):
-        doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m", **client}}
-        config = write_config(tmp_path, doc)
-        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: client config: ") and message in err
+    assert library == config
+    assert type(library.epsilon2) is float and library.epsilon2 == 2.0
+    assert type(library.schedule) is float and type(library.bounds.b_max) is float
 
 
 class TestClientSection:
-    def test_model_is_required(self, tmp_path, capsys):
-        config = write_config(tmp_path, {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9"}})
-        assert main(["sanitize", "--config", config, "--prompt", PROMPT]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: client config: ") and "'model'" in err
-
     def test_unset_keys_take_the_endpoint_defaults(self, tmp_path):
         doc = {**BASE_CONFIG, "client": {"base_url": "http://127.0.0.1:9", "model": "m"}}
         _, client = load_cli_config(write_config(tmp_path, doc))
@@ -474,19 +351,6 @@ class TestKeywords:
         assert all(isinstance(v, int) for v in doc["histogram"].values())
         assert doc["histogram"] == result["histogram"]
 
-    def test_dp_requires_epsilon2(self, tmp_path, mock_config, capsys):
-        main(["sanitize", "--config", mock_config, "--prompt", PROMPT])
-        result = json.loads(capsys.readouterr().out)
-        group_path = tmp_path / "group.json"
-        group_path.write_text(json.dumps(result["group"]))
-        assert main(["keywords", "--group", str(group_path), "--method", "dp"]) == 2
-        assert (
-            main(
-                ["keywords", "--group", str(group_path), "--method", "dp", "--epsilon2", "1.0"]
-            )
-            == 0
-        )
-
     def test_dp_ranks_presence_counts(self, tmp_path, capsys):
         group_path = tmp_path / "group.json"
         group_path.write_text(json.dumps({"rewrites": [{"text": "zebra zebra zebra"}, {"text": "zebra lion"}]}))
@@ -517,18 +381,6 @@ class TestKeywords:
         assert doc["release"] == result["released"]
         assert doc["histogram"] == result["histogram"]
 
-    @pytest.mark.parametrize(
-        "content",
-        [None, "[]", '{"rewrites": [{"text": 5}]}', '{"rewrites": []}', "{}", "not json"],
-        ids=["missing", "list-root", "text-not-string", "no-rewrites", "no-rewrites-key", "not-json"],
-    )
-    def test_missing_group_file_exits_two(self, tmp_path, capsys, content):
-        path = tmp_path / "group.json"
-        if content is not None:
-            path.write_text(content)
-        assert main(["keywords", "--group", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot read group: ")
-
 
 @pytest.fixture
 def service_calls(monkeypatch):
@@ -549,92 +401,184 @@ EVALUATE = [
 @pytest.fixture
 def cli_paths(tmp_path):
     """The files the ``{name}`` fields of the commands below stand for."""
-    (tmp_path / "logits.txt").write_text("0.0\n2.0\n")
-    (tmp_path / "group.json").write_text(json.dumps({"rewrites": [{"text": "zebra lion"}]}))
+    files = {
+        "samples": ("logits.txt", "0.0\n2.0\n"),
+        "empty": ("empty.txt", ""),
+        "same": ("same.txt", "5.0\n5.0\n5.0\n"),
+        "group": ("group.json", json.dumps({"rewrites": [{"text": "zebra lion"}]})),
+        "list": ("list.json", "[]"),
+        "object": ("object.json", "{}"),
+        "no_rewrites": ("no_rewrites.json", '{"rewrites": []}'),
+        "text5": ("text5.json", '{"rewrites": [{"text": 5}]}'),
+        "not_json": ("not_json.json", "not json"),
+    }
+    for name, text in files.values():
+        (tmp_path / name).write_text(text)
     (tmp_path / "latin1.txt").write_bytes("Où est le café ?".encode("latin-1"))
-    (tmp_path / "list.json").write_text("[]")
     return {
+        **{key: str(tmp_path / name) for key, (name, _) in files.items()},
         "config": write_config(tmp_path, {**BASE_CONFIG, "use_mock": True}),
         "dataset": csqa_fixture(tmp_path, n=2),
         "out": str(tmp_path / "report.csv"),
         "missing": str(tmp_path / "absent" / "out.jsonl"),
-        "samples": str(tmp_path / "logits.txt"),
-        "group": str(tmp_path / "group.json"),
         "latin1": str(tmp_path / "latin1.txt"),
-        "list": str(tmp_path / "list.json"),
     }
 
 
 SANITIZE = ["sanitize", "--config", "{config}", "--prompt", PROMPT]
+KEYWORDS = ["keywords", "--group", "{group}"]
+NOT_FINITE = "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"
+
+
+def client_section(**settings) -> dict:
+    """Config overrides for a client section with ``settings`` and no mock."""
+    return {"use_mock": False, "client": {"base_url": "http://127.0.0.1:9", "model": "m", **settings}}
 
 
 class TestExitTwoBeforeAnyCall:
+    # Each row's config is BASE_CONFIG with use_mock, updated by the row's overrides.
     @pytest.mark.parametrize(
         "argv, config, message",
         [
-            (EVALUATE + ["--methods", "group-ndp,group-dp"], {}, "requires a positive finite epsilon2"),
-            (EVALUATE + ["--methods", "bogus"], {}, "unknown sanitizer methods: ['bogus']"),
-            (EVALUATE + ["--temperatures", "0"], {}, "rewrite temperature must be positive"),
-            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "0"], {}, "temperature must be positive"),
-            (EVALUATE + ["--repeats", "0"], {}, "repeats must be at least 1, got 0"),
-            (EVALUATE + ["--out", "{missing}"], {}, "cannot write output: "),
-            (EVALUATE + ["--audit", "{missing}"], {}, "cannot write output: "),
-            (EVALUATE + ["--format", "docvqa_json", "--dataset", "{list}"], {}, "must be an object with a data list"),
-            (SANITIZE + ["--audit", "{missing}"], {}, "cannot write output: "),
-            (["sanitize", "--config", "{config}", "--prompt", "@{latin1}"], {}, "cannot read prompt file: "),
-            (SANITIZE, {"client": {"bogus": 1}}, "give either use_mock or a client section, not both"),
-            (SANITIZE, {"use_mock": False, "mock_seed": 1}, "mock_seed needs use_mock: true"),
-            (SANITIZE, {"use_mock": False, "client": {"base_url": 5, "model": "m"}},
-             "client config: base_url: must be a JSON string, got 5"),
-            (["calibrate", "--samples", "{samples}", "--out", "{missing}"], {}, "cannot write output: "),
-            (["keywords", "--group", "{group}", "--k", "0"], {}, "k must be positive"),
-            (["keywords", "--group", "{group}", "--k", "0", "--method", "dp", "--epsilon2", "1"], {},
-             "k must be positive"),
-            (EVALUATE + ["--temperatures", "inf,1.0"], {}, "rewrite temperature must be positive"),
-            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "inf,1.0"], {},
-             "rewrite temperature must be positive"),
-            (SANITIZE, {"temperature": float("inf")}, "rewrite temperature must be positive"),
-            (SANITIZE + ["--schedule", "0.5:1.5:1e-300"], {}, "invalid schedule '0.5:1.5:1e-300'"),
+            # Config values; each type checks its own fields.
+            (SANITIZE, {"oops": 1}, "unknown config keys: ['oops']"),
+            (SANITIZE, {"audit_path": "cfg_audit.jsonl"}, "unknown config keys: ['audit_path']"),
+            (SANITIZE, {"model": "gpt-test"}, "unknown config keys: ['model']"),
+            # White-box rewriting needs a step oracle, which a config cannot supply.
+            (SANITIZE, {"mode": "whitebox"}, "unknown config keys: ['mode']"),
+            (SANITIZE, {"m": 2.9}, "m must be an integer, got 2.9"),
+            (SANITIZE, {"m": math.inf}, "m must be an integer, got inf"),
             (SANITIZE, {"m": 10**12}, "at most 1000 rewrite slots"),
-            (SANITIZE,
-             {"use_mock": False, "client": {"base_url": "http://x", "model": "m", "timeout_s": float("inf")}},
+            (SANITIZE, {"k": True}, "k must be an integer, got True"),
+            (SANITIZE, {"seed": "3"}, "seed must be an integer, got '3'"),
+            (SANITIZE, {"seed": -1}, "seed must be nonnegative, got -1"),
+            (SANITIZE, {"max_tokens": 64.0}, "max_tokens must be an integer, got 64.0"),
+            (SANITIZE, {"max_tokens": 0}, "max_tokens must be positive"),
+            (SANITIZE, {"retry_on_leakage": False}, "retry_on_leakage must be an integer, got False"),
+            (SANITIZE, {"retry_on_leakage": 9}, "retry_on_leakage must be 0 to 2, got 9"),
+            (SANITIZE, {"retry_on_leakage": -1}, "retry_on_leakage must be 0 to 2, got -1"),
+            (SANITIZE, {"fallback_to_exemplar": "false"}, "fallback_to_exemplar must be a bool, got 'false'"),
+            (SANITIZE, {"fallback_to_exemplar": 1}, "fallback_to_exemplar must be a bool, got 1"),
+            (SANITIZE, {"prompt_template": 5}, "prompt_template must be a string, got 5"),
+            (SANITIZE, {"prompt_template": "no placeholder"}, "prompt_template must contain {prompt}"),
+            (SANITIZE, {"prompt_template": "{"}, "prompt_template must contain {prompt}"),
+            (SANITIZE, {"temperature": 0}, "rewrite temperature must be positive"),
+            (SANITIZE, {"temperature": float("inf")}, "rewrite temperature must be positive"),
+            (SANITIZE, {"temperature": "hot"}, "rewrite temperature must be a number, got 'hot'"),
+            (SANITIZE, {"temperature": False}, "rewrite temperature must be a number, got False"),
+            (SANITIZE, {"temperature": 1.0, "schedule": "0.5:0.8:0.1"}, "give either temperature or schedule"),
+            (SANITIZE, {"schedule": 5}, "invalid schedule 5"),
+            (SANITIZE, {"schedule": "0.5:1.5:nan"}, "invalid schedule '0.5:1.5:nan'"),
+            (SANITIZE, {"schedule": "0.5:inf:0.1"}, "invalid schedule '0.5:inf:0.1'"),
+            (SANITIZE, {"release_method": "topk"}, "release_method: 'TOPK' is not a valid ReleaseMethod"),
+            (SANITIZE, {"release_method": "dp"}, "DP keyword release requires a positive finite epsilon2"),
+            (SANITIZE, {"release_method": "dp", "epsilon2": math.nan},
+             "DP keyword release requires a positive finite epsilon2"),
+            (SANITIZE, {"release_method": "dp", "epsilon2": math.inf},
+             "DP keyword release requires a positive finite epsilon2"),
+            (SANITIZE, {"release_method": "dp", "epsilon2": True}, "epsilon2 must be a number, got True"),
+            (SANITIZE, {"release_method": "dp", "epsilon2": "1.0"}, "epsilon2 must be a number, got '1.0'"),
+            # The library reads a None epsilon2 as unset; a JSON null is no number.
+            (SANITIZE, {"epsilon2": None}, "epsilon2 must be a number, got None"),
+            (SANITIZE, {"bounds": [0, 8]}, "bounds must be a JSON object"),
+            (SANITIZE, {"bounds": {"b_min": False, "b_max": "8"}}, "bounds: b_min must be a number, got False"),
+            (SANITIZE, {"bounds": {"b_min": 0, "b_max": "8"}}, "bounds: b_max must be a number, got '8'"),
+            (SANITIZE, {"bounds": {"unit_epsilon": True}}, "bounds: unit_epsilon must be a number, got True"),
+            (SANITIZE, {"bounds": {"unit_epsilon": -1}}, "bounds: epsilon at unit temperature must be positive"),
+            # An ex-ante budget that is not a finite float: one slot overflows,
+            # or the finite slots (plus epsilon2) sum past the largest float.
+            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e308}, "temperature": 0.5, "m": 2}, NOT_FINITE),
+            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 1, "m": 10}, NOT_FINITE),
+            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e305}, "release_method": "dp", "epsilon2": 1e308},
+             NOT_FINITE),
+            (SANITIZE + ["--schedule", "1.0:1.9:0.1"], {"bounds": {"b_min": 0, "b_max": 1e306}, "m": 1},
+             NOT_FINITE),
+            (EVALUATE, {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 4, "m": 2}, NOT_FINITE),
+            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "0.5"],
+             {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 4, "m": 1}, NOT_FINITE),
+            # The mock or the client section.
+            (SANITIZE, {"use_mock": "false"}, "use_mock must be true or false, got 'false'"),
+            (SANITIZE, {"mock_seed": "x"}, "mock_seed: seed must be an integer, got 'x'"),
+            (SANITIZE, {"mock_seed": 1.5}, "mock_seed: seed must be an integer, got 1.5"),
+            (SANITIZE, {"mock_seed": -math.inf}, "mock_seed: seed must be an integer, got -inf"),
+            (SANITIZE, {"use_mock": False, "mock_seed": 1}, "mock_seed needs use_mock: true"),
+            (SANITIZE, {"client": {"bogus": 1}}, "give either use_mock or a client section, not both"),
+            (SANITIZE, {"client": {"base_url": "http://127.0.0.1:9", "model": "m"}},
+             "give either use_mock or a client section, not both"),
+            (SANITIZE, {"use_mock": False, "client": [1]}, "client must be a JSON object"),
+            (SANITIZE, {"use_mock": False, "client": {"base_url": "http://127.0.0.1:9"}},
+             "client config: EndpointConfig.__init__() missing 1 required positional argument: 'model'"),
+            (SANITIZE, client_section(model=""), "client config: model must be a non-empty string"),
+            (SANITIZE, client_section(model=None), "client config: model must be a non-empty string, got None"),
+            (SANITIZE, client_section(base_url=5),
+             "client config: base_url must be an http:// or https:// URL with a host"),
+            (SANITIZE, client_section(base_url="localhost:9/v1"),
+             "client config: base_url must be an http:// or https:// URL with a host"),
+            (SANITIZE, client_section(base_url="http://127.0.0.1:9/v1#frag"),
+             "client config: base_url must not carry a #fragment"),
+            (SANITIZE, client_section(timeout_s=0), "client config: timeout_s must be positive and finite, got 0"),
+            (SANITIZE, client_section(timeout_s=float("inf")),
              "client config: timeout_s must be positive and finite, got inf"),
+            (SANITIZE, client_section(timeout_s="2.5"), "client config: timeout_s must be a number, got '2.5'"),
+            (SANITIZE, client_section(timeout_s=True), "client config: timeout_s must be a number, got True"),
+            (SANITIZE, client_section(max_inflight=0), "client config: max_inflight must be at least 1"),
+            (SANITIZE, client_section(max_inflight=1001),
+             "client config: max_inflight must be at least 1 and at most 1000, got 1001"),
+            (SANITIZE, client_section(max_inflight="x"),
+             "client config: max_inflight must be an integer, got 'x'"),
+            (SANITIZE, client_section(max_inflight=True),
+             "client config: max_inflight must be an integer, got True"),
+            (SANITIZE, client_section(max_inflight=2.9),
+             "client config: max_inflight must be an integer, got 2.9"),
+            (SANITIZE, client_section(api_key_env=5), "client config: api_key_env must be a non-empty string"),
+            # sanitize flags, prompt and output.
+            (SANITIZE + ["--seed", "-1"], {}, "seed must be nonnegative, got -1"),
+            (SANITIZE + ["--schedule", "0:1:0.5"], {},
+             "invalid schedule '0:1:0.5': rewrite temperature must be positive and finite, got 0.0"),
+            (SANITIZE + ["--schedule", "0.5:inf:0.1"], {},
+             "invalid schedule '0.5:inf:0.1': schedule range must be finite"),
             (SANITIZE + ["--schedule", "0.5:1.5:1e-300"], {},
              "invalid schedule '0.5:1.5:1e-300': schedule range gives more than 1000 rewrite slots"),
             (SANITIZE + ["--schedule", "1.5:0.5:0.1"], {}, "invalid schedule '1.5:0.5:0.1': invalid schedule range"),
             (SANITIZE + ["--schedule", "0.5:1.5"], {}, "invalid schedule '0.5:1.5' (expected low:high:step)"),
             (SANITIZE + ["--schedule", "0.5:x:0.1"], {}, "invalid schedule '0.5:x:0.1' (expected low:high:step)"),
-            (["keywords", "--group", "{group}", "--epsilon2", "1"], {}, "--epsilon2 is only used by the dp method"),
-            (EVALUATE + ["--sample-seed", "3"], {}, "--sample-seed needs --sample-n"),
-            (["keywords", "--group", "{group}", "--seed", "3"], {}, "--seed is only used by the dp method"),
-            (["keywords", "--group", "{group}", "--method", "ndp", "--seed", "0"], {},
-             "--seed is only used by the dp method"),
+            (["sanitize", "--config", "{config}", "--prompt", "@{missing}"], {}, "cannot read prompt file: "),
+            (["sanitize", "--config", "{config}", "--prompt", "@{latin1}"], {}, "cannot read prompt file: "),
+            (SANITIZE + ["--audit", "{missing}"], {}, "cannot write output: "),
+            # evaluate: the grid, the dataset and the outputs.
+            (EVALUATE + ["--methods", "group-ndp,group-dp"], {}, "requires a positive finite epsilon2"),
+            (EVALUATE + ["--methods", "bogus"], {}, "unknown sanitizer methods: ['bogus']"),
             (EVALUATE + ["--methods", ""], {}, "unknown sanitizer methods: ['']"),
-            (EVALUATE + ["--temperatures", ""], {}, "could not convert string to float: ''"),
-            # An ex-ante budget that is not a finite float: one slot overflows,
-            # or the finite slots (plus epsilon2) sum past the largest float.
-            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e308}, "temperature": 0.5, "m": 2},
-             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
-            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 1, "m": 10},
-             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
-            (SANITIZE, {"bounds": {"b_min": 0, "b_max": 1e305}, "release_method": "dp", "epsilon2": 1e308},
-             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
-            (SANITIZE + ["--schedule", "1.0:1.9:0.1"], {"bounds": {"b_min": 0, "b_max": 1e306}, "m": 1},
-             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
-            (EVALUATE, {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 4, "m": 2},
-             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
-            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "0.5"],
-             {"bounds": {"b_min": 0, "b_max": 1e306}, "temperature": 4, "m": 1},
-             "ex-ante budget m·max_tokens·ε₁ (+ε₂) is not a finite number"),
-            (SANITIZE, {"use_mock": False, "client": {"base_url": "http://x", "model": "m", "max_inflight": 1001}},
-             "client config: max_inflight must be at least 1 and at most 1000, got 1001"),
-            (SANITIZE, {"use_mock": False, "client": [1]}, "client must be a JSON object"),
-            (SANITIZE, {"use_mock": False, "client": {"base_url": "localhost:9/v1", "model": "m"}},
-             "client config: base_url must be an http:// or https:// URL with a host"),
             (EVALUATE + ["--methods", "group-ndp,group-ndp"], {},
              "methods must be a non-empty list without repeats, got ['group-ndp', 'group-ndp']"),
+            (EVALUATE + ["--temperatures", "0"], {}, "rewrite temperature must be positive"),
+            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "0"], {}, "temperature must be positive"),
+            (EVALUATE + ["--temperatures", "inf,1.0"], {}, "rewrite temperature must be positive"),
+            (EVALUATE + ["--methods", "paraphrase", "--temperatures", "inf,1.0"], {},
+             "rewrite temperature must be positive"),
+            (EVALUATE + ["--temperatures", ""], {}, "could not convert string to float: ''"),
             (EVALUATE + ["--temperatures", "0.5,0.50"], {},
              "temperatures must be a non-empty list without repeats, got [0.5, 0.5]"),
+            (EVALUATE + ["--repeats", "0"], {}, "repeats must be at least 1, got 0"),
+            (EVALUATE + ["--sample-seed", "3"], {}, "--sample-seed needs --sample-n"),
+            (EVALUATE + ["--format", "docvqa_json", "--dataset", "{list}"], {}, "must be an object with a data list"),
+            (EVALUATE + ["--out", "{missing}"], {}, "cannot write output: "),
+            (EVALUATE + ["--audit", "{missing}"], {}, "cannot write output: "),
+            # keywords: the flags and the group file.
+            (KEYWORDS + ["--k", "0"], {}, "k must be positive"),
+            (KEYWORDS + ["--k", "0", "--method", "dp", "--epsilon2", "1"], {}, "k must be positive"),
+            (KEYWORDS + ["--method", "dp"], {}, "--epsilon2 is required for the dp method"),
+            (KEYWORDS + ["--epsilon2", "1"], {}, "--epsilon2 is only used by the dp method"),
+            (KEYWORDS + ["--seed", "3"], {}, "--seed is only used by the dp method"),
+            (KEYWORDS + ["--method", "ndp", "--seed", "0"], {}, "--seed is only used by the dp method"),
+            *[
+                (["keywords", "--group", f"{{{name}}}"], {}, "cannot read group: ")
+                for name in ("missing", "list", "text5", "no_rewrites", "object", "not_json")
+            ],
+            # calibrate.
+            (["calibrate", "--samples", "{empty}", "--out", "{out}"], {}, "calibration needs at least 2 samples"),
+            (["calibrate", "--samples", "{same}", "--out", "{out}"], {}, "zero variance in logit samples"),
+            (["calibrate", "--samples", "{samples}", "--out", "{missing}"], {}, "cannot write output: "),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -199,7 +199,7 @@ class TestHttpClient:
             (200, completion_payload("fine words", tokens=2)) for _ in range(3)
         ]
         client = fast_client(stub_server)
-        assert client.max_inflight == MAX_SLOTS
+        assert client.endpoint.max_inflight == MAX_SLOTS
         params = RewriteParams(
             mode="blackbox", temperature=1.0, max_tokens=16, bounds=ClipBounds(0.0, 8.0)
         )
@@ -436,25 +436,31 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match="max_inflight"):
             EndpointConfig(base_url="http://x", model="m", max_inflight=max_inflight)
 
-    @pytest.mark.parametrize("max_inflight", [12.5, 3.0, True, "4"])
-    def test_max_inflight_must_be_an_integer(self, max_inflight):
-        with pytest.raises(ValueError, match=f"max_inflight must be an integer, got {max_inflight!r}"):
-            EndpointConfig(base_url="http://x", model="m", max_inflight=max_inflight)
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("base_url", True, "base_url must be an http:// or https:// URL with a host"),
+            ("base_url", "x", "base_url must be an http:// or https:// URL with a host"),
+            *[("model", value, "model must be a non-empty string") for value in (True, "", None, 5)],
+            ("timeout_s", True, "timeout_s must be a number, got True"),
+            ("timeout_s", "30", "timeout_s must be a number, got '30'"),
+            ("timeout_s", 10**400, "timeout_s must be a finite number"),
+            *[
+                ("max_inflight", value, f"max_inflight must be an integer, got {value!r}")
+                for value in (True, "4", 2.5, 12.5, 3.0)
+            ],
+            *[("api_key_env", value, "api_key_env must be a non-empty string") for value in (True, "", None, 5)],
+        ],
+    )
+    def test_a_wrong_value_is_refused(self, name, value, message):
+        settings = {"base_url": "http://x", "model": "m", name: value}
+        with pytest.raises(ValueError, match=message):
+            EndpointConfig(**settings)
 
     @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("inf"), float("nan")])
     def test_nonpositive_timeout_rejected(self, timeout_s):
         with pytest.raises(ValueError, match="timeout_s must be positive and finite"):
             EndpointConfig(base_url="http://x", model="m", timeout_s=timeout_s)
-
-    @pytest.mark.parametrize("api_key_env", ["", 5, None])
-    def test_api_key_env_must_name_a_variable(self, api_key_env):
-        with pytest.raises(ValueError, match="api_key_env"):
-            EndpointConfig(base_url="http://x", model="m", api_key_env=api_key_env)
-
-    @pytest.mark.parametrize("model", ["", None, 5])
-    def test_model_must_be_a_non_empty_string(self, model):
-        with pytest.raises(ValueError, match="model must be a non-empty string"):
-            EndpointConfig(base_url="http://x", model=model)
 
     @pytest.mark.parametrize(
         "base_url",
@@ -481,14 +487,10 @@ class TestEndpointConfig:
 
     def test_max_inflight_above_max_slots_rejected(self):
         assert rewriting.MAX_SLOTS == MAX_SLOTS == 1000
+        assert EndpointConfig(base_url="http://x", model="m").max_inflight == MAX_SLOTS
         assert EndpointConfig(base_url="http://x", model="m", max_inflight=MAX_SLOTS).max_inflight == 1000
         with pytest.raises(ValueError, match="max_inflight must be at least 1 and at most 1000, got 1001"):
             EndpointConfig(base_url="http://x", model="m", max_inflight=MAX_SLOTS + 1)
-
-    def test_client_exposes_max_inflight(self):
-        endpoint = EndpointConfig(base_url="http://x", model="m", max_inflight=7)
-        assert HttpChatClient(endpoint).max_inflight == 7
-        assert EndpointConfig(base_url="http://x", model="m").max_inflight == MAX_SLOTS
 
 
 class TestRequestValidation:
@@ -515,6 +517,11 @@ def paraphrase_request(question: str, temperature: float, seed: int = 0) -> Chat
 
 
 class TestMockModel:
+    @pytest.mark.parametrize("seed", [True, "3", 2.5, None])
+    def test_a_seed_that_is_no_integer_is_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            MockChatModel(seed=seed)
+
     def test_identical_requests_identical_responses(self):
         req = paraphrase_request("where does the silver heron nest", 0.8)
         assert MockChatModel().complete(req) == MockChatModel().complete(req)

@@ -56,6 +56,28 @@ class TestConversions:
         with pytest.raises(ValueError):
             ClipBounds(2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda value: ClipBounds(value, 8.0), "b_min must be a number"),
+            (lambda value: ClipBounds(-8.0, value), "b_max must be a number"),
+            (ClipBounds.from_unit_epsilon, "unit_epsilon must be a number"),
+        ],
+        ids=["b_min", "b_max", "from_unit_epsilon"],
+    )
+    @pytest.mark.parametrize("value", [True, "4", None])
+    def test_a_bound_that_is_no_number_is_refused(self, build, message, value):
+        with pytest.raises(ValueError, match=f"{message}, got {value!r}"):
+            build(value)
+
+    def test_bounds_are_stored_as_floats(self):
+        # A float subclass stays a number; an int past the largest float is refused.
+        assert ClipBounds.from_unit_epsilon(np.float64(19.4)) == ClipBounds(0, 9.7)
+        bounds = ClipBounds(np.float64(0.5), 8)
+        assert bounds == ClipBounds(0.5, 8.0) and {type(bounds.b_min), type(bounds.b_max)} == {float}
+        with pytest.raises(ValueError, match="b_max must be a finite number"):
+            ClipBounds(0, 10**400)
+
     def test_nonpositive_temperature_rejected(self, bounds):
         u = LogitVector([1.0, 2.0])
         for temperature in (0.0, -1.0, math.nan):

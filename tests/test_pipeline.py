@@ -273,6 +273,44 @@ class TestRunPipeline:
             config(**overrides)
 
 
+# Each field's wrong values and the refusal that names it: a bool, a string
+# and, for a count, 2.5. The tests above give prompt_template and template_id
+# their wrong strings.
+PIPELINE_REFUSALS = {
+    "bounds": ((True, "0:8"), "bounds must be a ClipBounds"),
+    "m": ((True, "10", 2.5), "m must be an integer"),
+    "k": ((True, "10", 2.5), "k must be an integer"),
+    "schedule": ((True, "1.0"), "rewrite temperature must be a number"),
+    "release_method": ((True, "DP"), "release_method must be a ReleaseMethod"),
+    "epsilon2": ((True, "1.0"), "epsilon2 must be a number"),
+    "mode": ((True, "greybox"), "unknown rewrite mode"),
+    "seed": ((True, "7", 2.5), "seed must be an integer"),
+    "max_tokens": ((True, "64", 2.5), "max_tokens must be an integer"),
+    "prompt_template": ((True, 5), "prompt_template must be a string"),
+    "template_id": ((True,), "unknown template id"),
+    "retry_on_leakage": ((True, "1", 1.5), "retry_on_leakage must be an integer"),
+    "fallback_to_exemplar": ((1, "false"), "fallback_to_exemplar must be a bool"),
+}
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [(name, value, message) for name, (values, message) in PIPELINE_REFUSALS.items() for value in values],
+    )
+    def test_a_wrong_value_is_refused(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            config(**{name: value})
+
+    @pytest.mark.parametrize("overrides", [{"k": 2.5}, {"retry_on_leakage": 1.5}])
+    def test_a_refused_config_charges_nothing(self, overrides):
+        # The refusal comes with the config, before Stage 1 calls or charges anything.
+        client = ReportingClient(reported=())
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            run_pipeline(PROMPT, config(**overrides), client)
+        assert client.requests == []
+
+
 class TestFinish:
     """``finish`` runs Stages 2-3 on any group whose Stage-1 charges its ledger holds."""
 

@@ -56,6 +56,32 @@ class TestParams:
             )
 
     @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("mode", True, "unknown rewrite mode: True"),
+            ("temperature", True, "rewrite temperature must be a number, got True"),
+            ("temperature", "1.0", "rewrite temperature must be a number, got '1.0'"),
+            ("max_tokens", True, "max_tokens must be an integer, got True"),
+            ("max_tokens", "10", "max_tokens must be an integer, got '10'"),
+            ("max_tokens", 2.5, "max_tokens must be an integer, got 2.5"),
+            ("bounds", True, "bounds must be a ClipBounds, got True"),
+            ("bounds", "0:8", "bounds must be a ClipBounds, got '0:8'"),
+            ("prompt_template", True, "prompt_template must be a string, got True"),
+        ],
+    )
+    def test_a_wrong_value_is_refused(self, name, value, message):
+        settings = {"mode": "blackbox", "temperature": 1.0, "max_tokens": 10, "bounds": ClipBounds(0.0, 8.0)}
+        with pytest.raises(ValueError, match=message):
+            RewriteParams(**{**settings, name: value})
+
+    @pytest.mark.parametrize("temperature", [True, "1.0", None, 10**400], ids=["bool", "str", "none", "huge-int"])
+    def test_a_schedule_temperature_that_is_no_number_is_refused(self, temperature):
+        with pytest.raises(ValueError, match="rewrite temperature must be a"):
+            RewriteSchedule((1.0, temperature))
+        with pytest.raises(ValueError, match="rewrite temperature must be a"):
+            RewriteSchedule.uniform(temperature, 2)
+
+    @pytest.mark.parametrize(
         "low, high, step",
         [(0.5, math.inf, 0.1), (0.5, 1.5, math.nan), (math.nan, 1.5, 0.1), (-math.inf, 1.5, 0.1),
          (0.5, 1.5, math.inf), (0.5, math.nan, 0.1)],
