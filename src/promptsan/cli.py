@@ -83,7 +83,7 @@ def parse_schedule(spec: str) -> RewriteSchedule:
 
 # Each value goes as it is to the field of its name, whose type checks it; a
 # config cannot set mode (white-box needs a step oracle) or template_id.
-_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)} - {"bounds", "mode", "template_id"}
+_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig) if f.init} - {"bounds", "mode", "template_id"}
 _TOP_KEYS = _CONFIG_FIELDS | {"temperature", "use_mock", "mock_seed", "bounds", "client"}
 _CLIENT_KEYS = {f.name for f in fields(EndpointConfig)}
 _BOUNDS_KEYS = {f.name for f in fields(ClipBounds)} | {"unit_epsilon"}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -35,7 +36,7 @@ from .metrics import all_metrics, rouge1
 from .normalization import tokenize
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
 from .prompting import SanitizationError
-from .rewriting import GroupRewriteError, RewriteError, RewriteParams, paraphrase_blackbox
+from .rewriting import GroupRewriteError, RewriteError, RewriteParams, check_temperature, paraphrase_blackbox
 
 CSQA_LABELS = ("A", "B", "C", "D", "E")
 
@@ -198,7 +199,8 @@ class Sanitizer(Protocol):
     """Sanitizes one question.
 
     A typed failure is a ``PipelineStageError`` whose ``ledger`` holds the
-    budget charged before it; the grid records it as a failed row.
+    budget charged before it; the grid records it as a failed row, and any
+    other error as a failed row charged ``math.inf``.
     """
 
     name: str
@@ -269,7 +271,7 @@ SANITIZER_BUILDERS: dict[str, Callable[..., Sanitizer]] = {
     "group-ndp": _pipeline_builder(ReleaseMethod.NDP),
     "group-dp": _pipeline_builder(ReleaseMethod.DP),
     "paraphrase": lambda name, temperature, config, client, repeat_seed: ParaphraseSanitizer(
-        name, temperature, replace(config.rewrite_params(), temperature=temperature),
+        name, temperature, replace(config.slots[0], temperature=temperature),
         client, repeat_seed,
     ),
 }
@@ -300,7 +302,8 @@ class EvalRow:
             "item_id": self.item_id,
             "privacy": {"rouge1": self.rouge1, "rougeL": self.rougeL, "bleu": self.bleu},
             "utility": self.utility,
-            "ledger_total": self.ledger_total,
+            # An unknown charge (math.inf) is null: JSON has no infinity.
+            "ledger_total": self.ledger_total if math.isfinite(self.ledger_total) else None,
             "failed": self.failed,
             "note": self.note,
         }
@@ -381,7 +384,9 @@ def evaluate_item(
     """Sanitize once, then score privacy and utility from that same output.
 
     A sanitizer failure becomes a failed row carrying the budget the failed
-    run had already charged, and so does any error of the answerer.
+    run had already charged, and so does any error of the answerer. A
+    sanitizer error other than ``PipelineStageError`` comes from outside the
+    package and says nothing of its charge, so its row charges ``math.inf``.
     """
     cell = {
         "method": sanitizer.name,
@@ -397,6 +402,11 @@ def evaluate_item(
             ledger_total=exc.ledger.total(),
             failed=True,
             note=f"sanitizer failed in {exc.stage}: {_describe(exc.__cause__)}",
+        )
+    except Exception as exc:
+        return EvalRow(
+            **cell, rouge1=0.0, rougeL=0.0, bleu=0.0, utility=0.0,
+            ledger_total=math.inf, failed=True, note=f"sanitizer failed: {_describe(exc)}",
         )
     privacy = all_metrics(record.question, sanitized.text)
     try:
@@ -433,6 +443,7 @@ def run_experiment(
     """
     if config.mode != "blackbox":
         raise ValueError(f"run_experiment rewrites in black-box mode only, got mode {config.mode!r}")
+    temperatures = [check_temperature(t) for t in temperatures]
     for name, values in (("methods", methods), ("temperatures", temperatures)):
         if not values or len(set(values)) < len(values):
             raise ValueError(f"{name} must be a non-empty list without repeats, got {list(values)}")

@@ -12,7 +12,7 @@ build a group by another paraphrasing method, charge its ledger, call ``finish``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -58,6 +58,8 @@ class PipelineConfig:
     template_id: str = DEFAULT_TEMPLATE_ID
     retry_on_leakage: int = 0
     fallback_to_exemplar: bool = False
+    # Each slot's checked parameters, in slot order; slots of one temperature share one object.
+    slots: tuple[RewriteParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "k", "seed"):
@@ -76,36 +78,26 @@ class PipelineConfig:
             raise ValueError("DP keyword release requires a positive finite epsilon2")
         if type(self.fallback_to_exemplar) is not bool:
             raise ValueError(f"fallback_to_exemplar must be a bool, got {self.fallback_to_exemplar!r}")
-        if not isinstance(self.schedule, RewriteSchedule):
-            object.__setattr__(self, "schedule", as_float("rewrite temperature", self.schedule))
-        schedule = self.rewrite_schedule()  # checks the slot count and each temperature
+        if isinstance(self.schedule, RewriteSchedule):
+            schedule = self.schedule
+        else:  # uniform checks the slot count and the temperature, which it stores as a float
+            schedule = RewriteSchedule.uniform(self.schedule, self.m)
+            object.__setattr__(self, "schedule", schedule.temperatures[0])
         if schedule.total != self.m:
             raise ValueError("schedule must cover exactly m rewrites")
         check_retry_on_leakage(self.retry_on_leakage)
         check_template_id(self.template_id)
-        self.rewrite_params()  # RewriteParams checks the settings it shares
+        params_at = {  # RewriteParams checks each slot's settings
+            t: RewriteParams(
+                mode=self.mode, temperature=t, max_tokens=self.max_tokens,
+                prompt_template=self.prompt_template, bounds=self.bounds,
+            )
+            for t in dict.fromkeys(schedule.temperatures)
+        }
+        object.__setattr__(self, "slots", tuple(params_at[t] for t in schedule.temperatures))
         check_ex_ante_budget(
             [self.max_tokens] * self.m, schedule.temperatures, self.bounds,
             self.epsilon2 if self.release_method is ReleaseMethod.DP else 0.0,
-        )
-
-    def rewrite_schedule(self) -> RewriteSchedule:
-        """The m slot temperatures; a single temperature covers every slot."""
-        if isinstance(self.schedule, RewriteSchedule):
-            return self.schedule
-        return RewriteSchedule.uniform(self.schedule, self.m)
-
-    def rewrite_params(self) -> RewriteParams:
-        """Parameters shared by every slot, at the first slot's temperature.
-
-        rewrite_group gives each slot its own temperature from the schedule.
-        """
-        return RewriteParams(
-            mode=self.mode,
-            temperature=self.schedule if isinstance(self.schedule, float) else self.schedule.temperatures[0],
-            max_tokens=self.max_tokens,
-            prompt_template=self.prompt_template,
-            bounds=self.bounds,
         )
 
 
@@ -198,15 +190,7 @@ def run_pipeline(
     ledger = PrivacyLedger()
     rewrite_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     try:
-        group = rewrite_group(
-            prompt,
-            config.rewrite_schedule(),
-            config.rewrite_params(),
-            rewrite_rng,
-            ledger,
-            client=client,
-            oracle=oracle,
-        )
+        group = rewrite_group(prompt, config.slots, rewrite_rng, ledger, client=client, oracle=oracle)
     except Exception as exc:
         raise PipelineStageError("stage-1 rewriting", exc, ledger) from exc
     return finish(group, ledger, config, client)

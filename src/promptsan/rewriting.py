@@ -11,7 +11,7 @@ charges tokens_generated * epsilon_per_token to the ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -34,16 +34,18 @@ DEFAULT_PARAPHRASE_TEMPLATE = (
     "Paraphrase the following question. Output only the paraphrase:\n{prompt}"
 )
 
-def check_temperature(temperature: float) -> None:
-    """Raise ValueError unless a rewrite temperature is a positive finite number."""
-    if not 0 < as_float("rewrite temperature", temperature) < math.inf:  # rejects NaN too
+def check_temperature(temperature: object) -> float:
+    """``temperature`` as a float; ValueError unless it is a positive finite number."""
+    value = as_float("rewrite temperature", temperature)
+    if not 0 < value < math.inf:  # rejects NaN too
         raise ValueError(f"rewrite temperature must be positive and finite, got {temperature!r}")
+    return value
 
 
 def _check_slot_count(m: int) -> None:
-    """Raise ValueError if a run would have more than MAX_SLOTS rewrite slots."""
-    if m > MAX_SLOTS:
-        raise ValueError(f"a schedule may hold at most {MAX_SLOTS} rewrite slots, got {m}")
+    """Raise ValueError unless a run has 1 to MAX_SLOTS rewrite slots."""
+    if not 1 <= m <= MAX_SLOTS:
+        raise ValueError(f"a run needs at least one slot and at most {MAX_SLOTS} rewrite slots, got {m}")
 
 
 def check_ex_ante_budget(
@@ -136,16 +138,13 @@ class ParaphraseGroup:
 
 @dataclass(frozen=True)
 class RewriteSchedule:
-    """The temperature of each rewrite slot, in slot order, e.g. 0.5..1.5 in 0.1 steps."""
+    """The temperature of each rewrite slot, in slot order, e.g. 0.5..1.5 in 0.1 steps; stored as floats."""
 
     temperatures: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.temperatures:
-            raise ValueError("schedule must be nonempty")
-        for _, temperature in {(type(t), t) for t in self.temperatures}:  # True would hide behind 1.0
-            check_temperature(temperature)
-        _check_slot_count(self.total)
+        _check_slot_count(len(self.temperatures))
+        object.__setattr__(self, "temperatures", tuple(map(check_temperature, self.temperatures)))
 
     @property
     def total(self) -> int:
@@ -266,22 +265,24 @@ def paraphrase_blackbox(
 
 def rewrite_group(
     prompt: str,
-    schedule: RewriteSchedule,
-    params: RewriteParams,
+    slots: Sequence[RewriteParams],
     rng: np.random.Generator,
     ledger: PrivacyLedger,
     *,
     client: ChatClient | None = None,
     oracle: StepOracle | None = None,
 ) -> ParaphraseGroup:
-    """Produce the group, one independent rewrite per schedule slot.
+    """Produce the group, one independent rewrite per slot, each with its own params.
 
-    A white-box slot decodes from its own child random stream, spawned from
-    ``rng``; a black-box slot sends a request seed, and the m seeds come from
-    one draw on ``rng``. Either way slot i's randomness depends on its
-    position only, never on its temperature or on m, so rewrites never see
-    one another's output and slot order does not perturb the samples. Failed
-    slots are dropped with a warning; only an all-failed group is an error.
+    ``PipelineConfig.slots`` gives one run's slots. The engine follows the
+    slots' mode; slots of two modes fail with ``ValueError`` before any
+    call, as do no slots or more than MAX_SLOTS. A white-box slot decodes
+    from its own child random stream, spawned from ``rng``; a black-box slot
+    sends a request seed, and the m seeds come from one draw on ``rng``.
+    Either way slot i's randomness depends on its position only, never on
+    its temperature or on m, so rewrites never see one another's output and
+    slot order does not perturb the samples. Failed slots are dropped with a
+    warning; only an all-failed group is an error.
 
     Each slot records into its own ledger. Every slot runs, whatever another
     raises; then the slot ledgers are appended to ``ledger`` in slot order,
@@ -292,41 +293,37 @@ def rewrite_group(
     default all m slots go out in one wave. Otherwise the slots run inline.
     What a run returns, records or raises does not depend on how they run.
     """
-    if params.mode == "blackbox" and client is None:
+    _check_slot_count(len(slots))
+    mode = slots[0].mode
+    if any(slot.mode != mode for slot in slots):
+        raise ValueError(f"every slot of a group needs one mode, got {sorted({s.mode for s in slots})}")
+    if mode == "blackbox" and client is None:
         raise ValueError("blackbox rewriting needs a chat client")
-    if params.mode == "whitebox" and oracle is None:
+    if mode == "whitebox" and oracle is None:
         raise ValueError("whitebox rewriting needs a step oracle")
 
-    temperatures = schedule.temperatures
-    m = schedule.total
+    m = len(slots)
     # A white-box slot needs a stream of up to max_tokens uniforms, so each
     # gets a child stream; a black-box slot needs one integer, its request
     # seed. Element i of either depends on i alone.
-    if params.mode == "whitebox":
+    if mode == "whitebox":
         child_rngs = rng.spawn(m)
     else:
         slot_seeds = rng.integers(0, 2**63, size=m).tolist()
     slot_ledgers = [PrivacyLedger() for _ in range(m)]
-    # One validated RewriteParams per distinct temperature, shared by its slots.
-    params_at = {t: replace(params, temperature=t) for t in set(temperatures)}
 
     def run_slot(slot: int) -> Rewrite | Exception:
-        slot_params = params_at[temperatures[slot]]
         try:
-            if params.mode == "whitebox":
+            if mode == "whitebox":
                 assert oracle is not None
-                return paraphrase_whitebox(
-                    prompt, slot_params, oracle, child_rngs[slot], slot_ledgers[slot]
-                )
+                return paraphrase_whitebox(prompt, slots[slot], oracle, child_rngs[slot], slot_ledgers[slot])
             assert client is not None
-            return paraphrase_blackbox(
-                prompt, slot_params, client, slot_ledgers[slot], seed=slot_seeds[slot]
-            )
+            return paraphrase_blackbox(prompt, slots[slot], client, slot_ledgers[slot], seed=slot_seeds[slot])
         except Exception as exc:  # sorted out in slot order once every slot has run
             return exc
 
     # Only the HTTP client has a map: in-process clients and oracles would gain nothing from threads.
-    run_all = getattr(client, "map", map) if params.mode == "blackbox" else map
+    run_all = getattr(client, "map", map) if mode == "blackbox" else map
     outcomes = list(run_all(run_slot, range(m)))
     for slot_ledger in slot_ledgers:
         for entry in slot_ledger.entries:
@@ -336,7 +333,7 @@ def rewrite_group(
     issues: list[str] = []
     for slot, outcome in enumerate(outcomes):
         if isinstance(outcome, RewriteError):
-            issues.append(f"slot {slot} (T={temperatures[slot]:g}) failed: {outcome}")
+            issues.append(f"slot {slot} (T={slots[slot].temperature:g}) failed: {outcome}")
         elif isinstance(outcome, Exception):
             raise outcome
         else:

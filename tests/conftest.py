@@ -16,7 +16,7 @@ from promptsan.client import ChatRequest, ChatResponse, MockChatModel, Transport
 from promptsan.exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
 from promptsan.mechanisms import ClipBounds, LogitVector, PrivacyLedger
-from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams, rewrite_group
+from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams, RewriteSchedule, rewrite_group
 
 
 @dataclass
@@ -153,6 +153,11 @@ class ConstantStepOracle:
         return LogitVector(self.logits)
 
 
+def slots_of(schedule: RewriteSchedule, params: RewriteParams) -> tuple[RewriteParams, ...]:
+    """``params`` at each temperature of ``schedule``, in slot order: the slots rewrite_group takes."""
+    return tuple(replace(params, temperature=t) for t in schedule.temperatures)
+
+
 def make_group(texts: list[str], temperature: float = 1.0, source: str = "src") -> ParaphraseGroup:
     params = RewriteParams(
         mode="blackbox", temperature=temperature, max_tokens=512, bounds=ClipBounds(0.0, 8.0)
@@ -196,8 +201,8 @@ def ledger_rows_around(monkeypatch: pytest.MonkeyPatch, name: str) -> tuple[list
     client = MockChatModel(seed=0)
     ledger = PrivacyLedger()
     group = rewrite_group(
-        "Where is the silver archive?", config.rewrite_schedule(), config.rewrite_params(),
-        np.random.default_rng(config.seed), ledger, client=client,
+        "Where is the silver archive?", config.slots, np.random.default_rng(config.seed), ledger,
+        client=client,
     )
     around = []
     original = getattr(pipeline, name)

@@ -35,7 +35,7 @@ from promptsan.prompting import FinalPromptRequest, render_template
 from promptsan.rewriting import RewriteSchedule, rewrite_group, RewriteParams
 from promptsan.mechanisms import PrivacyLedger
 
-from conftest import ConstantStepOracle, argmin_under, histogram_of, select_from, unigram_of
+from conftest import ConstantStepOracle, argmin_under, histogram_of, select_from, slots_of, unigram_of
 from em_reference import em_sample_distribution, reference_probabilities
 from topk_reference import release_distribution, worst_neighbour_divergence
 
@@ -216,7 +216,7 @@ def test_criterion_6_keyword_extraction_determinism():
         )
         group = rewrite_group(
             "Where would the silver archive usually store a hidden journal during the festival?",
-            RewriteSchedule.uniform(0.75, 10), params, np.random.default_rng(99), PrivacyLedger(),
+            slots_of(RewriteSchedule.uniform(0.75, 10), params), np.random.default_rng(99), PrivacyLedger(),
             client=MockChatModel(seed=1),
         )
         hist = histogram_of(group.texts())

@@ -225,7 +225,7 @@ def write_config(tmp_path, doc: dict, name: str = "config.json") -> str:
 def test_a_json_integer_is_a_number(tmp_path):
     doc = {**BASE_CONFIG, "use_mock": True, "temperature": 1, "release_method": "dp", "epsilon2": 2}
     config, _ = load_cli_config(write_config(tmp_path, doc))
-    assert config.rewrite_schedule().temperatures == (1.0,) * 10
+    assert [(type(s.temperature), s.temperature) for s in config.slots] == [(float, 1.0)] * 10
     assert type(config.epsilon2) is float and config.epsilon2 == 2.0
     # The library stores the same floats, so a result never depends on 2 against 2.0.
     library = PipelineConfig(
@@ -579,6 +579,8 @@ class TestExitTwoBeforeAnyCall:
             (["calibrate", "--samples", "{empty}", "--out", "{out}"], {}, "calibration needs at least 2 samples"),
             (["calibrate", "--samples", "{same}", "--out", "{out}"], {}, "zero variance in logit samples"),
             (["calibrate", "--samples", "{samples}", "--out", "{missing}"], {}, "cannot write output: "),
+            # Last, so the rows above keep their ids: slots is derived from schedule and m.
+            (SANITIZE, {"slots": []}, "unknown config keys: ['slots']"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -30,7 +30,7 @@ from promptsan.metrics import rouge1
 from promptsan.normalization import tokenize
 from promptsan.rewriting import RewriteParams, RewriteSchedule, paraphrase_blackbox, rewrite_group
 
-from conftest import QuietHandler, completion_payload, loopback
+from conftest import QuietHandler, completion_payload, loopback, slots_of
 
 
 class ScriptedHandler(QuietHandler):
@@ -205,7 +205,8 @@ class TestHttpClient:
         )
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "p q", RewriteSchedule.uniform(1.0, 4), params, np.random.default_rng(0), ledger, client=client
+            "p q", slots_of(RewriteSchedule.uniform(1.0, 4), params), np.random.default_rng(0), ledger,
+            client=client,
         )
         assert group.texts() == ["fine words"] * 3
         assert len(group.warnings) == 1
@@ -346,7 +347,7 @@ def rewrite_over_http(endpoint: EndpointConfig, m: int, seeds=(0,)) -> None:
     try:
         for seed in seeds:
             group = rewrite_group(
-                "p q", RewriteSchedule.uniform(1.0, m), params, np.random.default_rng(seed),
+                "p q", slots_of(RewriteSchedule.uniform(1.0, m), params), np.random.default_rng(seed),
                 PrivacyLedger(), client=client,
             )
             assert len(group.rewrites) == m

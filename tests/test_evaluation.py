@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from promptsan.client import (
     TransportError,
 )
 from promptsan.evaluation import (
+    SANITIZER_BUILDERS,
     Choice,
     DatasetLoad,
     EvalRow,
@@ -329,6 +331,20 @@ class TypeErrorOnce:
         return self.mock.complete(req)
 
 
+class OutsideSanitizer:
+    """A sanitizer built outside the package: raises ``error`` on ``target``'s first call, else runs ``inner``."""
+
+    def __init__(self, name, temperature, inner, target, raised, error=TypeError) -> None:
+        self.name, self.temperature = name, temperature
+        self.inner, self.target, self.raised, self.error = inner, target, raised, error
+
+    def __call__(self, question: str) -> SanitizedText:
+        if question == self.target and not self.raised:
+            self.raised.append(question)
+            raise self.error(f"cannot read {question!r}")
+        return self.inner(question)
+
+
 class TestSanitizerFailures:
     CONFIG = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=4, seed=0, epsilon2=1.0)
 
@@ -405,6 +421,61 @@ class TestSanitizerFailures:
         client = FailingItemClient("")  # a call would make a failed row, not an error
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(synthetic_qa_records(1, seed=2), self.CONFIG, client, **grid)
+
+    def test_an_error_from_a_sanitizer_outside_the_package_fails_one_row(self, monkeypatch, tmp_path):
+        records = synthetic_qa_records(3, seed=2)
+        target = records[1].question
+        raised = []
+
+        def build(name, temperature, config, client, repeat_seed):
+            inner = SANITIZER_BUILDERS["group-ndp"](name, temperature, config, client, repeat_seed)
+            return OutsideSanitizer(name, temperature, inner, target, raised)
+
+        monkeypatch.setitem(SANITIZER_BUILDERS, "outside", build)
+        grid = dict(methods=("outside", "paraphrase"), temperatures=(0.5, 1.0), repeats=2)
+        audit = tmp_path / "audit.jsonl"
+        rows = run_experiment(records, self.CONFIG, MockChatModel(seed=0), audit_path=str(audit), **grid)
+        baseline = run_experiment(records, self.CONFIG, MockChatModel(seed=0), **grid)  # raised is set now
+        failed = [i for i, r in enumerate(rows) if r.failed]
+        assert len(failed) == 1 and len(rows) == len(baseline) == 24
+        row = rows[failed[0]]
+        assert (row.method, row.item_id, row.note) == ("outside", records[1].id, "sanitizer failed: TypeError")
+        assert row.ledger_total == math.inf  # the charge is unknown, so the most it may be
+        assert target not in row.note
+        assert [r for r in rows if not r.failed] == [r for i, r in enumerate(baseline) if i != failed[0]]
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        lines = [json.loads(line, parse_constant=refuse) for line in audit.read_text().splitlines()]
+        assert len(lines) == 24
+        assert lines[failed[0]]["ledger_total"] is None  # JSON has no infinity
+        assert lines[:failed[0]] + lines[failed[0] + 1 :] == [r.to_json_dict() for r in rows if not r.failed]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, SystemExit])
+    def test_an_interrupt_in_a_sanitizer_ends_the_grid(self, monkeypatch, error):
+        records = synthetic_qa_records(1, seed=2)
+
+        def build(name, temperature, config, client, repeat_seed):
+            return OutsideSanitizer(name, temperature, None, records[0].question, [], error)
+
+        monkeypatch.setitem(SANITIZER_BUILDERS, "outside", build)
+        with pytest.raises(error):
+            run_experiment(records, self.CONFIG, MockChatModel(), methods=("outside",))
+
+    def test_int_grid_temperatures_are_written_as_floats(self, tmp_path):
+        audit = tmp_path / "audit.jsonl"
+        rows = run_experiment(
+            synthetic_qa_records(1, seed=2), self.CONFIG, MockChatModel(seed=0),
+            methods=("group-ndp", "paraphrase"), temperatures=(1,), repeats=1, audit_path=str(audit),
+        )
+        assert {type(r.temperature) for r in rows} == {float}
+        assert {json.loads(line)["temperature"] for line in audit.read_text().splitlines()} == {1.0}
+        assert '"temperature": 1.0,' in audit.read_text()
+        report = tmp_path / "report.csv"
+        emit_report(aggregate(rows), str(report))
+        with open(report) as fh:
+            assert [r["temperature"] for r in csv.DictReader(fh)] == ["1.0", "1.0"]
 
     def test_failed_row_carries_the_budget_already_charged(self):
         # Stage 3 fails after Stage 1 charged the rewrites and Stage 2 the DP release.

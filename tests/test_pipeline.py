@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -240,10 +241,10 @@ class TestRunPipeline:
 
     def test_a_single_temperature_covers_every_slot(self):
         cfg = config(schedule=0.5, m=4)
-        assert cfg.rewrite_schedule() == RewriteSchedule.uniform(0.5, 4)
-        assert cfg.rewrite_params().temperature == 0.5
+        assert cfg.slots == (cfg.slots[0],) * 4
+        assert cfg.slots[0].temperature == 0.5
         # The temperature follows m rather than being fixed at construction.
-        assert replace(cfg, m=6).rewrite_schedule() == RewriteSchedule.uniform(0.5, 6)
+        assert [s.temperature for s in replace(cfg, m=6).slots] == [0.5] * 6
 
     @pytest.mark.parametrize("template", ["no placeholder", "{"])
     def test_template_without_the_prompt_placeholder_rejected(self, template):
@@ -309,6 +310,47 @@ class TestConfigRefusals:
         with pytest.raises(ValueError, match="must be an integer, got"):
             run_pipeline(PROMPT, config(**overrides), client)
         assert client.requests == []
+
+
+class TestSlots:
+    """``PipelineConfig.slots``: each slot's checked params, built once with the config."""
+
+    def test_slots_of_one_temperature_share_one_object(self):
+        cfg = config(m=3, schedule=RewriteSchedule((0.5, 0.5, 1.5)))
+        assert cfg.slots[0] is cfg.slots[1]
+        assert cfg.slots[2].temperature == 1.5
+        assert all(s.max_tokens == cfg.max_tokens and s.bounds == cfg.bounds for s in cfg.slots)
+
+    def test_slots_cannot_be_set(self):
+        cfg = config()
+        with pytest.raises(ValueError, match="init=False"):
+            replace(cfg, slots=cfg.slots)
+        with pytest.raises(TypeError):
+            PipelineConfig(bounds=ClipBounds(0.0, 8.0), slots=cfg.slots)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"schedule": RewriteSchedule.from_range(0.5, 1.4, 0.1)}, {"mode": "whitebox", "max_tokens": 4}],
+        ids=["scalar", "schedule", "whitebox"],
+    )
+    def test_a_run_on_a_built_config_builds_no_schedule_or_params(self, monkeypatch, overrides):
+        cfg = config(**overrides)
+        builds = []
+        for cls in (RewriteSchedule, RewriteParams):
+            def counting(self, _original=cls.__post_init__):
+                builds.append(type(self).__name__)
+                _original(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        oracle = ConstantStepOracle(vocab=("a", "b", "c"), logits=(1.0, 2.0, 3.0))
+        result = run_pipeline(PROMPT, cfg, MockChatModel(), oracle=oracle if cfg.mode == "whitebox" else None)
+        assert len(result.group.rewrites) == cfg.m
+        assert builds == []
+
+    def test_an_int_schedule_writes_float_temperatures(self):
+        schedule = RewriteSchedule.from_range(1, 2, 0.5)
+        assert [(type(t), t) for t in schedule.temperatures] == [(float, 1.0), (float, 1.5), (float, 2.0)]
+        doc = json.dumps(run_pipeline(PROMPT, config(m=3, schedule=schedule), MockChatModel()).to_json_dict())
+        assert re.findall(r'"temperature": ([^,]+),', doc) == ["1.0", "1.5", "2.0"]
 
 
 class TestFinish:

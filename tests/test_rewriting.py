@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from promptsan.rewriting import (
     rewrite_group,
 )
 
-from conftest import ConstantStepOracle, EchoClient, FailingClient, FixedClient, ReportingClient
+from conftest import ConstantStepOracle, EchoClient, FailingClient, FixedClient, ReportingClient, slots_of
 
 
 def whitebox_params(bounds: ClipBounds, temperature: float = 1.0, max_tokens: int = 15):
@@ -80,6 +81,11 @@ class TestParams:
             RewriteSchedule((1.0, temperature))
         with pytest.raises(ValueError, match="rewrite temperature must be a"):
             RewriteSchedule.uniform(temperature, 2)
+
+    def test_a_schedule_stores_its_temperatures_as_floats(self):
+        schedule = RewriteSchedule((1, 2))
+        assert [(type(t), t) for t in schedule.temperatures] == [(float, 1.0), (float, 2.0)]
+        assert schedule == RewriteSchedule((1.0, 2.0))
 
     @pytest.mark.parametrize(
         "low, high, step",
@@ -256,7 +262,7 @@ class TestRewriteGroup:
     def test_uniform_echo_group(self, rng):
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "sail the quiet canal", RewriteSchedule.uniform(1.0, 10), self.params(), rng, ledger,
+            "sail the quiet canal", slots_of(RewriteSchedule.uniform(1.0, 10), self.params()), rng, ledger,
             client=EchoClient(),
         )
         assert len(group.rewrites) == 10
@@ -268,7 +274,7 @@ class TestRewriteGroup:
         assert schedule.total == 11
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "prompt words here", schedule, self.params(), rng, ledger, client=EchoClient()
+            "prompt words here", slots_of(schedule, self.params()), rng, ledger, client=EchoClient()
         )
         assert len(group.rewrites) == 11
         counts = [r.tokens_generated for r in group.rewrites]
@@ -278,14 +284,15 @@ class TestRewriteGroup:
 
     def test_single_rewrite_degenerates(self, rng):
         group = rewrite_group(
-            "p q r", RewriteSchedule.uniform(1.0, 1), self.params(), rng, PrivacyLedger(), client=EchoClient()
+            "p q r", slots_of(RewriteSchedule.uniform(1.0, 1), self.params()), rng, PrivacyLedger(),
+            client=EchoClient(),
         )
         assert len(group.rewrites) == 1
 
     def test_partial_failure_keeps_successes(self, rng):
         client = FailingClient(failures=2)
         group = rewrite_group(
-            "p q", RewriteSchedule.uniform(1.0, 5), self.params(), rng, PrivacyLedger(), client=client
+            "p q", slots_of(RewriteSchedule.uniform(1.0, 5), self.params()), rng, PrivacyLedger(), client=client
         )
         assert len(group.rewrites) == 3
         assert len(group.warnings) == 2
@@ -293,14 +300,14 @@ class TestRewriteGroup:
     def test_all_failed_raises(self, rng):
         with pytest.raises(GroupRewriteError):
             rewrite_group(
-                "p", RewriteSchedule.uniform(1.0, 3), self.params(), rng, PrivacyLedger(),
+                "p", slots_of(RewriteSchedule.uniform(1.0, 3), self.params()), rng, PrivacyLedger(),
                 client=FailingClient(failures=99),
             )
 
     def test_never_substitutes_original_on_failure(self, rng):
         client = FailingClient(failures=1, inner=EchoClient("upper"))
         group = rewrite_group(
-            "secret prompt", RewriteSchedule.uniform(1.0, 3), self.params(), rng, PrivacyLedger(),
+            "secret prompt", slots_of(RewriteSchedule.uniform(1.0, 3), self.params()), rng, PrivacyLedger(),
             client=client,
         )
         assert all(t == "SECRET PROMPT" for t in group.texts())
@@ -310,11 +317,11 @@ class TestRewriteGroup:
         bwd = RewriteSchedule((1.5, 1.5, 0.5, 0.5))
         ledger_fwd, ledger_bwd = PrivacyLedger(), PrivacyLedger()
         group_fwd = rewrite_group(
-            "quiet harbor lantern", fwd, self.params(),
+            "quiet harbor lantern", slots_of(fwd, self.params()),
             np.random.default_rng(0), ledger_fwd, client=mock_client,
         )
         group_bwd = rewrite_group(
-            "quiet harbor lantern", bwd, self.params(),
+            "quiet harbor lantern", slots_of(bwd, self.params()),
             np.random.default_rng(0), ledger_bwd, client=mock_client,
         )
         assert [r.params.temperature for r in group_fwd.rewrites] == [0.5, 0.5, 1.5, 1.5]
@@ -333,7 +340,7 @@ class TestRewriteGroup:
         def slot_seeds(m: int, temperature: float) -> list[int]:
             client = RecordingClient()
             rewrite_group(
-                "p q", RewriteSchedule.uniform(temperature, m), self.params(),
+                "p q", slots_of(RewriteSchedule.uniform(temperature, m), self.params()),
                 np.random.default_rng(42), PrivacyLedger(), client=client,
             )
             return client.seeds
@@ -343,6 +350,21 @@ class TestRewriteGroup:
         assert slot_seeds(4, 0.5) == seeds[:4]
         assert slot_seeds(10, 1.5) == seeds
         assert slot_seeds(4, 1.5) == seeds[:4]
+
+    def test_no_slots_or_too_many_are_refused(self, rng):
+        with pytest.raises(ValueError, match="at least one slot"):
+            rewrite_group("p q", (), rng, PrivacyLedger(), client=EchoClient())
+        client = EchoClient()
+        with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
+            rewrite_group("p q", (self.params(),) * (MAX_SLOTS + 1), rng, PrivacyLedger(), client=client)
+        assert client.calls == 0
+
+    def test_slots_of_two_modes_are_refused_before_any_call(self, rng, bounds):
+        ledger, client = PrivacyLedger(), EchoClient()
+        slots = (self.params(), whitebox_params(bounds), self.params())
+        with pytest.raises(ValueError, match=re.escape("one mode, got ['blackbox', 'whitebox']")):
+            rewrite_group("p q", slots, rng, ledger, client=client, oracle=ConstantStepOracle(vocab=("A", "B"), logits=(0.0, 0.0)))
+        assert client.calls == 0 and ledger.entries == []
 
     def test_group_invariants(self):
         params = RewriteParams(mode="blackbox", temperature=1.0, max_tokens=2, bounds=ClipBounds(0.0, 8.0))
@@ -419,7 +441,7 @@ class TestFanOut:
         # until it times out and breaks.
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "p q", RewriteSchedule.uniform(1.0, 8), self.params(), rng, ledger, client=BarrierClient()
+            "p q", slots_of(RewriteSchedule.uniform(1.0, 8), self.params()), rng, ledger, client=BarrierClient()
         )
         assert len(group.rewrites) == 8
         assert len(ledger.entries) == 8
@@ -454,7 +476,7 @@ class TestFanOut:
         failing = FailAtTemperature(0.8, KeyError("boom"))
         client = failing if max_inflight is None else InflightMock(max_inflight, failing)
         with pytest.raises(KeyError) as exc_info:
-            rewrite_group("p q", self.schedule, self.params(), rng, ledger, client=client)
+            rewrite_group("p q", slots_of(self.schedule, self.params()), rng, ledger, client=client)
         assert exc_info.value is failing.error
         assert sorted(failing.temperatures) == list(self.schedule.temperatures)
         assert [(e.note, e.units) for e in ledger.entries] == [
@@ -464,7 +486,7 @@ class TestFanOut:
     def test_failed_slot_is_dropped_in_slot_order(self, rng):
         ledger = PrivacyLedger()
         client = InflightMock(4, FailAtTemperature(0.6, TransportError("stub outage")))
-        group = rewrite_group("p q", self.schedule, self.params(), rng, ledger, client=client)
+        group = rewrite_group("p q", slots_of(self.schedule, self.params()), rng, ledger, client=client)
         assert [r.params.temperature for r in group.rewrites] == [0.5, 0.7, 0.8, 0.9, 1.0]
         assert len(group.warnings) == 1
         assert group.warnings[0].startswith("slot 1 (T=0.6) failed:")
