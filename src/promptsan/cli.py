@@ -36,7 +36,7 @@ from .pipeline import (
     release_keywords,
     run_pipeline,
 )
-from .rewriting import RewriteSchedule, calibrate_bounds
+from .rewriting import calibrate_bounds, schedule_range
 
 
 class ConfigError(ValueError):
@@ -72,13 +72,13 @@ def _parse_bounds(doc: dict) -> ClipBounds:
         return ClipBounds(doc["b_min"], doc["b_max"])
 
 
-def parse_schedule(spec: str) -> RewriteSchedule:
+def parse_schedule(spec: str) -> tuple[float, ...]:
     try:
         low, high, step = (float(x) for x in str(spec).split(":"))
     except ValueError as exc:
         raise ConfigError(f"invalid schedule {spec!r} (expected low:high:step)") from exc
     with _config_errors(f"invalid schedule {spec!r}: "):
-        return RewriteSchedule.from_range(low, high, step)
+        return schedule_range(low, high, step)
 
 
 # Each value goes as it is to the field of its name, whose type checks it; a
@@ -111,7 +111,7 @@ def load_cli_config(path: str) -> tuple[PipelineConfig, object]:
         if "temperature" in doc:
             raise ConfigError("give either temperature or schedule, not both")
         settings["schedule"] = parse_schedule(settings["schedule"])
-        settings.setdefault("m", settings["schedule"].total)
+        settings.setdefault("m", len(settings["schedule"]))
     elif "temperature" in doc:
         settings["schedule"] = doc["temperature"]
     with _config_errors():
@@ -191,7 +191,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
                 config = replace(config, seed=args.seed)
             if args.schedule is not None:
                 schedule = parse_schedule(args.schedule)
-                config = replace(config, schedule=schedule, m=schedule.total)
+                config = replace(config, schedule=schedule, m=len(schedule))
         prompt = _read_prompt(args.prompt)
         if not prompt:
             raise ConfigError("prompt is empty")
@@ -226,6 +226,8 @@ def cmd_keywords(args: argparse.Namespace) -> int:
         raise ConfigError("--epsilon2 is only used by the dp method")
     if method is ReleaseMethod.NDP and args.seed is not None:
         raise ConfigError("--seed is only used by the dp method")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     # ValueError: bad JSON too
     with _config_errors("cannot read group: ", (OSError, LookupError, TypeError, ValueError)):
         with open(args.group, encoding="utf-8") as fh:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
 from .mechanisms import as_float, check_count
-from .normalization import _STRIP_CHARS, tokenize
+from .normalization import STRIP_CHARS, tokenize
 from .stopwords import STOP_WORDS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -354,7 +354,7 @@ class MockChatModel:
                 exemplar = lines[i + 1]
             if line == AVOID_HEADER and i + 1 < len(lines):
                 forbidden = {w.strip() for w in lines[i + 1].split(",") if w.strip()}
-        kept = [w for w in exemplar.split() if w.strip(_STRIP_CHARS).lower() not in forbidden]
+        kept = [w for w in exemplar.split() if w.strip(STRIP_CHARS).lower() not in forbidden]
         return " ".join(kept)
 
     def _answer_choice(self, lines: list[str]) -> str:
@@ -413,7 +413,7 @@ class MockChatModel:
         words = target.split()
         if not words:
             return ""
-        cores = [w.strip(_STRIP_CHARS) for w in words]
+        cores = [w.strip(STRIP_CHARS) for w in words]
         lowered = [core.lower() for core in cores]
         content_positions = [
             i for i, core in enumerate(cores) if core and lowered[i] not in STOP_WORDS
@@ -441,7 +441,7 @@ class MockChatModel:
             if forced is None and (i - offset) % n_content >= n_sub:
                 continue
             word, core = words[pos], cores[pos]
-            start = len(word) - len(word.lstrip(_STRIP_CHARS))
+            start = len(word) - len(word.lstrip(STRIP_CHARS))
             new_core = forced if forced is not None else core + _tag(variant_tags[i])
             out[pos] = word[:start] + new_core + word[start + len(core) :]
 

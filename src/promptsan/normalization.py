@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 
-_STRIP_CHARS = string.punctuation + "‘’“”–—…"
+STRIP_CHARS = string.punctuation + "‘’“”–—…"
 
 
 def tokenize(text: str) -> list[str]:
@@ -21,7 +21,7 @@ def tokenize(text: str) -> list[str]:
     """
     out: list[str] = []
     for raw in text.split():
-        tok = raw.strip(_STRIP_CHARS).lower()
+        tok = raw.strip(STRIP_CHARS).lower()
         if tok:
             out.append(tok)
     return out

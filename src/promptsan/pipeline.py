@@ -37,9 +37,10 @@ from .rewriting import (
     DEFAULT_PARAPHRASE_TEMPLATE,
     ParaphraseGroup,
     RewriteParams,
-    RewriteSchedule,
     StepOracle,
     check_ex_ante_budget,
+    check_slot_count,
+    check_temperature,
     rewrite_group,
 )
 
@@ -48,7 +49,7 @@ class PipelineConfig:
     bounds: ClipBounds
     m: int = 10
     k: int = 10
-    schedule: RewriteSchedule | float = 1.0
+    schedule: tuple[float, ...] | float = 1.0  # one temperature for every slot, or one per slot
     release_method: ReleaseMethod = ReleaseMethod.NDP
     epsilon2: float | None = None
     mode: str = "blackbox"
@@ -78,13 +79,16 @@ class PipelineConfig:
             raise ValueError("DP keyword release requires a positive finite epsilon2")
         if type(self.fallback_to_exemplar) is not bool:
             raise ValueError(f"fallback_to_exemplar must be a bool, got {self.fallback_to_exemplar!r}")
-        if isinstance(self.schedule, RewriteSchedule):
-            schedule = self.schedule
-        else:  # uniform checks the slot count and the temperature, which it stores as a float
-            schedule = RewriteSchedule.uniform(self.schedule, self.m)
-            object.__setattr__(self, "schedule", schedule.temperatures[0])
-        if schedule.total != self.m:
+        per_slot = isinstance(self.schedule, tuple)
+        if per_slot and len(self.schedule) != self.m:
             raise ValueError("schedule must cover exactly m rewrites")
+        check_slot_count(self.m)  # before building an m-long tuple
+        if per_slot:
+            schedule = temperatures = tuple(map(check_temperature, self.schedule))
+        else:
+            schedule = check_temperature(self.schedule)
+            temperatures = (schedule,) * self.m
+        object.__setattr__(self, "schedule", schedule)
         check_retry_on_leakage(self.retry_on_leakage)
         check_template_id(self.template_id)
         params_at = {  # RewriteParams checks each slot's settings
@@ -92,11 +96,11 @@ class PipelineConfig:
                 mode=self.mode, temperature=t, max_tokens=self.max_tokens,
                 prompt_template=self.prompt_template, bounds=self.bounds,
             )
-            for t in dict.fromkeys(schedule.temperatures)
+            for t in dict.fromkeys(temperatures)
         }
-        object.__setattr__(self, "slots", tuple(params_at[t] for t in schedule.temperatures))
+        object.__setattr__(self, "slots", tuple(params_at[t] for t in temperatures))
         check_ex_ante_budget(
-            [self.max_tokens] * self.m, schedule.temperatures, self.bounds,
+            [self.max_tokens] * self.m, temperatures, self.bounds,
             self.epsilon2 if self.release_method is ReleaseMethod.DP else 0.0,
         )
 

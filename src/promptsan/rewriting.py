@@ -42,10 +42,27 @@ def check_temperature(temperature: object) -> float:
     return value
 
 
-def _check_slot_count(m: int) -> None:
+def check_slot_count(m: int) -> None:
     """Raise ValueError unless a run has 1 to MAX_SLOTS rewrite slots."""
     if not 1 <= m <= MAX_SLOTS:
         raise ValueError(f"a run needs at least one slot and at most {MAX_SLOTS} rewrite slots, got {m}")
+
+
+def schedule_range(low: float, high: float, step: float) -> tuple[float, ...]:
+    """The temperatures low, low + step, ... up to high, e.g. 0.5..1.5 in 0.1 steps; stored as floats."""
+    if not all(map(math.isfinite, (low, high, step))):
+        raise ValueError("schedule range must be finite")
+    if step <= 0 or high < low:
+        raise ValueError("invalid schedule range")
+    temps = []
+    t = low
+    while t <= high + 1e-9:
+        # Also ends a loop whose step is too small to move t.
+        if len(temps) == MAX_SLOTS:
+            raise ValueError(f"schedule range gives more than {MAX_SLOTS} rewrite slots")
+        temps.append(round(t, 10))
+        t += step
+    return tuple(map(check_temperature, temps))
 
 
 def check_ex_ante_budget(
@@ -134,42 +151,6 @@ class ParaphraseGroup:
         if self.warnings:
             doc["warnings"] = list(self.warnings)
         return doc
-
-
-@dataclass(frozen=True)
-class RewriteSchedule:
-    """The temperature of each rewrite slot, in slot order, e.g. 0.5..1.5 in 0.1 steps; stored as floats."""
-
-    temperatures: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        _check_slot_count(len(self.temperatures))
-        object.__setattr__(self, "temperatures", tuple(map(check_temperature, self.temperatures)))
-
-    @property
-    def total(self) -> int:
-        return len(self.temperatures)
-
-    @classmethod
-    def uniform(cls, temperature: float, m: int) -> "RewriteSchedule":
-        _check_slot_count(m)  # before building an m-long tuple
-        return cls((temperature,) * m)
-
-    @classmethod
-    def from_range(cls, low: float, high: float, step: float) -> "RewriteSchedule":
-        if not all(map(math.isfinite, (low, high, step))):
-            raise ValueError("schedule range must be finite")
-        if step <= 0 or high < low:
-            raise ValueError("invalid schedule range")
-        temps = []
-        t = low
-        while t <= high + 1e-9:
-            # Also ends a loop whose step is too small to move t.
-            if len(temps) == MAX_SLOTS:
-                raise ValueError(f"schedule range gives more than {MAX_SLOTS} rewrite slots")
-            temps.append(round(t, 10))
-            t += step
-        return cls(tuple(temps))
 
 
 class StepOracle(Protocol):
@@ -293,7 +274,7 @@ def rewrite_group(
     default all m slots go out in one wave. Otherwise the slots run inline.
     What a run returns, records or raises does not depend on how they run.
     """
-    _check_slot_count(len(slots))
+    check_slot_count(len(slots))
     mode = slots[0].mode
     if any(slot.mode != mode for slot in slots):
         raise ValueError(f"every slot of a group needs one mode, got {sorted({s.mode for s in slots})}")

@@ -16,7 +16,7 @@ from promptsan.client import ChatRequest, ChatResponse, MockChatModel, Transport
 from promptsan.exemplar import ScoredParaphrase, UnigramPerplexityScorer, select_exemplar
 from promptsan.keywords import KeywordHistogram, build_histogram, tokenize_group
 from promptsan.mechanisms import ClipBounds, LogitVector, PrivacyLedger
-from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams, RewriteSchedule, rewrite_group
+from promptsan.rewriting import ParaphraseGroup, Rewrite, RewriteParams, rewrite_group
 
 
 @dataclass
@@ -153,9 +153,9 @@ class ConstantStepOracle:
         return LogitVector(self.logits)
 
 
-def slots_of(schedule: RewriteSchedule, params: RewriteParams) -> tuple[RewriteParams, ...]:
-    """``params`` at each temperature of ``schedule``, in slot order: the slots rewrite_group takes."""
-    return tuple(replace(params, temperature=t) for t in schedule.temperatures)
+def slots_of(temperatures: tuple[float, ...], params: RewriteParams) -> tuple[RewriteParams, ...]:
+    """``params`` at each of ``temperatures``, in slot order: the slots rewrite_group takes."""
+    return tuple(replace(params, temperature=t) for t in temperatures)
 
 
 def make_group(texts: list[str], temperature: float = 1.0, source: str = "src") -> ParaphraseGroup:

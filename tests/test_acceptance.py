@@ -32,7 +32,7 @@ from promptsan.metrics import bleu, rouge1, rougeL
 from promptsan.normalization import tokenize
 from promptsan.pipeline import PipelineConfig, run_pipeline
 from promptsan.prompting import FinalPromptRequest, render_template
-from promptsan.rewriting import RewriteSchedule, rewrite_group, RewriteParams
+from promptsan.rewriting import rewrite_group, RewriteParams, schedule_range
 from promptsan.mechanisms import PrivacyLedger
 
 from conftest import ConstantStepOracle, argmin_under, histogram_of, select_from, slots_of, unigram_of
@@ -147,7 +147,7 @@ def test_criterion_4_composition_closed_forms():
         )
         assert dp.ledger.total() == 10 * 20 * eps1 + 1.0
 
-        schedule = RewriteSchedule.from_range(0.5, 1.5, 0.1)
+        schedule = schedule_range(0.5, 1.5, 0.1)
         non_uniform = run_pipeline(
             "prompt under test",
             _whitebox_config(m=11, schedule=schedule),
@@ -155,7 +155,7 @@ def test_criterion_4_composition_closed_forms():
             oracle=WHITEBOX_ORACLE,
         )
         width = 4.0
-        expected = math.fsum(20 * 2 * width / t for t in schedule.temperatures)
+        expected = math.fsum(20 * 2 * width / t for t in schedule)
         assert non_uniform.ledger.total() == pytest.approx(expected, rel=1e-9)
 
 
@@ -216,7 +216,7 @@ def test_criterion_6_keyword_extraction_determinism():
         )
         group = rewrite_group(
             "Where would the silver archive usually store a hidden journal during the festival?",
-            slots_of(RewriteSchedule.uniform(0.75, 10), params), np.random.default_rng(99), PrivacyLedger(),
+            slots_of((0.75,) * 10, params), np.random.default_rng(99), PrivacyLedger(),
             client=MockChatModel(seed=1),
         )
         hist = histogram_of(group.texts())

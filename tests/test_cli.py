@@ -581,6 +581,8 @@ class TestExitTwoBeforeAnyCall:
             (["calibrate", "--samples", "{samples}", "--out", "{missing}"], {}, "cannot write output: "),
             # Last, so the rows above keep their ids: slots is derived from schedule and m.
             (SANITIZE, {"slots": []}, "unknown config keys: ['slots']"),
+            (KEYWORDS + ["--method", "dp", "--epsilon2", "1", "--seed", "-1"], {},
+             "--seed must be nonnegative, got -1"),
         ],
     )
     def test_exits_two_with_no_service_call(

@@ -28,7 +28,7 @@ from promptsan.client import (
 from promptsan.mechanisms import ClipBounds, PrivacyLedger, epsilon_per_token
 from promptsan.metrics import rouge1
 from promptsan.normalization import tokenize
-from promptsan.rewriting import RewriteParams, RewriteSchedule, paraphrase_blackbox, rewrite_group
+from promptsan.rewriting import RewriteParams, paraphrase_blackbox, rewrite_group
 
 from conftest import QuietHandler, completion_payload, loopback, slots_of
 
@@ -205,7 +205,7 @@ class TestHttpClient:
         )
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "p q", slots_of(RewriteSchedule.uniform(1.0, 4), params), np.random.default_rng(0), ledger,
+            "p q", slots_of((1.0,) * 4, params), np.random.default_rng(0), ledger,
             client=client,
         )
         assert group.texts() == ["fine words"] * 3
@@ -347,7 +347,7 @@ def rewrite_over_http(endpoint: EndpointConfig, m: int, seeds=(0,)) -> None:
     try:
         for seed in seeds:
             group = rewrite_group(
-                "p q", slots_of(RewriteSchedule.uniform(1.0, m), params), np.random.default_rng(seed),
+                "p q", slots_of((1.0,) * m, params), np.random.default_rng(seed),
                 PrivacyLedger(), client=client,
             )
             assert len(group.rewrites) == m

@@ -33,7 +33,7 @@ from promptsan.evaluation import (
 from promptsan.keywords import ReleaseMethod
 from promptsan.mechanisms import ClipBounds, LogitVector
 from promptsan.pipeline import PipelineConfig, run_pipeline
-from promptsan.rewriting import RewriteSchedule
+from promptsan.rewriting import schedule_range
 
 from conftest import ConstantStepOracle
 
@@ -71,7 +71,7 @@ class LeakyFinalClient:
 
 def _pipeline_outputs(method: ReleaseMethod, eps2: float | None) -> list[str]:
     bounds = ClipBounds(0.0, 8.0)
-    schedules = (1.0, RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5)))
+    schedules = (1.0, (0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5))
     out = []
     for prompt, schedule, retry, mock_seed in itertools.product(PROMPTS, schedules, (0, 2), (0, 3)):
         config = PipelineConfig(
@@ -169,7 +169,7 @@ def _whitebox_outputs() -> list[str]:
     values[2] = np.sort(values[2])
     big = TableOracle(tuple(LogitVector(row) for row in values))
     tiny = ConstantStepOracle(vocab=("alpha", "beta", "gamma", "</s>"), logits=(1.0, 6.5, 3.0, 0.5), eos_index=3)
-    schedules = (0.1, 0.5, 1.0, 3.0, RewriteSchedule.from_range(0.5, 1.4, 0.1))
+    schedules = (0.1, 0.5, 1.0, 3.0, schedule_range(0.5, 1.4, 0.1))
     out = []
     for schedule, (oracle, seed) in itertools.product(schedules, ((big, 5), (big, 6), (tiny, 5))):
         config = PipelineConfig(

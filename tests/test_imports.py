@@ -1,5 +1,6 @@
-"""Every name a ``promptsan`` module imports is used in that module, and
-every function, class and method it defines is used outside ``tests/``.
+"""Every name a ``promptsan`` module imports is used in that module and is
+no underscore name, and every function, class and method it defines is used
+outside ``tests/``.
 
 The first is a stdlib stand-in for a linter's F401 check. An import line
 marked ``# noqa: F401`` is exempt, and a name listed in ``__all__`` counts as
@@ -8,7 +9,11 @@ modules use ``from __future__ import annotations`` and need no quotes. The
 only exempt imports are the bindings ``perfbench`` wraps, listed in
 ``PERFBENCH_BINDINGS``, so a new one must be named there.
 
-The second keeps package code that only tests run out of the package: a
+The second keeps a module's underscore names its own: a name another module
+needs is public. Test files are exempt, since a reference implementation
+there may check a private helper on purpose.
+
+The third keeps package code that only tests run out of the package: a
 top-level function or class, a method whose name is not a dunder, or a name
 annotated in a class body (a dataclass field), must be read somewhere in
 ``src/``, ``perfbench/`` or ``scripts/`` as a name, as an attribute or by an
@@ -86,6 +91,30 @@ def test_the_only_exempt_imports_are_the_perfbench_bindings():
     layers = (REPO / "perfbench" / "layers.py").read_text(encoding="utf-8")
     for module, name in PERFBENCH_BINDINGS:
         assert f'Target("promptsan.{module[:-3]}", "{name}"' in layers
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names, dunders aside, that ``source`` imports from a module, as ``line: name``."""
+    return [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_no_underscore_name(module):
+    assert private_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_imported_underscore_name():
+    source = (
+        "from __future__ import annotations\nfrom .x import _y, z\n"
+        "from .x import __version__\ndef f():\n    from promptsan.x import _w as w\n"
+    )
+    assert private_imports(source) == ["2: _y", "5: _w"]
 
 
 def used_names(source: str) -> set[str]:

@@ -25,13 +25,13 @@ from promptsan.client import (
     MockChatModel,
     _tag,
 )
-from promptsan.normalization import _STRIP_CHARS
+from promptsan.normalization import STRIP_CHARS
 from promptsan.rewriting import DEFAULT_PARAPHRASE_TEMPLATE
 from promptsan.stopwords import STOP_WORDS
 
 
 def _split_punct(raw: str) -> tuple[str, str, str]:
-    core = raw.strip(_STRIP_CHARS)
+    core = raw.strip(STRIP_CHARS)
     if not core:
         return "", raw, ""
     start = raw.index(core)
@@ -45,8 +45,8 @@ class ReferenceMock(MockChatModel):
         if not words:
             return ""
         content_positions = [
-            i for i, w in enumerate(words) if w.strip(_STRIP_CHARS).lower() not in STOP_WORDS
-            and w.strip(_STRIP_CHARS)
+            i for i, w in enumerate(words) if w.strip(STRIP_CHARS).lower() not in STOP_WORDS
+            and w.strip(STRIP_CHARS)
         ]
 
         bucket = self._bucket(req.temperature)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import pytest
 
-from promptsan import normalization
+from promptsan import normalization, pipeline
 from promptsan.client import ChatRequest, ChatResponse, MockChatModel, TransportError
 from promptsan.exemplar import ScoredParaphrase
 from promptsan.keywords import (
@@ -33,7 +33,8 @@ from promptsan.rewriting import (
     ParaphraseGroup,
     Rewrite,
     RewriteParams,
-    RewriteSchedule,
+    check_temperature,
+    schedule_range,
 )
 
 from conftest import ConstantStepOracle, FailingClient, ReportingClient, histogram_of, make_group
@@ -217,7 +218,7 @@ class TestRunPipeline:
         epsilon2 = 2.0 if method is ReleaseMethod.DP else None
         cfg = config(
             mode=mode, max_tokens=12, release_method=method, epsilon2=epsilon2, k=3,
-            schedule=RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5)),
+            schedule=(0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5),
         )
         result = run_pipeline(PROMPT, cfg, mock_client, oracle=oracle)
         stages = [e.stage for e in result.ledger.entries]
@@ -264,7 +265,7 @@ class TestRunPipeline:
         [
             # 10 slots of 64 tokens at 2e306 each overflow the sum, not a slot.
             {"bounds": ClipBounds(0.0, 1e306)},
-            {"bounds": ClipBounds(0.0, 1e306), "schedule": RewriteSchedule.from_range(1.0, 1.9, 0.1)},
+            {"bounds": ClipBounds(0.0, 1e306), "schedule": schedule_range(1.0, 1.9, 0.1)},
             # The slots sum to 1.28e308, and epsilon2 takes the total past the largest float.
             {"bounds": ClipBounds(0.0, 1e305), "release_method": ReleaseMethod.DP, "epsilon2": 1e308},
         ],
@@ -281,7 +282,7 @@ PIPELINE_REFUSALS = {
     "bounds": ((True, "0:8"), "bounds must be a ClipBounds"),
     "m": ((True, "10", 2.5), "m must be an integer"),
     "k": ((True, "10", 2.5), "k must be an integer"),
-    "schedule": ((True, "1.0"), "rewrite temperature must be a number"),
+    "schedule": ((True, "1.0", [1.0, 1.0], "0.5:1.5:0.5", None), "rewrite temperature must be a number"),
     "release_method": ((True, "DP"), "release_method must be a ReleaseMethod"),
     "epsilon2": ((True, "1.0"), "epsilon2 must be a number"),
     "mode": ((True, "greybox"), "unknown rewrite mode"),
@@ -311,12 +312,26 @@ class TestConfigRefusals:
             run_pipeline(PROMPT, config(**overrides), client)
         assert client.requests == []
 
+    def test_a_tuple_of_the_wrong_length_is_refused_before_any_temperature_is_checked(self, monkeypatch):
+        checked = []
+
+        def counting(temperature):
+            checked.append(temperature)
+            return check_temperature(temperature)
+
+        monkeypatch.setattr(pipeline, "check_temperature", counting)
+        with pytest.raises(ValueError, match="schedule must cover exactly m rewrites"):
+            config(m=10, schedule=(1.0,) * 10**6)
+        assert checked == []
+        assert config(m=2, schedule=(1, 2)).schedule == (1.0, 2.0)
+        assert checked == [1, 2]
+
 
 class TestSlots:
     """``PipelineConfig.slots``: each slot's checked params, built once with the config."""
 
     def test_slots_of_one_temperature_share_one_object(self):
-        cfg = config(m=3, schedule=RewriteSchedule((0.5, 0.5, 1.5)))
+        cfg = config(m=3, schedule=(0.5, 0.5, 1.5))
         assert cfg.slots[0] is cfg.slots[1]
         assert cfg.slots[2].temperature == 1.5
         assert all(s.max_tokens == cfg.max_tokens and s.bounds == cfg.bounds for s in cfg.slots)
@@ -330,13 +345,13 @@ class TestSlots:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"schedule": RewriteSchedule.from_range(0.5, 1.4, 0.1)}, {"mode": "whitebox", "max_tokens": 4}],
+        [{}, {"schedule": schedule_range(0.5, 1.4, 0.1)}, {"mode": "whitebox", "max_tokens": 4}],
         ids=["scalar", "schedule", "whitebox"],
     )
     def test_a_run_on_a_built_config_builds_no_schedule_or_params(self, monkeypatch, overrides):
         cfg = config(**overrides)
         builds = []
-        for cls in (RewriteSchedule, RewriteParams):
+        for cls in (PipelineConfig, RewriteParams):
             def counting(self, _original=cls.__post_init__):
                 builds.append(type(self).__name__)
                 _original(self)
@@ -347,8 +362,8 @@ class TestSlots:
         assert builds == []
 
     def test_an_int_schedule_writes_float_temperatures(self):
-        schedule = RewriteSchedule.from_range(1, 2, 0.5)
-        assert [(type(t), t) for t in schedule.temperatures] == [(float, 1.0), (float, 1.5), (float, 2.0)]
+        schedule = schedule_range(1, 2, 0.5)
+        assert [(type(t), t) for t in schedule] == [(float, 1.0), (float, 1.5), (float, 2.0)]
         doc = json.dumps(run_pipeline(PROMPT, config(m=3, schedule=schedule), MockChatModel()).to_json_dict())
         assert re.findall(r'"temperature": ([^,]+),', doc) == ["1.0", "1.5", "2.0"]
 
@@ -430,13 +445,13 @@ class TestBudgetReport:
         assert f"{m}·{n}·16" in report
 
     def test_non_uniform_subtotals_per_temperature(self, mock_client):
-        schedule = RewriteSchedule.from_range(0.5, 1.5, 0.1)
+        schedule = schedule_range(0.5, 1.5, 0.1)
         result = run_pipeline(PROMPT, config(m=11, schedule=schedule), mock_client)
         report = budget_report(result)
         subtotal_lines = [l for l in report.splitlines() if l.strip().startswith("eps/unit")]
         assert len(subtotal_lines) == 11
 
-    @pytest.mark.parametrize("schedule", [1.0, RewriteSchedule.from_range(0.5, 1.5, 0.1)])
+    @pytest.mark.parametrize("schedule", [1.0, schedule_range(0.5, 1.5, 0.1)])
     def test_a_dp_release_adds_one_epsilon2_line_to_either_summary(self, mock_client, schedule):
         cfg = config(m=11, schedule=schedule, release_method=ReleaseMethod.DP, epsilon2=200.0)
         lines = budget_report(run_pipeline(PROMPT, cfg, mock_client)).splitlines()

@@ -23,11 +23,11 @@ from promptsan.rewriting import (
     Rewrite,
     RewriteError,
     RewriteParams,
-    RewriteSchedule,
     calibrate_bounds,
     paraphrase_blackbox,
     paraphrase_whitebox,
     rewrite_group,
+    schedule_range,
 )
 
 from conftest import ConstantStepOracle, EchoClient, FailingClient, FixedClient, ReportingClient, slots_of
@@ -78,14 +78,21 @@ class TestParams:
     @pytest.mark.parametrize("temperature", [True, "1.0", None, 10**400], ids=["bool", "str", "none", "huge-int"])
     def test_a_schedule_temperature_that_is_no_number_is_refused(self, temperature):
         with pytest.raises(ValueError, match="rewrite temperature must be a"):
-            RewriteSchedule((1.0, temperature))
+            PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=2, schedule=(1.0, temperature))
         with pytest.raises(ValueError, match="rewrite temperature must be a"):
-            RewriteSchedule.uniform(temperature, 2)
+            PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=2, schedule=temperature)
 
     def test_a_schedule_stores_its_temperatures_as_floats(self):
-        schedule = RewriteSchedule((1, 2))
-        assert [(type(t), t) for t in schedule.temperatures] == [(float, 1.0), (float, 2.0)]
-        assert schedule == RewriteSchedule((1.0, 2.0))
+        config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=2, schedule=(1, 2))
+        assert [(type(t), t) for t in config.schedule] == [(float, 1.0), (float, 2.0)]
+        assert config.schedule == (1.0, 2.0)
+        assert config == PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=2, schedule=(1.0, 2.0))
+
+    def test_a_schedule_range_holds_each_step_rounded(self):
+        # Pinned: the golden runs over 0.5..1.4 depend on these floats.
+        temperatures = schedule_range(0.5, 1.5, 0.1)
+        assert temperatures == (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
+        assert all(type(t) is float for t in temperatures)
 
     @pytest.mark.parametrize(
         "low, high, step",
@@ -94,7 +101,7 @@ class TestParams:
     )
     def test_non_finite_schedule_range_rejected(self, low, high, step):
         with pytest.raises(ValueError, match="schedule range must be finite"):
-            RewriteSchedule.from_range(low, high, step)
+            schedule_range(low, high, step)
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
     def test_temperature_must_be_positive_and_finite(self, temperature):
@@ -102,7 +109,7 @@ class TestParams:
         with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
             RewriteParams(mode="blackbox", temperature=temperature, max_tokens=10, bounds=bounds)
         with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
-            RewriteSchedule((1.0, 1.0, temperature))
+            PipelineConfig(bounds=bounds, m=3, schedule=(1.0, 1.0, temperature))
         with pytest.raises(ValueError, match="rewrite temperature must be positive and finite"):
             PipelineConfig(bounds=bounds, schedule=temperature)
 
@@ -112,17 +119,16 @@ class TestParams:
     )
     def test_schedule_range_over_max_slots_rejected(self, low, high, step):
         with pytest.raises(ValueError, match=f"more than {MAX_SLOTS} rewrite slots"):
-            RewriteSchedule.from_range(low, high, step)
+            schedule_range(low, high, step)
 
     def test_schedule_holds_at_most_max_slots(self):
-        assert RewriteSchedule.uniform(1.0, MAX_SLOTS).total == MAX_SLOTS
-        assert RewriteSchedule.from_range(0.001, 1.0, 0.001).total == MAX_SLOTS
+        bounds = ClipBounds(0.0, 8.0)
+        assert len(PipelineConfig(bounds=bounds, m=MAX_SLOTS, schedule=1.0).slots) == MAX_SLOTS
+        assert len(schedule_range(0.001, 1.0, 0.001)) == MAX_SLOTS
         with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
-            RewriteSchedule.uniform(1.0, MAX_SLOTS + 1)
+            PipelineConfig(bounds=bounds, m=MAX_SLOTS + 1, schedule=(1.0,) * (MAX_SLOTS + 1))
         with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
-            RewriteSchedule((1.0,) * (MAX_SLOTS + 1))
-        with pytest.raises(ValueError, match=f"at most {MAX_SLOTS} rewrite slots"):
-            PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=MAX_SLOTS + 1)
+            PipelineConfig(bounds=bounds, m=MAX_SLOTS + 1)
 
 
 class TestParaphraseWhitebox:
@@ -262,7 +268,7 @@ class TestRewriteGroup:
     def test_uniform_echo_group(self, rng):
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "sail the quiet canal", slots_of(RewriteSchedule.uniform(1.0, 10), self.params()), rng, ledger,
+            "sail the quiet canal", slots_of((1.0,) * 10, self.params()), rng, ledger,
             client=EchoClient(),
         )
         assert len(group.rewrites) == 10
@@ -270,8 +276,8 @@ class TestRewriteGroup:
         assert sum(1 for e in ledger.entries if e.stage is Stage.REWRITE) == 10
 
     def test_schedule_total_cross_check(self, rng):
-        schedule = RewriteSchedule.from_range(0.5, 1.5, 0.1)
-        assert schedule.total == 11
+        schedule = schedule_range(0.5, 1.5, 0.1)
+        assert len(schedule) == 11
         ledger = PrivacyLedger()
         group = rewrite_group(
             "prompt words here", slots_of(schedule, self.params()), rng, ledger, client=EchoClient()
@@ -284,7 +290,7 @@ class TestRewriteGroup:
 
     def test_single_rewrite_degenerates(self, rng):
         group = rewrite_group(
-            "p q r", slots_of(RewriteSchedule.uniform(1.0, 1), self.params()), rng, PrivacyLedger(),
+            "p q r", slots_of((1.0,), self.params()), rng, PrivacyLedger(),
             client=EchoClient(),
         )
         assert len(group.rewrites) == 1
@@ -292,7 +298,7 @@ class TestRewriteGroup:
     def test_partial_failure_keeps_successes(self, rng):
         client = FailingClient(failures=2)
         group = rewrite_group(
-            "p q", slots_of(RewriteSchedule.uniform(1.0, 5), self.params()), rng, PrivacyLedger(), client=client
+            "p q", slots_of((1.0,) * 5, self.params()), rng, PrivacyLedger(), client=client
         )
         assert len(group.rewrites) == 3
         assert len(group.warnings) == 2
@@ -300,21 +306,21 @@ class TestRewriteGroup:
     def test_all_failed_raises(self, rng):
         with pytest.raises(GroupRewriteError):
             rewrite_group(
-                "p", slots_of(RewriteSchedule.uniform(1.0, 3), self.params()), rng, PrivacyLedger(),
+                "p", slots_of((1.0,) * 3, self.params()), rng, PrivacyLedger(),
                 client=FailingClient(failures=99),
             )
 
     def test_never_substitutes_original_on_failure(self, rng):
         client = FailingClient(failures=1, inner=EchoClient("upper"))
         group = rewrite_group(
-            "secret prompt", slots_of(RewriteSchedule.uniform(1.0, 3), self.params()), rng, PrivacyLedger(),
+            "secret prompt", slots_of((1.0,) * 3, self.params()), rng, PrivacyLedger(),
             client=client,
         )
         assert all(t == "SECRET PROMPT" for t in group.texts())
 
     def test_schedule_permutation_preserves_total(self, mock_client):
-        fwd = RewriteSchedule((0.5, 0.5, 1.5, 1.5))
-        bwd = RewriteSchedule((1.5, 1.5, 0.5, 0.5))
+        fwd = (0.5, 0.5, 1.5, 1.5)
+        bwd = (1.5, 1.5, 0.5, 0.5)
         ledger_fwd, ledger_bwd = PrivacyLedger(), PrivacyLedger()
         group_fwd = rewrite_group(
             "quiet harbor lantern", slots_of(fwd, self.params()),
@@ -340,7 +346,7 @@ class TestRewriteGroup:
         def slot_seeds(m: int, temperature: float) -> list[int]:
             client = RecordingClient()
             rewrite_group(
-                "p q", slots_of(RewriteSchedule.uniform(temperature, m), self.params()),
+                "p q", slots_of((temperature,) * m, self.params()),
                 np.random.default_rng(42), PrivacyLedger(), client=client,
             )
             return client.seeds
@@ -429,7 +435,7 @@ class FailAtTemperature:
 
 class TestFanOut:
     # Six slots at T = 0.5, 0.6, ..., 1.0, so a slot is known by its temperature.
-    schedule = RewriteSchedule.from_range(0.5, 1.0, 0.1)
+    schedule = schedule_range(0.5, 1.0, 0.1)
 
     def params(self):
         return RewriteParams(
@@ -441,7 +447,7 @@ class TestFanOut:
         # until it times out and breaks.
         ledger = PrivacyLedger()
         group = rewrite_group(
-            "p q", slots_of(RewriteSchedule.uniform(1.0, 8), self.params()), rng, ledger, client=BarrierClient()
+            "p q", slots_of((1.0,) * 8, self.params()), rng, ledger, client=BarrierClient()
         )
         assert len(group.rewrites) == 8
         assert len(ledger.entries) == 8
@@ -449,12 +455,12 @@ class TestFanOut:
     @pytest.mark.parametrize(
         "schedule",
         [
-            RewriteSchedule.from_range(0.5, 1.5, 0.1),
-            RewriteSchedule((0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5)),
+            schedule_range(0.5, 1.5, 0.1),
+            (0.5, 0.5, 0.75, 0.75, 1.0, 1.0, 1.25, 1.25, 1.5, 1.5),
         ],
     )
     def test_pipeline_output_is_identical_at_any_max_inflight(self, schedule):
-        config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=schedule.total, schedule=schedule, seed=5)
+        config = PipelineConfig(bounds=ClipBounds(0.0, 8.0), m=len(schedule), schedule=schedule, seed=5)
         prompt = "Where would the silver archive usually store a hidden journal during the harbor festival?"
         outputs = set()
         interval = sys.getswitchinterval()
@@ -478,7 +484,7 @@ class TestFanOut:
         with pytest.raises(KeyError) as exc_info:
             rewrite_group("p q", slots_of(self.schedule, self.params()), rng, ledger, client=client)
         assert exc_info.value is failing.error
-        assert sorted(failing.temperatures) == list(self.schedule.temperatures)
+        assert sorted(failing.temperatures) == list(self.schedule)
         assert [(e.note, e.units) for e in ledger.entries] == [
             (f"blackbox T={t:g} (nominal bounds)", 2) for t in (0.5, 0.6, 0.7, 0.9, 1.0)
         ]
@@ -514,12 +520,12 @@ TEMPERATURES = (0.1, 0.25, 0.5, 1.0, 1.5)
 
 # Every schedule covers at least two slots, so dropping one leaves a group.
 schedules = st.one_of(
-    st.builds(RewriteSchedule.uniform, st.sampled_from(TEMPERATURES), st.integers(2, 10)),
+    st.builds(lambda t, m: (t,) * m, st.sampled_from(TEMPERATURES), st.integers(2, 10)),
     st.builds(
-        lambda low, step, n, each: RewriteSchedule(tuple(
-            t for t in RewriteSchedule.from_range(low, low + step * (n - 1), step).temperatures
+        lambda low, step, n, each: tuple(
+            t for t in schedule_range(low, low + step * (n - 1), step)
             for _ in range(each)
-        )),
+        ),
         st.sampled_from(TEMPERATURES),
         st.sampled_from((0.05, 0.1, 0.25)),
         st.integers(2, 6),
@@ -537,7 +543,7 @@ def pipeline_runs(draw):
     schedule = draw(schedules)
     config = PipelineConfig(
         bounds=ClipBounds(0.0, 8.0),
-        m=schedule.total,
+        m=len(schedule),
         schedule=schedule,
         release_method=ReleaseMethod.DP if dp else ReleaseMethod.NDP,
         epsilon2=draw(st.sampled_from((0.5, 1.0, 3.0))) if dp else None,
